@@ -52,13 +52,8 @@ from .layers import (
     BeMLP,
     ExpertMLP,
     MoELayer,
-    be_as_moe_view,
     be_dense_forward,
     layer_forward,
-    moe_forward,
-    multihead_forward,
-    only_partitioning_forward,
-    pbe_forward,
     split_members,
     tile,
     untile,
@@ -103,9 +98,7 @@ from .routing import (
     RouterParams,
     RoutingDecision,
     capacity_filter,
-    gate_k,
     make_router,
-    only_partitioning_gate,
     partitioned_gate,
 )
 from .svg import ScatterPlot, Series, render_scatter
@@ -153,7 +146,6 @@ __all__ = [
     "adapt_checkpoint_mimo",
     "adapt_checkpoint_pbe",
     "apply_checkpoint",
-    "be_as_moe_view",
     "be_dense_forward",
     "build_model",
     "capacity_filter",
@@ -168,7 +160,6 @@ __all__ = [
     "flops_estimate",
     "flops_forward",
     "forward",
-    "gate_k",
     "importance_loss",
     "improvement_table",
     "kl_diversity",
@@ -185,20 +176,15 @@ __all__ = [
     "member_avg_cross_entropy",
     "model_from_checkpoint",
     "moe_block_positions",
-    "moe_forward",
-    "multihead_forward",
     "nll_error",
     "normalized_gain",
     "normalized_improvement",
     "omega_partition",
-    "only_partitioning_forward",
-    "only_partitioning_gate",
     "ood_metrics",
     "ood_scores",
     "pair_diversity",
     "pareto_frontier",
     "partitioned_gate",
-    "pbe_forward",
     "preset",
     "render_scatter",
     "save_checkpoint",

@@ -19,7 +19,8 @@ Subcommands:
 ``flops --preset <name>``
     Print the analytic cost report for a model configuration.
 
-Exit codes: 0 success, 2 configuration error, 3 training divergence.
+Exit codes: 0 success, 2 configuration error, 3 training divergence or
+evaluation failure.
 All commands are deterministic given config and seed; files are written
 atomically (temp file then rename).
 """
@@ -591,8 +592,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DivergenceError, EvaluationError) as exc:
+    except DivergenceError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
+        return 3
+    except EvaluationError as exc:
+        print(f"evaluation failed: {exc}", file=sys.stderr)
         return 3
 
 

@@ -1,14 +1,15 @@
 """Expert MLPs and the layer mechanisms built on them.
 
-Four mechanisms share one dispatch core:
+One layer_forward runs every MoELayer mode through the same gate and
+dispatch core:
 
-* moe_forward        -- noisy top-K mixture, one router over all E experts
-* pbe_forward        -- tiled rows, each member routed inside its partition
-* only_partitioning_forward -- untiled rows routed in every block (K*M experts)
-* multihead_forward  -- top-K contributions stacked into K slots instead of summed
+* moe               -- noisy top-K mixture, one router over all E experts
+* pbe               -- tiled rows, each member routed inside its partition
+* only_partitioning -- untiled rows routed in every block (K*M experts)
+* multihead         -- top-K contributions stacked into K slots, not summed
 
 plus the rank-1 batch-ensemble dense layer and its sparse-MoE equivalence
-view, and the tiling helpers.
+view (BeMoeView), and the tiling helpers.
 
 Dispatch is organized per (slot, expert): every slot j is materialized as its
 own N x Q tensor, experts gather their tokens, and the slot tensors are summed
@@ -25,8 +26,7 @@ import numpy as np
 from .errors import ConfigError
 from .rng import Rng
 from .routing import (CapacityConfig, Partition, RouterParams, RoutingDecision,
-                      capacity_filter, gate_k, only_partitioning_gate,
-                      partitioned_gate)
+                      capacity_filter, partitioned_gate)
 from .tensor import (Tensor, concat, dense, gelu, matmul, put_rows, reshape,
                      take_rows)
 
@@ -77,7 +77,7 @@ class MoELayer:
     dropout_rate: float = 0.1
 
     def __post_init__(self):
-        modes = {"moe", "pbe", "multihead", "only_tiling", "only_partitioning"}
+        modes = {"moe", "pbe", "multihead", "only_partitioning"}
         if self.mode not in modes:
             raise ConfigError(f"unknown MoE mode {self.mode!r}")
         if self.mode in ("pbe", "only_partitioning"):
@@ -85,6 +85,8 @@ class MoELayer:
                 raise ConfigError(f"mode {self.mode} requires a partition")
             if len(self.router.weights) != self.partition.m:
                 raise ConfigError("router block count must equal partition M")
+            if self.partition.e != len(self.experts):
+                raise ConfigError("partition E must equal the expert count")
         else:
             if len(self.router.weights) != 1:
                 raise ConfigError(f"mode {self.mode} requires a single router")
@@ -140,88 +142,30 @@ def _sum_slots(slots: list) -> Tensor:
     return out
 
 
-def moe_forward(h: Tensor, layer: MoELayer, rng: Rng, *, train: bool = False,
-                dropout_on: bool | None = None,
-                noise_key: tuple = ("route", 0, 0),
-                dropout_key: tuple = ("drop", 0, 0)):
-    """Eq.-1 mixture: output = sum over selected experts of weight * expert(h).
+def layer_forward(h: Tensor, layer: MoELayer, rng: Rng, *, train: bool = False,
+                  dropout_on: bool | None = None,
+                  noise_key: tuple = ("route", 0, 0),
+                  dropout_key: tuple = ("drop", 0, 0)):
+    """Gate, capacity filter, then per-(slot, expert) dispatch.
 
-    Returns (output, RoutingDecision); the decision feeds the balance losses.
+    Modes moe and pbe sum the slots (Eq. 1; pbe rows are tiled, so each
+    member mixes only its own experts), only_partitioning sums the K*M slots
+    of its untiled rows, and multihead stacks the K slots into N x K x Q
+    (Eq. 2), whose sum reproduces moe bitwise.  Returns (output,
+    RoutingDecision); the decision feeds the balance losses.
     """
-    if layer.mode not in ("moe", "only_tiling"):
-        raise ConfigError(f"moe_forward got mode {layer.mode!r}")
-    decision = gate_k(h, layer.router, layer.k, rng, train=train, noise_key=noise_key)
+    decision = partitioned_gate(h, layer.router, layer.k, rng,
+                                tiled=layer.mode != "only_partitioning",
+                                train=train, noise_key=noise_key)
     decision = capacity_filter(decision, layer.capacity, layer.e)
     if dropout_on is None:
         dropout_on = train
     slots = _slot_outputs(h, layer, decision, rng, dropout_on, dropout_key)
-    return _sum_slots(slots), decision
-
-
-def pbe_forward(h_tiled: Tensor, layer: MoELayer, rng: Rng, *, train: bool = False,
-                dropout_on: bool | None = None,
-                noise_key: tuple = ("route", 0, 0),
-                dropout_key: tuple = ("drop", 0, 0)):
-    """Partitioned mixture over tiled rows: member m mixes only experts in E_m."""
-    if layer.mode != "pbe":
-        raise ConfigError(f"pbe_forward got mode {layer.mode!r}")
-    decision = partitioned_gate(h_tiled, layer.router, layer.partition, layer.k,
-                                rng, train=train, noise_key=noise_key)
-    decision = capacity_filter(decision, layer.capacity, layer.e)
-    if dropout_on is None:
-        dropout_on = train
-    slots = _slot_outputs(h_tiled, layer, decision, rng, dropout_on, dropout_key)
-    return _sum_slots(slots), decision
-
-
-def only_partitioning_forward(h: Tensor, layer: MoELayer, rng: Rng, *,
-                              train: bool = False, dropout_on: bool | None = None,
-                              noise_key: tuple = ("route", 0, 0),
-                              dropout_key: tuple = ("drop", 0, 0)):
-    """Route each untiled token in every block; K*M contributions summed."""
-    if layer.mode != "only_partitioning":
-        raise ConfigError(f"only_partitioning_forward got mode {layer.mode!r}")
-    decision = only_partitioning_gate(h, layer.router, layer.partition, layer.k,
-                                      rng, train=train, noise_key=noise_key)
-    decision = capacity_filter(decision, layer.capacity, layer.e)
-    if dropout_on is None:
-        dropout_on = train
-    slots = _slot_outputs(h, layer, decision, rng, dropout_on, dropout_key)
-    return _sum_slots(slots), decision
-
-
-def multihead_forward(h: Tensor, layer: MoELayer, rng: Rng, *, train: bool = False,
-                      dropout_on: bool | None = None,
-                      noise_key: tuple = ("route", 0, 0),
-                      dropout_key: tuple = ("drop", 0, 0)):
-    """Eq.-2 layer: the K selected contributions stacked into N x K x Q slots.
-
-    Slot order is descending gate weight with expert-index tiebreak; summing
-    the slots reproduces moe_forward bitwise.
-    """
     if layer.mode != "multihead":
-        raise ConfigError(f"multihead_forward got mode {layer.mode!r}")
-    decision = gate_k(h, layer.router, layer.k, rng, train=train, noise_key=noise_key)
-    decision = capacity_filter(decision, layer.capacity, layer.e)
-    if dropout_on is None:
-        dropout_on = train
-    slots = _slot_outputs(h, layer, decision, rng, dropout_on, dropout_key)
+        return _sum_slots(slots), decision
     n = h.data.shape[0]
     q = layer.experts[0].out_dim
-    stacked = concat([reshape(s, (n, 1, q)) for s in slots], axis=1)
-    return stacked, decision
-
-
-def layer_forward(h: Tensor, layer: MoELayer, rng: Rng, **kw):
-    """Dispatch to the forward matching layer.mode."""
-    fn = {
-        "moe": moe_forward,
-        "only_tiling": moe_forward,
-        "pbe": pbe_forward,
-        "only_partitioning": only_partitioning_forward,
-        "multihead": multihead_forward,
-    }[layer.mode]
-    return fn(h, layer, rng, **kw)
+    return concat([reshape(s, (n, 1, q)) for s in slots], axis=1), decision
 
 
 # ----------------------------------------------------------------------
@@ -334,11 +278,6 @@ class BeMoeView:
         for e in range(self.m):
             out = out + g[:, e:e + 1] * (h @ self.expert_weights[e])
         return out
-
-
-def be_as_moe_view(be: BatchEnsembleDense) -> BeMoeView:
-    """Build the equivalence view; its forward matches be_dense_forward to ~1e-15."""
-    return BeMoeView(be)
 
 
 @dataclass

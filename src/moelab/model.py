@@ -362,9 +362,11 @@ def build_model(spec: ModelSpec, rng: Rng) -> Model:
         if i in moe_at and spec.variant == "be":
             mlp = be_mlp(f"{p}.mlp")
         elif i in moe_at and spec.uses_moe:
+            # only_tiling differs from vmoe only in its tiled input and eval
+            # noise, both set outside the layer
             if spec.variant == "multihead":
                 mode = "multihead" if i == multihead_at else "moe"
-            elif spec.variant == "vmoe":
+            elif spec.variant in ("vmoe", "only_tiling"):
                 mode = "moe"
             else:
                 mode = spec.variant
@@ -489,15 +491,7 @@ def forward(model: Model, images, rng: Rng, *, train: bool = False,
         h_flat = reshape(h, (bc * t, d))
         noise_key = ("route", i, step)
         drop_key = ("drop", i, step, sample)
-        if isinstance(blk.mlp, ExpertMLP):
-            mask = None
-            if dropout_on and spec.dropout_rate > 0.0:
-                mask = dropout_mask(rng, spec.dropout_rate,
-                                    (bc * t, blk.mlp.hidden_dim),
-                                    *drop_key, -1, 0)
-            out = blk.mlp.forward(h_flat, mask)
-            x = x + reshape(out, (bc, t, d))
-        elif isinstance(blk.mlp, BeMLP):
+        if isinstance(blk.mlp, (ExpertMLP, BeMLP)):
             mask = None
             if dropout_on and spec.dropout_rate > 0.0:
                 mask = dropout_mask(rng, spec.dropout_rate,

@@ -1,9 +1,12 @@
-"""Noisy top-K gating, partitioned per-member gating, and capacity filtering.
+"""One noisy top-K gate for every routed mode, and capacity filtering.
 
-The gate takes softmax over (optionally noisy) router logits and keeps the K
-largest entries per token.  Surviving weights are the raw softmax values,
-never renormalized.  Ties break toward the lower expert index so that a
-brute-force sort oracle reproduces the decision exactly.
+The gate splits the experts into M equal router blocks.  V-MoE is M=1, pbe
+routes each member's tiled rows inside its own block, and only_partitioning
+routes every row in every block.  Per block, the gate takes softmax over
+(optionally noisy) router logits and keeps the K largest entries per token.
+Surviving weights are the raw softmax values, never renormalized.  Ties
+break toward the lower expert index so that a brute-force sort oracle
+reproduces the decision exactly.
 """
 
 from __future__ import annotations
@@ -31,19 +34,6 @@ class Partition:
         if self.e % self.m != 0:
             raise ConfigError(f"E={self.e} not divisible by M={self.m}")
 
-    @property
-    def block_size(self) -> int:
-        return self.e // self.m
-
-    def member_of(self, expert: int) -> int:
-        if not 0 <= expert < self.e:
-            raise ConfigError(f"expert id {expert} out of range")
-        return expert // self.block_size
-
-    def block(self, member: int) -> range:
-        b = self.block_size
-        return range(member * b, (member + 1) * b)
-
 
 @dataclass
 class RouterParams:
@@ -67,6 +57,9 @@ class RouterParams:
         widths = {w.data.shape[1] for w in self.weights}
         if len(widths) != 1:
             raise ConfigError("router blocks disagree on input width")
+        heights = {w.data.shape[0] for w in self.weights}
+        if len(heights) != 1:
+            raise ConfigError("router blocks must all hold E/M experts")
 
     @property
     def total_experts(self) -> int:
@@ -131,129 +124,66 @@ def _topk_desc(p: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(-p, axis=1, kind="stable")[:, :k]
 
 
-def gate_k(h: Tensor, router: RouterParams, k: int, rng: Rng, *,
-           train: bool = False, noise_key: tuple = ("route", 0, 0)) -> RoutingDecision:
-    """Noisy top-K gate over a single router.
+def partitioned_gate(h: Tensor, router: RouterParams, k: int, rng: Rng, *,
+                     tiled: bool = True, train: bool = False,
+                     noise_key: tuple = ("route", 0, 0)) -> RoutingDecision:
+    """Noisy top-K gate over M router blocks of E/M experts each.
 
-    logits = h W^T (+ sigma * multiplier * eps when noise is enabled), softmax
-    over all E experts, keep the K largest weights per token.
+    Block m has weights W_m; its logits are h W_m^T (+ sigma * multiplier *
+    eps when noise is enabled), softmax runs over the block, and the K
+    largest weights are kept.  Indices are global expert ids.
+
+    tiled=True (pbe, Eq. 3): rows are member-major, rows [m*B, (m+1)*B)
+    belong to member m and are routed by block m only; eps is drawn as
+    (N, E/M) and indexed by each member's rows.  tiled=False
+    (only_partitioning): every row is routed in every block, giving K*M
+    slots per row in block order; eps is drawn as (N, E) and sliced by
+    column block.  With M=1 both are the V-MoE gate over a single router,
+    and the tape holds no row gather or concat.
     """
-    if len(router.weights) != 1:
-        raise ConfigError("gate_k requires a single (non-partitioned) router")
-    w = router.weights[0]
-    e = w.data.shape[0]
-    if not 1 <= k <= e:
-        raise ConfigError(f"K={k} out of range for E={e}")
+    m = len(router.weights)
+    eb = router.weights[0].data.shape[0]
+    if not 1 <= k <= eb:
+        raise ConfigError(f"K={k} out of range for block size {eb}")
     n = h.data.shape[0]
+    if tiled and n % m != 0:
+        raise ConfigError(f"tiled row count {n} not divisible by M={m}")
+    b = n // m
 
-    clean = matmul(h, transpose(w, (1, 0)))
     sigma = router.effective_sigma(train)
+    noise = None
     if sigma > 0.0:
-        eps = rng.normal((n, e), *noise_key)
-        noisy = clean + Tensor(sigma * eps)
+        noise = sigma * rng.normal((n, eb if tiled else m * eb), *noise_key)
+
+    index_blocks = []
+    weight_blocks = []
+    member_logits = []
+    for mm in range(m):
+        h_m, noise_m = h, noise
+        if tiled and m > 1:
+            rows = np.arange(mm * b, (mm + 1) * b)
+            h_m = take_rows(h, rows)
+            noise_m = None if noise is None else noise[rows]
+        elif not tiled and noise is not None:
+            noise_m = noise[:, mm * eb:(mm + 1) * eb]
+        clean = matmul(h_m, transpose(router.weights[mm], (1, 0)))
+        noisy = clean if noise_m is None else clean + Tensor(noise_m)
+        probs = softmax(noisy, axis=-1)
+        local = _topk_desc(probs.data, k)
+        index_blocks.append(local + mm * eb)
+        weight_blocks.append(take_cols(probs, local))
+        member_logits.append((clean, noisy.data))
+
+    if m == 1:
+        indices, weights = index_blocks[0], weight_blocks[0]
     else:
-        noisy = clean
-    probs = softmax(noisy, axis=-1)
-    indices = _topk_desc(probs.data, k)
-    weights = take_cols(probs, indices)
+        axis = 0 if tiled else 1
+        indices = np.concatenate(index_blocks, axis=axis)
+        weights = concat(weight_blocks, axis=axis)
     return RoutingDecision(
         indices=indices,
         weights=weights,
         dropped_mask=np.zeros_like(indices, dtype=bool),
-        member_logits=[(clean, noisy.data)],
-        sigma=sigma,
-        k=k,
-    )
-
-
-def partitioned_gate(h_tiled: Tensor, router: RouterParams, partition: Partition,
-                     k: int, rng: Rng, *, train: bool = False,
-                     noise_key: tuple = ("route", 0, 0)) -> RoutingDecision:
-    """Per-member gating over tiled rows (Eq. 3 mechanism).
-
-    Row layout is member-major: rows [m*B, (m+1)*B) belong to member m and
-    are routed with W_m over that member's E/M experts only.  With M=1 the
-    decision is bitwise identical to gate_k on the same rng stream.
-    """
-    m = partition.m
-    if len(router.weights) != m:
-        raise ConfigError("router block count must equal partition M")
-    eb = partition.block_size
-    n = h_tiled.data.shape[0]
-    if n % m != 0:
-        raise ConfigError(f"tiled row count {n} not divisible by M={m}")
-    if not 1 <= k <= eb:
-        raise ConfigError(f"K={k} out of range for block size {eb}")
-    b = n // m
-
-    sigma = router.effective_sigma(train)
-    eps = rng.normal((n, eb), *noise_key) if sigma > 0.0 else None
-
-    index_blocks = []
-    weight_blocks = []
-    member_logits = []
-    for mm in range(m):
-        rows = np.arange(mm * b, (mm + 1) * b)
-        h_m = take_rows(h_tiled, rows)
-        clean = matmul(h_m, transpose(router.weights[mm], (1, 0)))
-        if eps is not None:
-            noisy = clean + Tensor(sigma * eps[rows])
-        else:
-            noisy = clean
-        probs = softmax(noisy, axis=-1)
-        local = _topk_desc(probs.data, k)
-        index_blocks.append(local + mm * eb)
-        weight_blocks.append(take_cols(probs, local))
-        member_logits.append((clean, noisy.data))
-
-    return RoutingDecision(
-        indices=np.concatenate(index_blocks, axis=0),
-        weights=concat(weight_blocks, axis=0),
-        dropped_mask=np.zeros((n, k), dtype=bool),
-        member_logits=member_logits,
-        sigma=sigma,
-        k=k,
-    )
-
-
-def only_partitioning_gate(h: Tensor, router: RouterParams, partition: Partition,
-                           k: int, rng: Rng, *, train: bool = False,
-                           noise_key: tuple = ("route", 0, 0)) -> RoutingDecision:
-    """Route every (untiled) token inside every partition block.
-
-    Each token ends up with K*M selected experts, K per block, blocks in
-    member order.  With M=1 this reduces to gate_k bitwise.
-    """
-    m = partition.m
-    if len(router.weights) != m:
-        raise ConfigError("router block count must equal partition M")
-    eb = partition.block_size
-    if not 1 <= k <= eb:
-        raise ConfigError(f"K={k} out of range for block size {eb}")
-    n = h.data.shape[0]
-
-    sigma = router.effective_sigma(train)
-    eps = rng.normal((n, partition.e), *noise_key) if sigma > 0.0 else None
-
-    index_blocks = []
-    weight_blocks = []
-    member_logits = []
-    for mm in range(m):
-        clean = matmul(h, transpose(router.weights[mm], (1, 0)))
-        if eps is not None:
-            noisy = clean + Tensor(sigma * eps[:, mm * eb:(mm + 1) * eb])
-        else:
-            noisy = clean
-        probs = softmax(noisy, axis=-1)
-        local = _topk_desc(probs.data, k)
-        index_blocks.append(local + mm * eb)
-        weight_blocks.append(take_cols(probs, local))
-        member_logits.append((clean, noisy.data))
-
-    return RoutingDecision(
-        indices=np.concatenate(index_blocks, axis=1),
-        weights=concat(weight_blocks, axis=1),
-        dropped_mask=np.zeros((n, k * m), dtype=bool),
         member_logits=member_logits,
         sigma=sigma,
         k=k,

@@ -438,11 +438,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return out
 
 
-def tile_rows(a: Tensor, m: int) -> Tensor:
-    """Stack m copies of `a` along axis 0 (member-major layout)."""
-    return concat([a] * m, axis=0)
-
-
 # ----------------------------------------------------------------------
 # gather / scatter (expert dispatch)
 

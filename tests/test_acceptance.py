@@ -26,13 +26,11 @@ from moelab.gradcheck import finite_difference_check
 from moelab.layers import (
     BatchEnsembleDense,
     BeMLP,
+    BeMoeView,
     ExpertMLP,
     MoELayer,
-    be_as_moe_view,
     be_dense_forward,
-    moe_forward,
-    multihead_forward,
-    pbe_forward,
+    layer_forward,
     tile,
     untile,
 )
@@ -41,7 +39,7 @@ from moelab.metrics import ece, kl_diversity, nll_error
 from moelab.model import build_model, forward, preset
 from moelab.flops import deep_ensemble_flops, flops_estimate, tiling_saving
 from moelab.rng import Rng
-from moelab.routing import Partition, RouterParams, gate_k
+from moelab.routing import Partition, RouterParams, partitioned_gate
 from moelab.tensor import Tensor, dense, matmul, reshape, softmax, transpose, tsum
 from moelab.trainer import TrainConfig, evaluate, train
 
@@ -77,7 +75,7 @@ def test_criterion_01_routing_oracle():
         if trial % 9 == 0:
             w[: e // 2 + 1] = w[0]  # duplicate rows force gate ties
         router = RouterParams(weights=[Tensor(w)], noise_scale=0.0)
-        dec = gate_k(Tensor(h), router, k, Rng(0))
+        dec = partitioned_gate(Tensor(h), router, k, Rng(0))
         idx, wts = brute_force_topk(h @ w.T, k)
         if not (np.array_equal(dec.indices, idx)
                 and np.array_equal(dec.weights.data, wts)):
@@ -150,7 +148,7 @@ def test_criterion_02_gradient_fidelity():
         params += _expert_params(mlp_)
 
     def f_moe():
-        out, _ = moe_forward(h, layer, Rng(5), train=True, dropout_on=False)
+        out, _ = layer_forward(h, layer, Rng(5), train=True, dropout_on=False)
         return tsum(out * out)
 
     errs["moe_layer"] = finite_difference_check(f_moe, params)
@@ -162,8 +160,8 @@ def test_criterion_02_gradient_fidelity():
         params += _expert_params(mlp_)
 
     def f_pbe():
-        out, _ = pbe_forward(hp, layer_p, Rng(6), train=True,
-                             dropout_on=False)
+        out, _ = layer_forward(hp, layer_p, Rng(6), train=True,
+                               dropout_on=False)
         return tsum(out * out)
 
     errs["pbe_layer"] = finite_difference_check(f_pbe, params)
@@ -172,8 +170,8 @@ def test_criterion_02_gradient_fidelity():
     hm = Tensor(gen.normal(size=(2, 3)), requires_grad=True)
 
     def f_mh():
-        out, _ = multihead_forward(hm, layer_m, Rng(7), train=True,
-                                   dropout_on=False)
+        out, _ = layer_forward(hm, layer_m, Rng(7), train=True,
+                               dropout_on=False)
         return tsum(out * out)
 
     errs["multihead_layer"] = finite_difference_check(
@@ -243,7 +241,7 @@ def test_criterion_03_be_view_equivalence():
         )
         h = Tensor(gen.normal(size=(m * rows, d_in)))
         direct = be_dense_forward(h, be).data
-        viewed = be_as_moe_view(be).forward(h)
+        viewed = BeMoeView(be).forward(h)
         worst = max(worst, float(np.abs(direct - viewed).max()))
     ok = worst < 1e-12
     assert report(3, ok, f"100 instances, max |direct - view| = {worst:.2e} "

@@ -14,7 +14,7 @@ import pytest
 import moelab.cli
 from moelab.cli import ExperimentConfig, load_config, main
 from moelab.dataset import DatasetSpec
-from moelab.errors import ConfigError, DivergenceError
+from moelab.errors import ConfigError, DivergenceError, EvaluationError
 from moelab.model import ModelSpec
 from moelab.trainer import HISTORY_COLUMNS, TrainConfig
 
@@ -243,6 +243,17 @@ class TestRun:
         err = capsys.readouterr().err
         assert "training diverged" in err
         assert "step 4" in err
+
+    def test_evaluation_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        def failing(model, dataset, rng, **kw):
+            raise EvaluationError("non-finite probabilities in forward pass")
+
+        monkeypatch.setattr(moelab.cli, "evaluate", failing)
+        path = write_config(tmp_path, tiny_config_dict(tmp_path / "out"))
+        assert main(["run", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "evaluation failed: non-finite probabilities" in err
+        assert "training diverged" not in err
 
 
 class TestSweep:

@@ -9,14 +9,11 @@ from moelab.gradcheck import finite_difference_check
 from moelab.layers import (
     BatchEnsembleDense,
     BeMLP,
+    BeMoeView,
     ExpertMLP,
     MoELayer,
-    be_as_moe_view,
     be_dense_forward,
-    moe_forward,
-    multihead_forward,
-    only_partitioning_forward,
-    pbe_forward,
+    layer_forward,
     split_members,
     tile,
     untile,
@@ -96,7 +93,7 @@ class TestMoeForward:
         gen = np.random.default_rng(1)
         layer = make_layer(gen, e=1, k=1)
         h = Tensor(gen.normal(size=(5, 3)))
-        out, _ = moe_forward(h, layer, Rng(0))
+        out, _ = layer_forward(h, layer, Rng(0))
         np.testing.assert_allclose(out.data, layer.experts[0].forward(h).data,
                                    atol=1e-15)
 
@@ -104,7 +101,7 @@ class TestMoeForward:
         gen = np.random.default_rng(2)
         layer = make_layer(gen, e=4, k=4)
         h = gen.normal(size=(6, 3))
-        out, _ = moe_forward(Tensor(h), layer, Rng(0))
+        out, _ = layer_forward(Tensor(h), layer, Rng(0))
         np.testing.assert_allclose(out.data, dense_mixture_oracle(h, layer),
                                    atol=1e-12)
 
@@ -115,7 +112,7 @@ class TestMoeForward:
         layer.experts[1] = shared
         layer.experts[2] = shared
         h = Tensor(gen.normal(size=(4, 3)))
-        out, dec = moe_forward(h, layer, Rng(0))
+        out, dec = layer_forward(h, layer, Rng(0))
         # with K=E the gate weights sum to 1, so output = shared expert
         np.testing.assert_allclose(out.data, shared.forward(h).data,
                                    atol=1e-12)
@@ -128,7 +125,7 @@ class TestMoeForward:
         layer.router.weights[0].data[:] = np.array([[5.0, 5.0, 5.0],
                                                     [-5.0, -5.0, -5.0]])
         h = Tensor(np.ones((4, 3)))
-        out, dec = moe_forward(h, layer, Rng(0))
+        out, dec = layer_forward(h, layer, Rng(0))
         assert dec.dropped_mask[:, 0].tolist() == [False, True, True, True]
         np.testing.assert_array_equal(out.data[1:], 0.0)
         assert np.abs(out.data[0]).max() > 0
@@ -141,15 +138,15 @@ class TestPbeForward:
         pbe = MoELayer(experts=moe.experts, router=moe.router, k=2,
                        mode="pbe", partition=Partition(m=1, e=4))
         h = Tensor(gen.normal(size=(6, 3)))
-        a, _ = moe_forward(h, moe, Rng(2), train=True, dropout_on=False)
-        b, _ = pbe_forward(h, pbe, Rng(2), train=True, dropout_on=False)
+        a, _ = layer_forward(h, moe, Rng(2), train=True, dropout_on=False)
+        b, _ = layer_forward(h, pbe, Rng(2), train=True, dropout_on=False)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_m_equals_e_single_expert_per_member(self):
         gen = np.random.default_rng(6)
         layer = make_layer(gen, e=3, k=1, mode="pbe", m=3)
         h = Tensor(gen.normal(size=(6, 3)))  # 2 rows per member
-        out, dec = pbe_forward(h, layer, Rng(0))
+        out, dec = layer_forward(h, layer, Rng(0))
         np.testing.assert_array_equal(dec.weights.data, 1.0)
         np.testing.assert_array_equal(dec.indices[:2], 0)
         np.testing.assert_array_equal(dec.indices[2:4], 1)
@@ -160,7 +157,7 @@ class TestPbeForward:
         layer = make_layer(gen, e=4, k=1, mode="pbe", m=2)
         b = 3
         h = gen.normal(size=(2 * b, 3))
-        out, dec = pbe_forward(Tensor(h), layer, Rng(0))
+        out, dec = layer_forward(Tensor(h), layer, Rng(0))
         oracle = np.zeros((2 * b, 3))
         for mm in range(2):
             w = layer.router.weights[mm].data
@@ -181,7 +178,7 @@ class TestPbeForward:
         layer = make_layer(gen, e=6, k=2, mode="pbe", m=2)
         b = 4
         h = gen.normal(size=(2 * b, 3))
-        out, _ = pbe_forward(Tensor(h), layer, Rng(0))
+        out, _ = layer_forward(Tensor(h), layer, Rng(0))
         for mm in range(2):
             sub = MoELayer(
                 experts=layer.experts[mm * 3:(mm + 1) * 3],
@@ -190,7 +187,7 @@ class TestPbeForward:
                 k=2,
             )
             rows = slice(mm * b, (mm + 1) * b)
-            sub_out, _ = moe_forward(Tensor(h[rows]), sub, Rng(0))
+            sub_out, _ = layer_forward(Tensor(h[rows]), sub, Rng(0))
             np.testing.assert_array_equal(out.data[rows], sub_out.data)
 
 
@@ -201,15 +198,15 @@ class TestOnlyPartitioning:
         op = MoELayer(experts=moe.experts, router=moe.router, k=2,
                       mode="only_partitioning", partition=Partition(m=1, e=4))
         h = Tensor(gen.normal(size=(5, 3)))
-        a, _ = moe_forward(h, moe, Rng(0))
-        b, _ = only_partitioning_forward(h, op, Rng(0))
+        a, _ = layer_forward(h, moe, Rng(0))
+        b, _ = layer_forward(h, op, Rng(0))
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_full_blocks_equal_blockwise_dense_mixture(self):
         gen = np.random.default_rng(10)
         layer = make_layer(gen, e=4, k=2, mode="only_partitioning", m=2)
         h = gen.normal(size=(5, 3))
-        out, dec = only_partitioning_forward(Tensor(h), layer, Rng(0))
+        out, dec = layer_forward(Tensor(h), layer, Rng(0))
         oracle = np.zeros((5, 3))
         for mm in range(2):
             sub = MoELayer(
@@ -221,11 +218,18 @@ class TestOnlyPartitioning:
             oracle += dense_mixture_oracle(h, sub)
         np.testing.assert_allclose(out.data, oracle, atol=1e-12)
 
+    def test_partition_must_cover_experts(self):
+        gen = np.random.default_rng(25)
+        layer = make_layer(gen, e=6, k=1, mode="only_partitioning", m=2)
+        with pytest.raises(ConfigError):
+            MoELayer(experts=layer.experts, router=layer.router, k=1,
+                     mode="only_partitioning", partition=Partition(m=2, e=8))
+
     def test_k_times_m_live_slots(self):
         gen = np.random.default_rng(11)
         layer = make_layer(gen, e=6, k=2, mode="only_partitioning", m=3)
         h = Tensor(gen.normal(size=(4, 3)))
-        out, dec = only_partitioning_forward(h, layer, Rng(0))
+        out, dec = layer_forward(h, layer, Rng(0))
         assert dec.indices.shape == (4, 6)
         assert not dec.dropped_mask.any()
 
@@ -237,8 +241,8 @@ class TestMultihead:
         mh = MoELayer(experts=moe.experts, router=moe.router, k=1,
                       mode="multihead")
         h = Tensor(gen.normal(size=(5, 3)))
-        a, _ = moe_forward(h, moe, Rng(0))
-        b, _ = multihead_forward(h, mh, Rng(0))
+        a, _ = layer_forward(h, moe, Rng(0))
+        b, _ = layer_forward(h, mh, Rng(0))
         assert b.data.shape == (5, 1, 3)
         np.testing.assert_array_equal(b.data[:, 0, :], a.data)
 
@@ -251,8 +255,8 @@ class TestMultihead:
             mh = MoELayer(experts=moe.experts, router=moe.router, k=k,
                           mode="multihead")
             h = Tensor(gen.normal(size=(4, 3)))
-            a, _ = moe_forward(h, moe, Rng(trial))
-            b, _ = multihead_forward(h, mh, Rng(trial))
+            a, _ = layer_forward(h, moe, Rng(trial))
+            b, _ = layer_forward(h, mh, Rng(trial))
             np.testing.assert_array_equal(b.data.sum(axis=1), a.data)
 
     def test_hand_slots(self):
@@ -260,7 +264,7 @@ class TestMultihead:
         layer = make_layer(gen, e=3, k=2, d=1, mode="multihead")
         layer.router.weights[0].data[:] = np.array([[2.0], [1.0], [0.0]])
         h = Tensor(np.array([[1.0]]))
-        out, _ = multihead_forward(h, layer, Rng(0))
+        out, _ = layer_forward(h, layer, Rng(0))
         y0 = layer.experts[0].forward(h).data[0]
         y1 = layer.experts[1].forward(h).data[0]
         np.testing.assert_allclose(out.data[0, 0], 0.66524 * y0, atol=1e-3)
@@ -319,7 +323,7 @@ class TestBatchEnsemble:
             m = int(gen.integers(1, 4))
             be = self.make_be(gen, d, l, m)
             x = tile(gen.normal(size=(2, d)), m)
-            view = be_as_moe_view(be)
+            view = BeMoeView(be)
             a = be_dense_forward(Tensor(x), be).data
             b = view.forward(x)
             assert np.abs(a - b).max() < 1e-12
@@ -327,7 +331,7 @@ class TestBatchEnsemble:
     def test_moe_view_gates_binary_one_hot(self):
         gen = np.random.default_rng(18)
         be = self.make_be(gen, 3, 2, 3)
-        g = be_as_moe_view(be).gates(6)
+        g = BeMoeView(be).gates(6)
         assert set(np.unique(g)) == {0.0, 1.0}
         np.testing.assert_array_equal(g.sum(axis=1), 1.0)
 
@@ -335,7 +339,7 @@ class TestBatchEnsemble:
         gen = np.random.default_rng(19)
         be = self.make_be(gen, 3, 2, 1)
         x = gen.normal(size=(4, 3))
-        view = be_as_moe_view(be)
+        view = BeMoeView(be)
         np.testing.assert_array_equal(view.gates(4), 1.0)
         w = be.u.data * np.outer(be.r[0].data, be.s[0].data)
         np.testing.assert_allclose(view.forward(x), x @ w, atol=1e-12)
@@ -374,7 +378,7 @@ class TestLayerGradients:
         rng = Rng(5)
 
         def f():
-            out, _ = moe_forward(h, layer, rng, train=True, dropout_on=False)
+            out, _ = layer_forward(h, layer, rng, train=True, dropout_on=False)
             return tsum(out * out)
 
         self._check(f, [h] + self._params(layer))
@@ -386,7 +390,7 @@ class TestLayerGradients:
         rng = Rng(6)
 
         def f():
-            out, _ = pbe_forward(h, layer, rng, train=True, dropout_on=False)
+            out, _ = layer_forward(h, layer, rng, train=True, dropout_on=False)
             return tsum(out * out)
 
         self._check(f, [h] + self._params(layer))
@@ -397,8 +401,8 @@ class TestLayerGradients:
         h = Tensor(gen.normal(size=(3, 3)), requires_grad=True)
 
         def f():
-            out, _ = multihead_forward(h, layer, Rng(7), train=True,
-                                       dropout_on=False)
+            out, _ = layer_forward(h, layer, Rng(7), train=True,
+                                   dropout_on=False)
             return tsum(out * out)
 
         self._check(f, [h] + self._params(layer))

@@ -8,6 +8,7 @@ import pytest
 
 from moelab.errors import ConfigError
 from moelab.gradcheck import finite_difference_check
+from moelab.layers import tile
 from moelab.rng import Rng
 from moelab.tensor import (
     Tensor,
@@ -27,7 +28,6 @@ from moelab.tensor import (
     softmax,
     take_cols,
     take_rows,
-    tile_rows,
     tmean,
     transpose,
     tsum,
@@ -192,7 +192,7 @@ class TestGradients:
             "transpose": (lambda: tsum(mul(transpose(a, (1, 0)), m43)), [a]),
             "concat": (lambda: tsum(mul(concat([a, b], axis=0), m64)),
                        [a, b]),
-            "tile": (lambda: tsum(mul(tile_rows(a, 2), m64)), [a]),
+            "tile": (lambda: tsum(mul(tile(a, 2), m64)), [a]),
             "take_rows": (lambda: tsum(take_rows(a, np.array([2, 0]))),
                           [a]),
             "take_cols": (lambda: tsum(take_cols(a, np.array([1, 3, 0]))),

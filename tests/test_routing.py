@@ -13,9 +13,7 @@ from moelab.routing import (
     Partition,
     RouterParams,
     capacity_filter,
-    gate_k,
     make_router,
-    only_partitioning_gate,
     partitioned_gate,
 )
 from moelab.tensor import Tensor
@@ -42,17 +40,17 @@ def quiet_router(w, m=1):
 def test_gate_matches_hand_softmax():
     h = Tensor(np.array([[1.0]]))
     w = np.array([[2.0], [1.0], [0.0]])  # logits become [2, 1, 0]
-    dec = gate_k(h, quiet_router(w), 2, Rng(0))
+    dec = partitioned_gate(h, quiet_router(w), 2, Rng(0))
     np.testing.assert_array_equal(dec.indices, [[0, 1]])
     np.testing.assert_allclose(dec.weights.data, [[0.66524, 0.24473]],
                                atol=1e-4)
 
 
-def test_gate_k_equals_e_keeps_full_softmax():
+def test_k_equals_e_keeps_full_softmax():
     gen = np.random.default_rng(5)
     h = Tensor(gen.normal(size=(6, 3)))
     w = gen.normal(size=(4, 3))
-    dec = gate_k(h, quiet_router(w), 4, Rng(0))
+    dec = partitioned_gate(h, quiet_router(w), 4, Rng(0))
     idx, wts = brute_force_topk(h.data @ w.T, 4)
     np.testing.assert_array_equal(dec.indices, idx)
     np.testing.assert_allclose(dec.weights.data, wts, atol=1e-15)
@@ -61,7 +59,7 @@ def test_gate_k_equals_e_keeps_full_softmax():
 
 def test_single_expert_weight_is_one():
     h = Tensor(np.random.default_rng(1).normal(size=(3, 2)))
-    dec = gate_k(h, quiet_router(np.ones((1, 2))), 1, Rng(0))
+    dec = partitioned_gate(h, quiet_router(np.ones((1, 2))), 1, Rng(0))
     np.testing.assert_array_equal(dec.weights.data, 1.0)
 
 
@@ -78,7 +76,7 @@ def test_gate_oracle_ten_thousand_instances():
         if trial % 7 == 0:
             # force ties: duplicate rows of W give equal logits
             w[: e // 2 + 1] = w[0]
-        dec = gate_k(Tensor(h), quiet_router(w), k, Rng(0))
+        dec = partitioned_gate(Tensor(h), quiet_router(w), k, Rng(0))
         idx, wts = brute_force_topk(h @ w.T, k)
         np.testing.assert_array_equal(dec.indices, idx)
         np.testing.assert_array_equal(dec.weights.data, wts)
@@ -88,7 +86,7 @@ def test_gate_oracle_ten_thousand_instances():
 def test_tie_break_prefers_lower_expert():
     h = Tensor(np.array([[1.0]]))
     w = np.array([[0.5], [0.5], [0.5]])
-    dec = gate_k(h, quiet_router(w), 2, Rng(0))
+    dec = partitioned_gate(h, quiet_router(w), 2, Rng(0))
     np.testing.assert_array_equal(dec.indices, [[0, 1]])
 
 
@@ -96,7 +94,7 @@ def test_no_renormalization_after_topk():
     # surviving weights are raw softmax values, they do NOT sum to 1
     h = Tensor(np.array([[1.0, 0.0]]))
     w = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-    dec = gate_k(h, quiet_router(w), 1, Rng(0))
+    dec = partitioned_gate(h, quiet_router(w), 1, Rng(0))
     full = brute_force_topk(h.data @ w.T, 3)[1]
     assert dec.weights.data[0, 0] == pytest.approx(full[0, 0], abs=1e-15)
     assert dec.weights.data.sum() < 1.0
@@ -106,10 +104,13 @@ def test_noise_deterministic_per_key():
     gen = np.random.default_rng(3)
     h = Tensor(gen.normal(size=(4, 3)))
     router = make_router([Tensor(gen.normal(size=(5, 3)))])
-    a = gate_k(h, router, 2, Rng(8), train=True, noise_key=("route", 1, 7))
-    b = gate_k(h, router, 2, Rng(8), train=True, noise_key=("route", 1, 7))
+    a = partitioned_gate(h, router, 2, Rng(8), train=True,
+                         noise_key=("route", 1, 7))
+    b = partitioned_gate(h, router, 2, Rng(8), train=True,
+                         noise_key=("route", 1, 7))
     np.testing.assert_array_equal(a.weights.data, b.weights.data)
-    c = gate_k(h, router, 2, Rng(8), train=True, noise_key=("route", 1, 8))
+    c = partitioned_gate(h, router, 2, Rng(8), train=True,
+                         noise_key=("route", 1, 8))
     assert not np.array_equal(a.weights.data, c.weights.data)
 
 
@@ -117,7 +118,7 @@ def test_eval_noise_off_by_default():
     gen = np.random.default_rng(4)
     h = Tensor(gen.normal(size=(4, 3)))
     router = make_router([Tensor(gen.normal(size=(5, 3)))])
-    a = gate_k(h, router, 2, Rng(0))
+    a = partitioned_gate(h, router, 2, Rng(0))
     idx, wts = brute_force_topk(h.data @ router.weights[0].data.T, 2)
     np.testing.assert_array_equal(a.indices, idx)
     np.testing.assert_allclose(a.weights.data, wts, atol=1e-15)
@@ -128,8 +129,8 @@ def test_permutation_equivariance():
     h = Tensor(gen.normal(size=(8, 4)))
     w = gen.normal(size=(6, 4))
     perm = gen.permutation(6)
-    base = gate_k(h, quiet_router(w), 3, Rng(0))
-    swapped = gate_k(h, quiet_router(w[perm]), 3, Rng(0))
+    base = partitioned_gate(h, quiet_router(w), 3, Rng(0))
+    swapped = partitioned_gate(h, quiet_router(w[perm]), 3, Rng(0))
     # expert e of the permuted router is expert perm[e] of the original;
     # weights agree up to summation order inside the softmax normalizer
     np.testing.assert_array_equal(perm[swapped.indices], base.indices)
@@ -140,19 +141,18 @@ def test_permutation_equivariance():
 def test_bad_k_rejected():
     h = Tensor(np.zeros((2, 3)))
     with pytest.raises(ConfigError):
-        gate_k(h, quiet_router(np.zeros((4, 3))), 5, Rng(0))
+        partitioned_gate(h, quiet_router(np.zeros((4, 3))), 5, Rng(0))
     with pytest.raises(ConfigError):
-        gate_k(h, quiet_router(np.zeros((4, 3))), 0, Rng(0))
+        partitioned_gate(h, quiet_router(np.zeros((4, 3))), 0, Rng(0))
 
 
 class TestPartitionedGate:
     def test_members_stay_in_their_blocks(self):
         gen = np.random.default_rng(7)
-        part = Partition(m=2, e=6)
         blocks = [Tensor(gen.normal(size=(3, 4))) for _ in range(2)]
         router = RouterParams(weights=blocks, noise_scale=0.0)
         h = Tensor(gen.normal(size=(10, 4)))  # 5 rows per member
-        dec = partitioned_gate(h, router, part, 2, Rng(0))
+        dec = partitioned_gate(h, router, 2, Rng(0))
         assert np.all(dec.indices[:5] < 3)
         assert np.all(dec.indices[5:] >= 3)
 
@@ -161,44 +161,41 @@ class TestPartitionedGate:
         for _ in range(200):
             m = int(gen.integers(1, 5))
             eb = int(gen.integers(1, 5))
-            e = m * eb
             k = int(gen.integers(1, eb + 1))
             d = int(gen.integers(1, 5))
             b = int(gen.integers(1, 6))
-            part = Partition(m=m, e=e)
             router = RouterParams(
                 weights=[Tensor(gen.normal(size=(eb, d))) for _ in range(m)],
                 noise_scale=float(gen.uniform(0, 0.5)),
             )
             h = Tensor(gen.normal(size=(b * m, d)))
-            dec = partitioned_gate(h, router, part, k, Rng(int(gen.integers(1 << 30))),
-                                   train=True)
+            dec = partitioned_gate(h, router, k,
+                                   Rng(int(gen.integers(1 << 30))), train=True)
             for mm in range(m):
                 rows = dec.indices[mm * b:(mm + 1) * b]
                 assert np.all(rows >= mm * eb)
                 assert np.all(rows < (mm + 1) * eb)
 
-    def test_m1_bitwise_equals_gate_k(self):
+    def test_m1_tiled_bitwise_equals_untiled(self):
         gen = np.random.default_rng(9)
         w = Tensor(gen.normal(size=(4, 3)))
         router = RouterParams(weights=[w], noise_scale=0.25)
         h = Tensor(gen.normal(size=(6, 3)))
         key = ("route", 2, 5)
-        a = partitioned_gate(h, router, Partition(m=1, e=4), 2, Rng(3),
-                             train=True, noise_key=key)
-        b = gate_k(h, router, 2, Rng(3), train=True, noise_key=key)
+        a = partitioned_gate(h, router, 2, Rng(3), train=True, noise_key=key)
+        b = partitioned_gate(h, router, 2, Rng(3), tiled=False, train=True,
+                             noise_key=key)
         np.testing.assert_array_equal(a.indices, b.indices)
         np.testing.assert_array_equal(a.weights.data, b.weights.data)
 
     def test_k_equals_block_weights_sum_to_one(self):
         gen = np.random.default_rng(10)
-        part = Partition(m=2, e=4)
         router = RouterParams(
             weights=[Tensor(gen.normal(size=(2, 3))) for _ in range(2)],
             noise_scale=0.0,
         )
         h = Tensor(gen.normal(size=(6, 3)))
-        dec = partitioned_gate(h, router, part, 2, Rng(0))
+        dec = partitioned_gate(h, router, 2, Rng(0))
         np.testing.assert_allclose(dec.weights.data.sum(axis=1), 1.0,
                                    atol=1e-12)
 
@@ -206,43 +203,100 @@ class TestPartitionedGate:
         with pytest.raises(ConfigError):
             Partition(m=2, e=5)
 
+    def test_unequal_block_heights_rejected(self):
+        # the gate reads E/M from the first block; a shorter or taller block
+        # would send tokens to experts of the wrong member
+        gen = np.random.default_rng(14)
+        with pytest.raises(ConfigError):
+            RouterParams(weights=[Tensor(gen.normal(size=(2, 3))),
+                                  Tensor(gen.normal(size=(4, 3)))],
+                         noise_scale=0.0)
+
 
 class TestOnlyPartitioningGate:
     def test_k_times_m_selections(self):
         gen = np.random.default_rng(11)
-        part = Partition(m=2, e=6)
         router = RouterParams(
             weights=[Tensor(gen.normal(size=(3, 4))) for _ in range(2)],
             noise_scale=0.0,
         )
         h = Tensor(gen.normal(size=(5, 4)))
-        dec = only_partitioning_gate(h, router, part, 2, Rng(0))
+        dec = partitioned_gate(h, router, 2, Rng(0), tiled=False)
         assert dec.indices.shape == (5, 4)  # K*M per token
         assert np.all(dec.indices[:, :2] < 3)
         assert np.all(dec.indices[:, 2:] >= 3)
 
-    def test_m1_reduces_to_gate_k(self):
+    def test_m1_reduces_to_vmoe_gate(self):
         gen = np.random.default_rng(12)
         w = Tensor(gen.normal(size=(4, 3)))
         router = RouterParams(weights=[w], noise_scale=0.0)
         h = Tensor(gen.normal(size=(6, 3)))
-        a = only_partitioning_gate(h, router, Partition(m=1, e=4), 2, Rng(0))
-        b = gate_k(h, router, 2, Rng(0))
+        a = partitioned_gate(h, router, 2, Rng(0), tiled=False)
+        b = partitioned_gate(h, router, 2, Rng(0))
         np.testing.assert_array_equal(a.indices, b.indices)
         np.testing.assert_array_equal(a.weights.data, b.weights.data)
 
     def test_full_blocks_sum_to_m(self):
         # K = E/M keeps each block's full softmax: weights sum to M
         gen = np.random.default_rng(13)
-        part = Partition(m=3, e=6)
         router = RouterParams(
             weights=[Tensor(gen.normal(size=(2, 3))) for _ in range(3)],
             noise_scale=0.0,
         )
         h = Tensor(gen.normal(size=(4, 3)))
-        dec = only_partitioning_gate(h, router, part, 2, Rng(0))
+        dec = partitioned_gate(h, router, 2, Rng(0), tiled=False)
         np.testing.assert_allclose(dec.weights.data.sum(axis=1), 3.0,
                                    atol=1e-12)
+
+
+class TestNoisyLayout:
+    """With sigma > 0, each block must see its own part of one noise draw:
+    untiled rows slice an (N, E) draw by column block, tiled rows index an
+    (N, E/M) draw by the member's rows."""
+
+    SIGMA = 1.0
+    KEY = ("route", 1, 4)
+
+    def _setup(self, m, n, seed):
+        gen = np.random.default_rng(seed)
+        router = RouterParams(
+            weights=[Tensor(gen.normal(size=(3, 4))) for _ in range(m)],
+            noise_scale=self.SIGMA,
+        )
+        return router, gen.normal(size=(n, 4))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_untiled_blocks_slice_one_n_by_e_draw(self, m):
+        eb, k, n = 3, 2, 5
+        router, h = self._setup(m, n, 40 + m)
+        dec = partitioned_gate(Tensor(h), router, k, Rng(11), tiled=False,
+                               train=True, noise_key=self.KEY)
+        eps = Rng(11).normal((n, m * eb), *self.KEY)
+        for mm in range(m):
+            w = router.weights[mm].data
+            noise = self.SIGMA * eps[:, mm * eb:(mm + 1) * eb]
+            idx, wts = brute_force_topk(h @ w.T + noise, k)
+            slots = slice(mm * k, (mm + 1) * k)
+            np.testing.assert_array_equal(dec.indices[:, slots],
+                                          idx + mm * eb)
+            np.testing.assert_allclose(dec.weights.data[:, slots], wts,
+                                       rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_tiled_members_index_one_n_by_block_draw(self, m):
+        eb, k, b = 3, 2, 4
+        router, h = self._setup(m, m * b, 50 + m)
+        dec = partitioned_gate(Tensor(h), router, k, Rng(11), train=True,
+                               noise_key=self.KEY)
+        eps = Rng(11).normal((m * b, eb), *self.KEY)
+        for mm in range(m):
+            w = router.weights[mm].data
+            rows = slice(mm * b, (mm + 1) * b)
+            idx, wts = brute_force_topk(h[rows] @ w.T
+                                        + self.SIGMA * eps[rows], k)
+            np.testing.assert_array_equal(dec.indices[rows], idx + mm * eb)
+            np.testing.assert_allclose(dec.weights.data[rows], wts,
+                                       rtol=0, atol=1e-15)
 
 
 class TestCapacity:
@@ -250,7 +304,7 @@ class TestCapacity:
         # every token picks expert 0 of 2
         h = Tensor(np.ones((n, 1)))
         w = np.array([[1.0], [-1.0]])
-        return gate_k(h, quiet_router(w), 1, Rng(0))
+        return partitioned_gate(h, quiet_router(w), 1, Rng(0))
 
     def test_unbounded_is_identity(self):
         dec = self._one_expert_decision(4)
