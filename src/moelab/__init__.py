@@ -94,7 +94,6 @@ from .model import (
 from .rng import Rng
 from .routing import (
     CapacityConfig,
-    Partition,
     RouterParams,
     RoutingDecision,
     capacity_filter,
@@ -130,7 +129,6 @@ __all__ = [
     "ModelSpec",
     "MoELayer",
     "PRESET_NAMES",
-    "Partition",
     "PhiFit",
     "PredictionBundle",
     "Rng",

@@ -5,7 +5,8 @@ length, then that many bytes of canonical JSON (sorted keys, compact
 separators) holding the model spec and the tensor table, then the raw
 float32 little-endian blobs concatenated in table order.  The tensor table
 is sorted by parameter name so identical parameter maps always serialize to
-identical bytes.
+identical bytes.  The loader raises ConfigError for any truncated or
+malformed file, and write_atomic is the writer of every output file.
 
 Adapters turn a trained checkpoint of one variant into a compatible
 initialization for another: vmoe -> pbe (router row-slicing), vit -> mimo
@@ -16,17 +17,39 @@ the shared factors, fresh per-member rank-1 vectors).
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
+from .config import Record
 from .errors import ConfigError
 from .model import Model, ModelSpec, build_model, moe_block_positions
 from .rng import Rng
 
 MAGIC = b"MOEL"
 FORMAT_VERSION = 1
+
+
+@dataclass
+class _TensorEntry(Record):
+    name: str
+    shape: list[int]
+    dtype: str
+
+    def __post_init__(self):
+        if self.dtype != "float32" or min(self.shape, default=0) < 0:
+            raise ConfigError(f"bad checkpoint tensor entry {self}")
+
+
+@dataclass
+class _Header(Record):
+    format_version: int
+    model_spec: ModelSpec
+    tensors: list[_TensorEntry]
 
 
 @dataclass
@@ -69,6 +92,18 @@ def model_from_checkpoint(ckpt: Checkpoint, rng: Rng | None = None) -> Model:
     return apply_checkpoint(model, ckpt)
 
 
+def write_atomic(path, data: bytes) -> None:
+    """Write `data` to a temp file beside `path`, then rename it over
+    `path`: a reader sees the old file or the new one, never a torn one."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     names = sorted(ckpt.params)
     table = [{"name": n,
@@ -79,40 +114,38 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
               "tensors": table}
     blob = json.dumps(header, sort_keys=True,
                       separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", ckpt.format_version))
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for n in names:
-            arr = np.ascontiguousarray(ckpt.params[n], dtype="<f4")
-            fh.write(arr.tobytes())
+    parts = [MAGIC, struct.pack("<I", ckpt.format_version),
+             struct.pack("<Q", len(blob)), blob]
+    parts += [np.ascontiguousarray(ckpt.params[n], dtype="<f4").tobytes()
+              for n in names]
+    write_atomic(path, b"".join(parts))
 
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw[:4] != MAGIC:
-        raise ConfigError("not a checkpoint file (bad magic)")
-    version = struct.unpack_from("<I", raw, 4)[0]
+    if raw[:4] != MAGIC or len(raw) < 16:
+        raise ConfigError("not a checkpoint file (bad magic or short prefix)")
+    version, hlen = struct.unpack_from("<IQ", raw, 4)
     if version != FORMAT_VERSION:
         raise ConfigError(f"unsupported checkpoint version {version}")
-    hlen = struct.unpack_from("<Q", raw, 8)[0]
-    header = json.loads(raw[16:16 + hlen].decode("utf-8"))
-    spec = ModelSpec.from_dict(header["model_spec"])
+    try:
+        header = json.loads(raw[16:16 + hlen].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"checkpoint header is not JSON: {exc}") from None
+    header = _Header.from_dict(header, "checkpoint header")
     params = {}
     off = 16 + hlen
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+    for entry in header.tensors:
+        count = math.prod(entry.shape)
         if off + count * 4 > len(raw):
             raise ConfigError("checkpoint has trailing or missing bytes")
         arr = np.frombuffer(raw, dtype="<f4", count=count, offset=off)
-        params[entry["name"]] = arr.reshape(shape).copy()
+        params[entry.name] = arr.reshape(entry.shape).copy()
         off += count * 4
     if off != len(raw):
         raise ConfigError("checkpoint has trailing or missing bytes")
-    return Checkpoint(spec, params, version)
+    return Checkpoint(header.model_spec, params, version)
 
 
 def adapt_checkpoint_pbe(ckpt: Checkpoint, m: int) -> Checkpoint:

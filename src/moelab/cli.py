@@ -21,18 +21,16 @@ Subcommands:
 
 Exit codes: 0 success, 2 configuration error, 3 training divergence or
 evaluation failure.
-All commands are deterministic given config and seed; files are written
-atomically (temp file then rename).
+All commands are deterministic given config and seed; every file, including
+checkpoints, is written atomically (temp file then rename).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -44,7 +42,8 @@ from .analyzer import (
     normalized_gain,
     pareto_frontier,
 )
-from .checkpoint import checkpoint_from_model, save_checkpoint
+from .checkpoint import checkpoint_from_model, save_checkpoint, write_atomic
+from .config import Record, check_value, field_types
 from .dataset import DatasetSpec, make_dataset
 from .errors import ConfigError, DivergenceError, EvaluationError
 from .flops import deep_ensemble_flops, flops_estimate, flops_forward, tiling_saving
@@ -66,7 +65,7 @@ SWEEP_PROTOCOLS = ("deep_ensemble", "mc_dropout")
 
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(Record):
     """One training experiment: model + optimizer + data + replication."""
 
     model: ModelSpec
@@ -81,51 +80,23 @@ class ExperimentConfig:
             raise ConfigError(
                 f"repetitions must be >= 1, got {self.repetitions}"
             )
-        allowed = {"variant", "e", "k", "m"}
-        unknown = set(self.grid) - allowed
-        if unknown:
-            raise ConfigError(
-                f"unknown grid keys {sorted(unknown)}; allowed {sorted(allowed)}"
-            )
+        # sweep cells are built with dataclasses.replace, which skips
+        # from_dict, so the grid values get the ModelSpec field checks here
         for key, values in self.grid.items():
+            if key not in ("variant", "e", "k", "m"):
+                raise ConfigError(f"unknown grid key {key!r}; allowed "
+                                  "variant, e, k, m")
             if not isinstance(values, list) or not values:
                 raise ConfigError(f"grid.{key} must be a non-empty list")
+            for i, value in enumerate(values):
+                check_value(value, field_types(ModelSpec)[key],
+                            f"grid.{key}[{i}]")
 
     def to_dict(self) -> dict:
-        d = {
-            "model": self.model.to_dict(),
-            "train": self.train.to_dict(),
-            "dataset": self.dataset.to_dict(),
-            "repetitions": self.repetitions,
-            "output_dir": self.output_dir,
-        }
-        if self.grid:
-            d["grid"] = self.grid
+        d = super().to_dict()
+        if not self.grid:
+            del d["grid"]
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        if not isinstance(d, dict):
-            raise ConfigError("experiment config must be a JSON object")
-        allowed = {"model", "train", "dataset", "repetitions", "output_dir",
-                   "grid"}
-        unknown = set(d) - allowed
-        if unknown:
-            raise ConfigError(
-                f"unknown config keys {sorted(unknown)}; allowed "
-                f"{sorted(allowed)}"
-            )
-        for req in ("model", "train", "dataset"):
-            if req not in d:
-                raise ConfigError(f"config missing required key {req!r}")
-        return cls(
-            model=ModelSpec.from_dict(d["model"]),
-            train=TrainConfig.from_dict(d["train"]),
-            dataset=DatasetSpec.from_dict(d["dataset"]),
-            repetitions=d.get("repetitions", 1),
-            output_dir=d.get("output_dir", "out"),
-            grid=d.get("grid", {}),
-        )
 
 
 def load_config(path) -> ExperimentConfig:
@@ -140,11 +111,8 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig.from_dict(data)
 
 
-def _write_text(path: Path, text: str) -> None:
-    # atomic: never leave a half-written file behind a crash
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+def _csv_bytes(lines: list) -> bytes:
+    return ("\n".join(lines) + "\n").encode()
 
 
 def _fmt_cell(v) -> str:
@@ -174,7 +142,7 @@ def _flatten_report(report) -> dict:
     return flat
 
 
-def _summary_csv(flat_reports: list) -> str:
+def _summary_csv(flat_reports: list) -> bytes:
     lines = ["metric,mean,stderr"]
     keys = list(flat_reports[0])
     for key in keys:
@@ -183,7 +151,7 @@ def _summary_csv(flat_reports: list) -> str:
             continue
         mean, stderr = _mean_stderr(values)
         lines.append(f"{key},{_fmt_cell(mean)},{_fmt_cell(stderr)}")
-    return "\n".join(lines) + "\n"
+    return _csv_bytes(lines)
 
 
 def _train_one(spec: ModelSpec, dataset, tcfg: TrainConfig, seed: int):
@@ -192,13 +160,15 @@ def _train_one(spec: ModelSpec, dataset, tcfg: TrainConfig, seed: int):
     return model, history
 
 
+def _write_config(config: ExperimentConfig, out_dir: Path) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    text = json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n"
+    write_atomic(out_dir / "config.json", text.encode())
+
+
 def run_experiment(config: ExperimentConfig, out_dir: Path) -> list:
     """Train and evaluate every repetition; returns the EvalReports."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_text(
-        out_dir / "config.json",
-        json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n",
-    )
+    _write_config(config, out_dir)
     flops_giga = flops_estimate(
         config.model, config.train.steps, config.train.batch_size
     )
@@ -215,12 +185,13 @@ def run_experiment(config: ExperimentConfig, out_dir: Path) -> list:
         )
         seed_dir = out_dir / f"seed_{i:03d}"
         seed_dir.mkdir(parents=True, exist_ok=True)
-        _write_text(seed_dir / "report.json", report.to_json() + "\n")
+        write_atomic(seed_dir / "report.json",
+                     (report.to_json() + "\n").encode())
         history_to_csv(history, seed_dir / "history.csv")
         save_checkpoint(checkpoint_from_model(model), seed_dir / "checkpoint.bin")
         reports.append(report)
     flat = [_flatten_report(r) for r in reports]
-    _write_text(out_dir / "summary.csv", _summary_csv(flat))
+    write_atomic(out_dir / "summary.csv", _summary_csv(flat))
     return reports
 
 
@@ -289,11 +260,7 @@ def run_sweep(config: ExperimentConfig, out_dir: Path) -> Path:
     ks = grid.get("k", [config.model.k])
     ms = grid.get("m", [config.model.m])
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_text(
-        out_dir / "config.json",
-        json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n",
-    )
+    _write_config(config, out_dir)
     header = ["variant", "e", "k", "m"]
     for name in SWEEP_METRICS:
         header += [f"{name}_mean", f"{name}_stderr"]
@@ -313,7 +280,7 @@ def run_sweep(config: ExperimentConfig, out_dir: Path) -> Path:
         row.append(_fmt_cell(flat[0]["flops_train_giga"]))
         lines.append(",".join(row))
     path = out_dir / "sweep.csv"
-    _write_text(path, "\n".join(lines) + "\n")
+    write_atomic(path, _csv_bytes(lines))
     return path
 
 
@@ -352,7 +319,7 @@ def _float_cell(row, col, path) -> float:
         ) from None
 
 
-def _scatter_svg(series_points: dict, frontier=None, y_label="NLL") -> str:
+def _scatter_svg(series_points: dict, frontier=None, y_label="NLL") -> bytes:
     from .svg import ScatterPlot, Series
 
     plot = ScatterPlot(x_label="training GFLOPs", y_label=y_label)
@@ -362,7 +329,7 @@ def _scatter_svg(series_points: dict, frontier=None, y_label="NLL") -> str:
                         connect=len(xs) > 1))
     if frontier:
         plot.frontier = list(frontier)
-    return plot.render()
+    return plot.render().encode()
 
 
 def analyze_normalized_improvement(rows, out_dir: Path, variant: str,
@@ -371,7 +338,7 @@ def analyze_normalized_improvement(rows, out_dir: Path, variant: str,
     lines = ["family,raw_improvement_pct,normalized_improvement_pct"]
     for family, raw, norm in table:
         lines.append(f"{family},{_fmt_cell(raw)},{_fmt_cell(norm)}")
-    _write_text(out_dir / "improvement.csv", "\n".join(lines) + "\n")
+    write_atomic(out_dir / "improvement.csv", _csv_bytes(lines))
 
     series = {}
     for row in rows:
@@ -380,7 +347,7 @@ def analyze_normalized_improvement(rows, out_dir: Path, variant: str,
         xs.append(float(row["gflops"]))
         ys.append(float(row["nll"]))
         labels.append(row["family"])
-    _write_text(out_dir / "improvement.svg", _scatter_svg(series))
+    write_atomic(out_dir / "improvement.svg", _scatter_svg(series))
 
 
 def analyze_pareto(rows, path, out_dir: Path) -> None:
@@ -394,14 +361,14 @@ def analyze_pareto(rows, path, out_dir: Path) -> None:
     lines = ["label,metric,gflops"]
     for p in frontier:
         lines.append(f"{p.label},{_fmt_cell(p.metric)},{_fmt_cell(p.giga_flops)}")
-    _write_text(out_dir / "frontier.csv", "\n".join(lines) + "\n")
+    write_atomic(out_dir / "frontier.csv", _csv_bytes(lines))
 
     series = {"points": ([p.giga_flops for p in points],
                          [p.metric for p in points],
                          [p.label for p in points])}
     front_xy = [(p.giga_flops, p.metric) for p in frontier]
-    _write_text(out_dir / "pareto.svg",
-                _scatter_svg(series, frontier=front_xy, y_label="metric"))
+    write_atomic(out_dir / "pareto.svg",
+                 _scatter_svg(series, frontier=front_xy, y_label="metric"))
 
 
 def analyze_gain_map(rows, path, out_dir: Path, baseline) -> None:
@@ -424,13 +391,13 @@ def analyze_gain_map(rows, path, out_dir: Path, baseline) -> None:
         else:
             cell = _fmt_cell(g)
         lines.append(f"{k},{m},{cell}")
-    _write_text(out_dir / "gain_map.csv", "\n".join(lines) + "\n")
+    write_atomic(out_dir / "gain_map.csv", _csv_bytes(lines))
 
     series = {"grid": ([p.giga_flops for p in points.values()],
                        [p.metric for p in points.values()],
                        [p.label for p in points.values()])}
-    _write_text(out_dir / "gain_map.svg",
-                _scatter_svg(series, y_label="metric"))
+    write_atomic(out_dir / "gain_map.svg",
+                 _scatter_svg(series, y_label="metric"))
 
 
 def _cmd_run(args) -> int:

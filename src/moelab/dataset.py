@@ -15,12 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import Record
 from .errors import ConfigError
 from .rng import Rng
 
 
 @dataclass
-class DatasetSpec:
+class DatasetSpec(Record):
     kind: str = "synthetic_gaussian"
     classes: int = 4
     image_size: int = 8
@@ -31,33 +32,19 @@ class DatasetSpec:
     noise_std: float = 0.5
     shift_severity: int = 2
     seed: int = 0
-    paths: dict = field(default_factory=dict)  # csv kind: split -> path
+    paths: dict[str, str] = field(default_factory=dict)  # csv kind: split -> path
 
     def __post_init__(self):
         if self.kind not in ("synthetic_gaussian", "csv"):
             raise ConfigError(f"unknown dataset kind {self.kind!r}")
         if min(self.n_train, self.n_val, self.n_test) < 1:
             raise ConfigError("split sizes must be >= 1")
+        if min(self.image_size, self.channels) < 1:
+            raise ConfigError("image_size and channels must be >= 1")
         if self.classes < 2:
             raise ConfigError("need at least 2 classes")
         if self.noise_std < 0 or self.shift_severity < 0:
             raise ConfigError("noise_std and shift_severity must be >= 0")
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "classes": self.classes,
-                "image_size": self.image_size, "channels": self.channels,
-                "n_train": self.n_train, "n_val": self.n_val,
-                "n_test": self.n_test, "noise_std": self.noise_std,
-                "shift_severity": self.shift_severity, "seed": self.seed,
-                "paths": dict(self.paths)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DatasetSpec":
-        known = set(cls.__dataclass_fields__)
-        bad = set(d) - known
-        if bad:
-            raise ConfigError(f"unknown dataset fields: {sorted(bad)}")
-        return cls(**d)
 
 
 @dataclass

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .rng import Rng
-from .routing import (CapacityConfig, Partition, RouterParams, RoutingDecision,
+from .routing import (CapacityConfig, RouterParams, RoutingDecision,
                       capacity_filter, partitioned_gate)
 from .tensor import (Tensor, concat, dense, gelu, matmul, put_rows, reshape,
                      take_rows)
@@ -72,7 +72,6 @@ class MoELayer:
     router: RouterParams
     k: int
     mode: str = "moe"
-    partition: Partition | None = None
     capacity: CapacityConfig = field(default_factory=CapacityConfig)
     dropout_rate: float = 0.1
 
@@ -80,16 +79,9 @@ class MoELayer:
         modes = {"moe", "pbe", "multihead", "only_partitioning"}
         if self.mode not in modes:
             raise ConfigError(f"unknown MoE mode {self.mode!r}")
-        if self.mode in ("pbe", "only_partitioning"):
-            if self.partition is None:
-                raise ConfigError(f"mode {self.mode} requires a partition")
-            if len(self.router.weights) != self.partition.m:
-                raise ConfigError("router block count must equal partition M")
-            if self.partition.e != len(self.experts):
-                raise ConfigError("partition E must equal the expert count")
-        else:
-            if len(self.router.weights) != 1:
-                raise ConfigError(f"mode {self.mode} requires a single router")
+        if (self.mode not in ("pbe", "only_partitioning")
+                and len(self.router.weights) != 1):
+            raise ConfigError(f"mode {self.mode} requires a single router")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError("dropout_rate must be in [0, 1)")
         if len(self.experts) != self.router.total_experts:

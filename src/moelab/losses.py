@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import Record
+from .errors import ConfigError
 from .routing import RoutingDecision
 from .tensor import (Tensor, clamp_min, log, normal_cdf, softmax, take_cols,
                      tmean, tsum)
@@ -23,15 +25,15 @@ PROB_FLOOR = 1e-12
 
 
 @dataclass
-class LossConfig:
+class LossConfig(Record):
     aux_weight: float = 0.1
     loss_mode: str = "member_avg"  # or "ensemble_ce"
 
     def __post_init__(self):
         if self.aux_weight < 0:
-            raise ValueError("aux_weight must be >= 0")
+            raise ConfigError("aux_weight must be >= 0")
         if self.loss_mode not in ("member_avg", "ensemble_ce"):
-            raise ValueError(f"unknown loss_mode {self.loss_mode!r}")
+            raise ConfigError(f"unknown loss_mode {self.loss_mode!r}")
 
 
 @dataclass

@@ -21,11 +21,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import Record
 from .errors import ConfigError, EvaluationError
 from .layers import (BatchEnsembleDense, BeMLP, ExpertMLP, MoELayer,
                      dropout_mask, layer_forward, split_members, tile)
 from .rng import Rng
-from .routing import CapacityConfig, Partition, make_router
+from .routing import CapacityConfig, make_router
 from .tensor import (Tensor, concat, dense, layernorm, matmul, reshape,
                      softmax, take_rows, tmean, transpose)
 
@@ -47,7 +48,7 @@ PRESET_NAMES = tuple(_PRESETS)
 
 
 @dataclass
-class ModelSpec:
+class ModelSpec(Record):
     """Static architecture + ensembling configuration."""
 
     image_size: int = 8
@@ -75,12 +76,16 @@ class ModelSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
+        small = [name for name in ("image_size", "patch_size", "hidden",
+                                   "mlp_dim", "layers", "heads", "classes",
+                                   "channels", "e", "k", "m")
+                 if getattr(self, name) < 1]
+        if small:
+            raise ConfigError(f"{', '.join(small)} must be positive")
         if self.image_size % self.patch_size != 0:
             raise ConfigError("image_size must be a multiple of patch_size")
         if self.hidden % self.heads != 0:
             raise ConfigError("hidden must be a multiple of heads")
-        if self.m < 1 or self.k < 1 or self.e < 1:
-            raise ConfigError("e, k, m must be positive")
         if self.uses_moe:
             top = self.layers if self.contiguous_moe else (self.layers + 1) // 2
             if not 1 <= self.last_n <= top:
@@ -140,31 +145,6 @@ class ModelSpec:
         if self.eval_noise_enabled is None:
             return self.variant == "only_tiling"
         return self.eval_noise_enabled
-
-    def to_dict(self) -> dict:
-        return {
-            "image_size": self.image_size, "patch_size": self.patch_size,
-            "hidden": self.hidden, "mlp_dim": self.mlp_dim,
-            "layers": self.layers, "heads": self.heads,
-            "classes": self.classes, "channels": self.channels,
-            "e": self.e, "k": self.k, "m": self.m, "last_n": self.last_n,
-            "variant": self.variant, "dropout_rate": self.dropout_rate,
-            "noise_scale": self.noise_scale,
-            "noise_multiplier": self.noise_multiplier,
-            "eval_noise_enabled": self.eval_noise_enabled,
-            "capacity_ratio": self.capacity_ratio,
-            "contiguous_moe": self.contiguous_moe,
-            "mimo_input_repetition_prob": self.mimo_input_repetition_prob,
-            "batch_repetitions": self.batch_repetitions,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelSpec":
-        known = set(cls.__dataclass_fields__)
-        bad = set(d) - known
-        if bad:
-            raise ConfigError(f"unknown model fields: {sorted(bad)}")
-        return cls(**d)
 
 
 def preset(name: str, **overrides) -> ModelSpec:
@@ -334,10 +314,7 @@ def build_model(spec: ModelSpec, rng: Rng) -> Model:
                              noise_scale=spec.resolved_noise_scale(),
                              noise_multiplier=spec.noise_multiplier,
                              eval_noise_enabled=spec.resolved_eval_noise())
-        part = (Partition(spec.m, spec.e)
-                if mode in ("pbe", "only_partitioning") else None)
         return MoELayer(experts, router, spec.k, mode=mode,
-                        partition=part,
                         capacity=CapacityConfig(spec.capacity_ratio),
                         dropout_rate=spec.dropout_rate)
 

@@ -50,11 +50,6 @@ class Rng:
         """
         return np.random.Generator(np.random.Philox(key=_key_words(self.seed, tags)))
 
-    def child(self, *tags) -> "Rng":
-        """Derive an independent child root, e.g. one per ensemble member."""
-        words = _key_words(self.seed, tags)
-        return Rng(int(words[0]))
-
     def normal(self, shape, *tags) -> np.ndarray:
         """Standard normal draw of `shape`, addressed by tags."""
         return self.stream(*tags).standard_normal(shape, dtype=np.float64)

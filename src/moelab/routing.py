@@ -22,20 +22,6 @@ from .tensor import Tensor, concat, matmul, softmax, take_cols, take_rows, trans
 
 
 @dataclass
-class Partition:
-    """Contiguous split of E experts into M equally sized member blocks."""
-
-    m: int
-    e: int
-
-    def __post_init__(self):
-        if self.m < 1 or self.e < 1:
-            raise ConfigError("partition sizes must be positive")
-        if self.e % self.m != 0:
-            raise ConfigError(f"E={self.e} not divisible by M={self.m}")
-
-
-@dataclass
 class RouterParams:
     """One router weight matrix per member; a single router is a length-1 list.
 

@@ -9,11 +9,14 @@ with the same config yields bitwise-identical parameters.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import write_atomic
+from .config import Record
 from .dataset import Dataset
 from .errors import ConfigError, DivergenceError
 from .losses import AuxLossState, LossConfig, member_avg_cross_entropy, \
@@ -27,7 +30,7 @@ SCHEDULES = ("constant", "cosine", "warmup_cosine")
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(Record):
     steps: int = 300
     batch_size: int = 32
     base_lr: float = 0.05
@@ -50,26 +53,6 @@ class TrainConfig:
             raise ConfigError(f"unknown lr_schedule {self.lr_schedule!r}")
         if not 0.0 <= self.warmup_frac < 1.0:
             raise ConfigError("warmup_frac must be in [0, 1)")
-        if isinstance(self.loss, dict):
-            self.loss = LossConfig(**self.loss)
-
-    def to_dict(self) -> dict:
-        return {"steps": self.steps, "batch_size": self.batch_size,
-                "base_lr": self.base_lr, "momentum": self.momentum,
-                "clip_norm": self.clip_norm,
-                "lr_schedule": self.lr_schedule,
-                "warmup_frac": self.warmup_frac, "seed": self.seed,
-                "loss": {"aux_weight": self.loss.aux_weight,
-                         "loss_mode": self.loss.loss_mode},
-                "eval_every": self.eval_every}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        known = set(cls.__dataclass_fields__)
-        bad = set(d) - known
-        if bad:
-            raise ConfigError(f"unknown train fields: {sorted(bad)}")
-        return cls(**d)
 
 
 def lr_at(config: TrainConfig, step: int) -> float:
@@ -189,13 +172,14 @@ HISTORY_COLUMNS = ("step", "loss", "aux", "nll", "error", "ece", "kl")
 
 
 def history_to_csv(history: list, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(HISTORY_COLUMNS)
-        for row in history:
-            w.writerow(["" if row.get(c) is None
-                        else (row[c] if c == "step" else f"{row[c]:.10g}")
-                        for c in HISTORY_COLUMNS])
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(HISTORY_COLUMNS)
+    for row in history:
+        w.writerow(["" if row.get(c) is None
+                    else (row[c] if c == "step" else f"{row[c]:.10g}")
+                    for c in HISTORY_COLUMNS])
+    write_atomic(path, buf.getvalue().encode("utf-8"))
 
 
 def _batched(x, size):

@@ -39,7 +39,7 @@ from moelab.metrics import ece, kl_diversity, nll_error
 from moelab.model import build_model, forward, preset
 from moelab.flops import deep_ensemble_flops, flops_estimate, tiling_saving
 from moelab.rng import Rng
-from moelab.routing import Partition, RouterParams, partitioned_gate
+from moelab.routing import RouterParams, partitioned_gate
 from moelab.tensor import Tensor, dense, matmul, reshape, softmax, transpose, tsum
 from moelab.trainer import TrainConfig, evaluate, train
 
@@ -134,8 +134,7 @@ def test_criterion_02_gradient_fidelity():
                 weights=[Tensor(gen.normal(size=(e // m, d)),
                                 requires_grad=True) for _ in range(m)],
                 noise_scale=0.2)
-            return MoELayer(experts=experts, router=router, k=1, mode=mode,
-                            partition=Partition(m=m, e=e))
+            return MoELayer(experts=experts, router=router, k=1, mode=mode)
         router = RouterParams(
             weights=[Tensor(gen.normal(size=(e, d)), requires_grad=True)],
             noise_scale=0.2)

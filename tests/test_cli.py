@@ -15,7 +15,7 @@ import moelab.cli
 from moelab.cli import ExperimentConfig, load_config, main
 from moelab.dataset import DatasetSpec
 from moelab.errors import ConfigError, DivergenceError, EvaluationError
-from moelab.model import ModelSpec
+from moelab.model import preset
 from moelab.trainer import HISTORY_COLUMNS, TrainConfig
 
 
@@ -128,6 +128,144 @@ class TestConfigParsing:
         path = write_config(tmp_path, d)
         assert main(["run", "--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+
+# (command, key path, bad value, text the one-line error must contain)
+MALFORMED = [
+    ("run", ("repetitions",), "2", "repetitions"),
+    ("run", ("model", "e"), "4", "model.e"),
+    ("run", ("model", "k"), 1.5, "model.k"),
+    ("run", ("train", "steps"), "3", "train.steps"),
+    ("run", ("train", "momentum"), "0.9", "train.momentum"),
+    ("run", ("train",), [], "train"),
+    ("run", ("dataset", "paths"), "x", "dataset.paths"),
+    ("sweep", ("grid",), {"e": ["4"]}, "grid.e"),
+    ("run", ("train", "loss"), {"bogus": 1}, "bogus"),
+    ("run", ("train", "loss"), {"aux_weight": -0.5}, "aux_weight"),
+    ("run", ("train", "base_lr"), math.nan, "train.base_lr"),
+    ("run", ("model",), [1], "model"),
+    ("run", ("model", "noise_scale"), -1.0, "noise_scale"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,where,value,named", MALFORMED,
+    ids=[f"{c[0]}-{'.'.join(c[1])}={c[2]!r}".replace(" ", "")
+         for c in MALFORMED])
+def test_malformed_config_exits_2(tmp_path, capsys, command, where, value,
+                                  named):
+    d = tiny_config_dict(tmp_path / "out")
+    section = d
+    for key in where[:-1]:
+        section = section[key]
+    section[where[-1]] = value
+    path = write_config(tmp_path, d)
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert named in err
+    assert "Traceback" not in err
+
+
+# What config.to_dict serializes to; checkpoint headers and config.json
+# files written by earlier versions must keep matching these bytes.
+PINNED_PBE_SPEC = (
+    '{"batch_repetitions": 1, "capacity_ratio": null,'
+    ' "channels": 3, "classes": 4, "contiguous_moe": false,'
+    ' "dropout_rate": 0.1, "e": 4, "eval_noise_enabled": null,'
+    ' "heads": 2, "hidden": 32, "image_size": 8, "k": 1,'
+    ' "last_n": 2, "layers": 4, "m": 2,'
+    ' "mimo_input_repetition_prob": 0.5, "mlp_dim": 64,'
+    ' "noise_multiplier": 1.0, "noise_scale": null,'
+    ' "patch_size": 4, "variant": "pbe"}'
+)
+
+PINNED_RUN_CONFIG = """\
+{
+  "dataset": {
+    "channels": 3,
+    "classes": 4,
+    "image_size": 8,
+    "kind": "synthetic_gaussian",
+    "n_test": 32,
+    "n_train": 32,
+    "n_val": 16,
+    "noise_std": 0.5,
+    "paths": {},
+    "seed": 11,
+    "shift_severity": 2
+  },
+  "model": {
+    "batch_repetitions": 1,
+    "capacity_ratio": null,
+    "channels": 3,
+    "classes": 4,
+    "contiguous_moe": false,
+    "dropout_rate": 0.1,
+    "e": 4,
+    "eval_noise_enabled": null,
+    "heads": 2,
+    "hidden": 16,
+    "image_size": 8,
+    "k": 1,
+    "last_n": 1,
+    "layers": 2,
+    "m": 1,
+    "mimo_input_repetition_prob": 0.5,
+    "mlp_dim": 32,
+    "noise_multiplier": 1.0,
+    "noise_scale": null,
+    "patch_size": 4,
+    "variant": "vmoe"
+  },
+  "output_dir": "out",
+  "repetitions": 1,
+  "train": {
+    "base_lr": 0.05,
+    "batch_size": 8,
+    "clip_norm": 10.0,
+    "eval_every": 0,
+    "loss": {
+      "aux_weight": 0.1,
+      "loss_mode": "member_avg"
+    },
+    "lr_schedule": "constant",
+    "momentum": 0.9,
+    "seed": 3,
+    "steps": 1,
+    "warmup_frac": 0.1
+  }
+}
+"""
+
+PINNED_GRID_BLOCK = """\
+  "grid": {
+    "m": [
+      1,
+      2
+    ],
+    "variant": [
+      "vmoe",
+      "pbe"
+    ]
+  },
+"""
+
+
+def test_config_bytes_pinned(tmp_path, capsys):
+    spec = preset("tiny", variant="pbe", m=2).to_dict()
+    assert json.dumps(spec, sort_keys=True) == PINNED_PBE_SPEC
+    cfg = tiny_config_dict("out", train={"steps": 1})
+    grid = {"variant": ["vmoe", "pbe"], "m": [1, 2]}
+    with_grid = PINNED_RUN_CONFIG.replace(
+        '  "model": {', PINNED_GRID_BLOCK + '  "model": {', 1)
+    for name, d, expected in (("plain", cfg, PINNED_RUN_CONFIG),
+                              ("grid", dict(cfg, grid=grid), with_grid)):
+        path = write_config(tmp_path, d, name=f"{name}.json")
+        out = tmp_path / name
+        assert main(["run", "--config", str(path),
+                     "--output-dir", str(out)]) == 0
+        assert (out / "config.json").read_text(encoding="utf-8") == expected
 
 
 class TestRun:

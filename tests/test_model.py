@@ -2,6 +2,7 @@
 every variant, prediction wrappers, and checkpoint adaptation."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -448,6 +449,44 @@ class TestCheckpoints:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ConfigError):
             load_checkpoint(path)
+
+    def test_failed_save_keeps_old_file(self, tmp_path):
+        ckpt = checkpoint_from_model(build_model(tiny_spec(), Rng(31)))
+        path = tmp_path / "model.bin"
+        save_checkpoint(ckpt, path)
+        before = path.read_bytes()
+        # sorted after every good entry, so the save fails partway through
+        bad = Checkpoint(ckpt.spec, dict(ckpt.params, zz=np.array(["x"])))
+        with pytest.raises(ValueError):
+            save_checkpoint(bad, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+        back = load_checkpoint(path)
+        for name in ckpt.params:
+            np.testing.assert_array_equal(back.params[name],
+                                          ckpt.params[name])
+
+    def test_corrupt_files_raise_config_error(self, tmp_path):
+        spec = ModelSpec(image_size=4, patch_size=4, hidden=4, mlp_dim=4,
+                         layers=1, heads=1, classes=2, e=2, k=1, m=2,
+                         last_n=1, variant="pbe")
+        path = tmp_path / "model.bin"
+        save_checkpoint(checkpoint_from_model(build_model(spec, Rng(32))),
+                        path)
+        raw = path.read_bytes()
+        body = 16 + struct.unpack_from("<Q", raw, 8)[0]
+        corrupt = [raw[:n] for n in range(body)]
+        corrupt += [raw[:n] for n in range(body, len(raw), 7)]
+        corrupt += [raw[:i] + bytes([raw[i] ^ mask]) + raw[i + 1:]
+                    for i in range(body) for mask in (0x01, 0x04, 0x80)]
+        rejected = 0
+        for data in corrupt:
+            path.write_bytes(data)
+            try:
+                load_checkpoint(path)
+            except ConfigError:
+                rejected += 1
+        assert rejected > len(corrupt) // 2
 
     def test_apply_rejects_mismatched_names(self):
         a = build_model(tiny_spec(variant="vit"), Rng(29))

@@ -19,7 +19,7 @@ from moelab.layers import (
     untile,
 )
 from moelab.rng import Rng
-from moelab.routing import CapacityConfig, Partition, RouterParams
+from moelab.routing import CapacityConfig, RouterParams
 from moelab.tensor import Tensor, dense, gelu, tsum
 
 
@@ -36,12 +36,10 @@ def make_expert(gen, d, f, q=None):
 def make_layer(gen, e, k, d=3, f=4, mode="moe", m=1, noise=0.0):
     experts = [make_expert(gen, d, f) for _ in range(e)]
     if mode in ("pbe", "only_partitioning"):
-        part = Partition(m=m, e=e)
         weights = [Tensor(gen.normal(size=(e // m, d)), requires_grad=True)
                    for _ in range(m)]
         router = RouterParams(weights=weights, noise_scale=noise)
-        return MoELayer(experts=experts, router=router, k=k, mode=mode,
-                        partition=part)
+        return MoELayer(experts=experts, router=router, k=k, mode=mode)
     router = RouterParams(weights=[Tensor(gen.normal(size=(e, d)),
                                           requires_grad=True)],
                           noise_scale=noise)
@@ -136,7 +134,7 @@ class TestPbeForward:
         gen = np.random.default_rng(5)
         moe = make_layer(gen, e=4, k=2, noise=0.3)
         pbe = MoELayer(experts=moe.experts, router=moe.router, k=2,
-                       mode="pbe", partition=Partition(m=1, e=4))
+                       mode="pbe")
         h = Tensor(gen.normal(size=(6, 3)))
         a, _ = layer_forward(h, moe, Rng(2), train=True, dropout_on=False)
         b, _ = layer_forward(h, pbe, Rng(2), train=True, dropout_on=False)
@@ -196,7 +194,7 @@ class TestOnlyPartitioning:
         gen = np.random.default_rng(9)
         moe = make_layer(gen, e=4, k=2)
         op = MoELayer(experts=moe.experts, router=moe.router, k=2,
-                      mode="only_partitioning", partition=Partition(m=1, e=4))
+                      mode="only_partitioning")
         h = Tensor(gen.normal(size=(5, 3)))
         a, _ = layer_forward(h, moe, Rng(0))
         b, _ = layer_forward(h, op, Rng(0))
@@ -218,12 +216,16 @@ class TestOnlyPartitioning:
             oracle += dense_mixture_oracle(h, sub)
         np.testing.assert_allclose(out.data, oracle, atol=1e-12)
 
-    def test_partition_must_cover_experts(self):
+    def test_experts_checked_against_router_blocks(self):
+        # the router blocks are the one record of M and E/M
         gen = np.random.default_rng(25)
         layer = make_layer(gen, e=6, k=1, mode="only_partitioning", m=2)
         with pytest.raises(ConfigError):
+            MoELayer(experts=layer.experts[:4], router=layer.router, k=1,
+                     mode="only_partitioning")
+        with pytest.raises(ConfigError):
             MoELayer(experts=layer.experts, router=layer.router, k=1,
-                     mode="only_partitioning", partition=Partition(m=2, e=8))
+                     mode="moe")
 
     def test_k_times_m_live_slots(self):
         gen = np.random.default_rng(11)

@@ -63,18 +63,6 @@ def test_bad_tag_type_rejected():
         r.stream(True)
 
 
-def test_child_rng_independent():
-    r = Rng(7)
-    c1 = r.child("member", 0)
-    c2 = r.child("member", 1)
-    assert c1.seed != c2.seed
-    a = c1.stream("init").normal(size=8)
-    b = c2.stream("init").normal(size=8)
-    assert not np.array_equal(a, b)
-    # child derivation itself is deterministic
-    assert r.child("member", 0).seed == c1.seed
-
-
 def test_normal_helper_matches_stream():
     r = Rng(3)
     np.testing.assert_array_equal(

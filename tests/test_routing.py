@@ -10,7 +10,6 @@ from moelab.errors import ConfigError
 from moelab.rng import Rng
 from moelab.routing import (
     CapacityConfig,
-    Partition,
     RouterParams,
     capacity_filter,
     make_router,
@@ -198,10 +197,6 @@ class TestPartitionedGate:
         dec = partitioned_gate(h, router, 2, Rng(0))
         np.testing.assert_allclose(dec.weights.data.sum(axis=1), 1.0,
                                    atol=1e-12)
-
-    def test_indivisible_partition_rejected(self):
-        with pytest.raises(ConfigError):
-            Partition(m=2, e=5)
 
     def test_unequal_block_heights_rejected(self):
         # the gate reads E/M from the first block; a shorter or taller block
