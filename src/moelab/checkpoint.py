@@ -134,6 +134,9 @@ def load_checkpoint(path) -> Checkpoint:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"checkpoint header is not JSON: {exc}") from None
     header = _Header.from_dict(header, "checkpoint header")
+    if header.format_version != version:
+        raise ConfigError(f"checkpoint header says format version "
+                          f"{header.format_version}, prefix says {version}")
     params = {}
     off = 16 + hlen
     for entry in header.tensors:

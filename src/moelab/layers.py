@@ -11,10 +11,14 @@ dispatch core:
 plus the rank-1 batch-ensemble dense layer and its sparse-MoE equivalence
 view (BeMoeView), and the tiling helpers.
 
-Dispatch is organized per (slot, expert): every slot j is materialized as its
-own N x Q tensor, experts gather their tokens, and the slot tensors are summed
-(moe) or stacked (multihead).  Summing slot-by-slot makes "sum of multihead
-slots == moe output" hold bitwise, not just approximately.
+Dispatch is organized per (slot, expert): each expert gathers the tokens
+routed to it in slot j and runs as one fused ``mlp`` tape node, and a single
+``combine_slots`` node per layer scales every output by its gate weight,
+writes it into an N x S x Q slot buffer and sums the slots left to right
+(moe) or returns the buffer (multihead).  Summing slot by slot makes "sum of
+multihead slots == moe output" hold bitwise, not just approximately.  Pairs
+are never grouped across slots: that would reorder the accumulation of the
+expert-weight gradients and move trained numbers.
 """
 
 from __future__ import annotations
@@ -25,9 +29,9 @@ import numpy as np
 
 from .errors import ConfigError
 from .rng import Rng
-from .routing import (CapacityConfig, RouterParams, RoutingDecision,
-                      capacity_filter, partitioned_gate)
-from .tensor import (Tensor, concat, dense, gelu, matmul, put_rows, reshape,
+from .routing import (CapacityConfig, RouterParams, capacity_filter,
+                      partitioned_gate)
+from .tensor import (Tensor, combine_slots, concat, gelu, matmul, mlp, reshape,
                      take_rows)
 
 # ----------------------------------------------------------------------
@@ -44,18 +48,11 @@ class ExpertMLP:
     b2: Tensor
 
     def forward(self, x: Tensor, dropout_mask: np.ndarray | None = None) -> Tensor:
-        hidden = gelu(dense(x, self.w1, self.b1))
-        if dropout_mask is not None:
-            hidden = hidden * Tensor(dropout_mask)
-        return dense(hidden, self.w2, self.b2)
+        return mlp(x, self.w1, self.b1, self.w2, self.b2, dropout_mask)
 
     @property
     def hidden_dim(self) -> int:
         return self.w1.data.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.w2.data.shape[1]
 
 
 def dropout_mask(rng: Rng, rate: float, shape, *tags) -> np.ndarray:
@@ -96,49 +93,11 @@ class MoELayer:
 # dispatch
 
 
-def _slot_outputs(h: Tensor, layer: MoELayer, decision: RoutingDecision,
-                  rng: Rng, dropout_on: bool, dropout_key: tuple) -> list:
-    """One N x Q tensor per slot: slot j holds weight_j * expert_j(token)."""
-    n = h.data.shape[0]
-    n_slots = decision.indices.shape[1]
-    q = layer.experts[0].out_dim
-    w_flat = reshape(decision.weights, (n * n_slots, 1))
-
-    slots = []
-    for j in range(n_slots):
-        ids_j = decision.indices[:, j]
-        keep_j = ~decision.dropped_mask[:, j]
-        slot = None
-        for e in np.unique(ids_j[keep_j]):
-            tokens = np.nonzero((ids_j == e) & keep_j)[0]
-            x_e = take_rows(h, tokens)
-            mask = None
-            if dropout_on and layer.dropout_rate > 0.0:
-                mask = dropout_mask(rng, layer.dropout_rate,
-                                    (tokens.size, layer.experts[e].hidden_dim),
-                                    *dropout_key, int(e), j)
-            y_e = layer.experts[int(e)].forward(x_e, mask)
-            w_e = take_rows(w_flat, tokens * n_slots + j)
-            contrib = put_rows(y_e * w_e, tokens, n)
-            slot = contrib if slot is None else slot + contrib
-        if slot is None:
-            slot = Tensor(np.zeros((n, q)))
-        slots.append(slot)
-    return slots
-
-
-def _sum_slots(slots: list) -> Tensor:
-    out = slots[0]
-    for s in slots[1:]:
-        out = out + s
-    return out
-
-
 def layer_forward(h: Tensor, layer: MoELayer, rng: Rng, *, train: bool = False,
                   dropout_on: bool | None = None,
                   noise_key: tuple = ("route", 0, 0),
                   dropout_key: tuple = ("drop", 0, 0)):
-    """Gate, capacity filter, then per-(slot, expert) dispatch.
+    """Gate, capacity filter, per-(slot, expert) expert calls, one combine.
 
     Modes moe and pbe sum the slots (Eq. 1; pbe rows are tiled, so each
     member mixes only its own experts), only_partitioning sums the K*M slots
@@ -152,12 +111,24 @@ def layer_forward(h: Tensor, layer: MoELayer, rng: Rng, *, train: bool = False,
     decision = capacity_filter(decision, layer.capacity, layer.e)
     if dropout_on is None:
         dropout_on = train
-    slots = _slot_outputs(h, layer, decision, rng, dropout_on, dropout_key)
-    if layer.mode != "multihead":
-        return _sum_slots(slots), decision
-    n = h.data.shape[0]
-    q = layer.experts[0].out_dim
-    return concat([reshape(s, (n, 1, q)) for s in slots], axis=1), decision
+    values, rows, slots = [], [], []
+    for j in range(decision.indices.shape[1]):
+        ids_j = decision.indices[:, j]
+        keep_j = ~decision.dropped_mask[:, j]
+        for e in np.unique(ids_j[keep_j]):
+            tokens = np.nonzero((ids_j == e) & keep_j)[0]
+            x_e = take_rows(h, tokens)
+            mask = None
+            if dropout_on and layer.dropout_rate > 0.0:
+                mask = dropout_mask(rng, layer.dropout_rate,
+                                    (tokens.size, layer.experts[e].hidden_dim),
+                                    *dropout_key, int(e), j)
+            values.append(layer.experts[int(e)].forward(x_e, mask))
+            rows.append(tokens)
+            slots.append(j)
+    out = combine_slots(values, rows, slots, decision.weights,
+                        h.data.shape[0], stack=layer.mode == "multihead")
+    return out, decision
 
 
 # ----------------------------------------------------------------------

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import Record
 from .errors import ConfigError, EvaluationError
 from .layers import (BatchEnsembleDense, BeMLP, ExpertMLP, MoELayer,
-                     dropout_mask, layer_forward, split_members, tile)
+                     dropout_mask, layer_forward, tile)
 from .rng import Rng
 from .routing import CapacityConfig, make_router
 from .tensor import (Tensor, concat, dense, layernorm, matmul, reshape,
@@ -102,6 +102,8 @@ class ModelSpec(Record):
             raise ConfigError("last_n does not fit in the trunk")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError("dropout_rate must be in [0, 1)")
+        if self.noise_scale is not None and self.noise_scale < 0:
+            raise ConfigError("noise_scale must be >= 0")
         if self.capacity_ratio is not None and self.capacity_ratio <= 0:
             raise ConfigError("capacity_ratio must be positive")
         if self.batch_repetitions < 1:
@@ -421,8 +423,8 @@ def forward(model: Model, images, rng: Rng, *, train: bool = False,
         raise ConfigError(f"unknown tiling {tiling!r}")
     spec = model.spec
     x_img = np.asarray(images, dtype=np.float64)
-    if x_img.ndim != 4:
-        raise ConfigError("images must be (B, H, W, C)")
+    if x_img.ndim != 4 or x_img.shape[0] == 0:
+        raise ConfigError("images must be (B, H, W, C) with B >= 1")
     if spec.variant == "mimo":
         if x_img.shape[-1] == spec.channels:
             x_img = np.tile(x_img, (1, 1, 1, spec.m))

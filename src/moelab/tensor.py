@@ -2,17 +2,25 @@
 
 A :class:`Tensor` wraps an ndarray plus an optional gradient and a backward
 closure.  Ops build a DAG; ``loss.backward()`` topologically sorts it and
-accumulates vector-Jacobian products into every tensor created with
-``requires_grad=True``.  The op set is exactly what the transformer and its
-losses need: dense/matmul, softmax, layernorm, GELU, the normal CDF,
-elementwise arithmetic, reductions, reshapes, concatenation, and the row and
-column gathers/scatters used by expert dispatch.
+calls each node's closure with that node's gradient, accumulating
+vector-Jacobian products into every tensor created with
+``requires_grad=True``.  A closure holds its inputs but never its own output,
+so the tape has no reference cycles: it is freed by reference counting as
+soon as the loss (or an eval forward's outputs) is dropped, without waiting
+for the cyclic garbage collector.
 
-Everything is 64-bit.  Desk-scale problem sizes make speed irrelevant, and
-the extra precision keeps finite-difference gradient checks and the
+The op set is exactly what the transformer and its losses need: dense/matmul,
+softmax, layernorm, GELU, the normal CDF, elementwise arithmetic,
+reductions, reshapes, concatenation, and row and column gathers.  Two fused
+ops keep expert dispatch short: ``mlp`` (dense -> GELU -> dropout -> dense)
+and ``combine_slots`` (gate-weight and sum every expert output of a MoE
+layer), each one node whose values and gradients are bitwise those of the
+composition it replaces.
+
+Everything is 64-bit.  At desk scale the cost is per-node Python work, not
+FLOPs, and the extra precision keeps finite-difference gradient checks and the
 bitwise-equality reductions honest.
 """
-
 from __future__ import annotations
 
 import numpy as np
@@ -96,7 +104,7 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
 
     # ------------------------------------------------------------------
     # operator sugar
@@ -171,76 +179,69 @@ def _node(data: np.ndarray, parents: tuple, backward) -> Tensor:
 def add(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data + b.data
 
-    def backward():
-        a._accum(out.grad)
-        b._accum(out.grad)
+    def backward(grad):
+        a._accum(grad)
+        b._accum(grad)
 
-    out = _node(out_data, (a, b), backward)
-    return out
+    return _node(out_data, (a, b), backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data - b.data
 
-    def backward():
-        a._accum(out.grad)
-        b._accum(-out.grad)
+    def backward(grad):
+        a._accum(grad)
+        b._accum(-grad)
 
-    out = _node(out_data, (a, b), backward)
-    return out
+    return _node(out_data, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data * b.data
 
-    def backward():
-        a._accum(out.grad * b.data)
-        b._accum(out.grad * a.data)
+    def backward(grad):
+        a._accum(grad * b.data)
+        b._accum(grad * a.data)
 
-    out = _node(out_data, (a, b), backward)
-    return out
+    return _node(out_data, (a, b), backward)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data / b.data
 
-    def backward():
-        a._accum(out.grad / b.data)
-        b._accum(-out.grad * a.data / (b.data * b.data))
+    def backward(grad):
+        a._accum(grad / b.data)
+        b._accum(-grad * a.data / (b.data * b.data))
 
-    out = _node(out_data, (a, b), backward)
-    return out
+    return _node(out_data, (a, b), backward)
 
 
 def power(a: Tensor, p: float) -> Tensor:
     p = float(p)
     out_data = a.data ** p
 
-    def backward():
-        a._accum(out.grad * p * a.data ** (p - 1.0))
+    def backward(grad):
+        a._accum(grad * p * a.data ** (p - 1.0))
 
-    out = _node(out_data, (a,), backward)
-    return out
+    return _node(out_data, (a,), backward)
 
 
 def log(a: Tensor) -> Tensor:
     out_data = np.log(a.data)
 
-    def backward():
-        a._accum(out.grad / a.data)
+    def backward(grad):
+        a._accum(grad / a.data)
 
-    out = _node(out_data, (a,), backward)
-    return out
+    return _node(out_data, (a,), backward)
 
 
 def exp(a: Tensor) -> Tensor:
     out_data = np.exp(a.data)
 
-    def backward():
-        a._accum(out.grad * out_data)
+    def backward(grad):
+        a._accum(grad * out_data)
 
-    out = _node(out_data, (a,), backward)
-    return out
+    return _node(out_data, (a,), backward)
 
 
 def clamp_min(a: Tensor, floor: float) -> Tensor:
@@ -248,11 +249,10 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
     out_data = np.maximum(a.data, floor)
     mask = a.data > floor
 
-    def backward():
-        a._accum(out.grad * mask)
+    def backward(grad):
+        a._accum(grad * mask)
 
-    out = _node(out_data, (a,), backward)
-    return out
+    return _node(out_data, (a,), backward)
 
 
 # ----------------------------------------------------------------------
@@ -263,13 +263,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """np.matmul semantics; batch dims broadcast, grads reduced back."""
     out_data = np.matmul(a.data, b.data)
 
-    def backward():
-        g = out.grad
+    def backward(g):
         a._accum(np.matmul(g, np.swapaxes(b.data, -1, -2)))
         b._accum(np.matmul(np.swapaxes(a.data, -1, -2), g))
 
-    out = _node(out_data, (a, b), backward)
-    return out
+    return _node(out_data, (a, b), backward)
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -282,16 +280,15 @@ def dense(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         out_data = out_data + b.data
     out_data = out_data.reshape(*lead, d_out)
 
-    def backward():
-        g2 = out.grad.reshape(-1, d_out)
+    def backward(grad):
+        g2 = grad.reshape(-1, d_out)
         x._accum((g2 @ w.data.T).reshape(x.data.shape))
         w._accum(x2.T @ g2)
         if b is not None:
             b._accum(g2.sum(axis=0))
 
     parents = (x, w) if b is None else (x, w, b)
-    out = _node(out_data, parents, backward)
-    return out
+    return _node(out_data, parents, backward)
 
 
 # ----------------------------------------------------------------------
@@ -309,22 +306,20 @@ def _unreduce(g: np.ndarray, shape: tuple, axis, keepdims: bool) -> np.ndarray:
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
-    def backward():
-        a._accum(_unreduce(out.grad, a.data.shape, axis, keepdims))
+    def backward(grad):
+        a._accum(_unreduce(grad, a.data.shape, axis, keepdims))
 
-    out = _node(out_data, (a,), backward)
-    return out
+    return _node(out_data, (a,), backward)
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out_data = a.data.mean(axis=axis, keepdims=keepdims)
     count = a.data.size / out_data.size
 
-    def backward():
-        a._accum(_unreduce(out.grad, a.data.shape, axis, keepdims) / count)
+    def backward(grad):
+        a._accum(_unreduce(grad, a.data.shape, axis, keepdims) / count)
 
-    out = _node(out_data, (a,), backward)
-    return out
+    return _node(out_data, (a,), backward)
 
 
 # ----------------------------------------------------------------------
@@ -337,12 +332,10 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     e = np.exp(z)
     p = e / e.sum(axis=axis, keepdims=True)
 
-    def backward():
-        g = out.grad
+    def backward(g):
         a._accum(p * (g - (g * p).sum(axis=axis, keepdims=True)))
 
-    out = _node(p, (a,), backward)
-    return out
+    return _node(p, (a,), backward)
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -350,24 +343,22 @@ def gelu(a: Tensor) -> Tensor:
     cdf = 0.5 * (1.0 + _special.erf(a.data * _INV_SQRT2))
     out_data = a.data * cdf
 
-    def backward():
+    def backward(grad):
         pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT_2PI
-        a._accum(out.grad * (cdf + a.data * pdf))
+        a._accum(grad * (cdf + a.data * pdf))
 
-    out = _node(out_data, (a,), backward)
-    return out
+    return _node(out_data, (a,), backward)
 
 
 def normal_cdf(a: Tensor) -> Tensor:
     """Standard normal CDF, used by the load-balancing loss."""
     out_data = 0.5 * (1.0 + _special.erf(a.data * _INV_SQRT2))
 
-    def backward():
+    def backward(grad):
         pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT_2PI
-        a._accum(out.grad * pdf)
+        a._accum(grad * pdf)
 
-    out = _node(out_data, (a,), backward)
-    return out
+    return _node(out_data, (a,), backward)
 
 
 def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
@@ -378,8 +369,7 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tenso
     xhat = (x.data - mu) * inv
     out_data = xhat * gain.data + bias.data
 
-    def backward():
-        g = out.grad
+    def backward(g):
         lead_axes = tuple(range(g.ndim - 1))
         gain._accum((g * xhat).sum(axis=lead_axes))
         bias._accum(g.sum(axis=lead_axes))
@@ -388,8 +378,7 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tenso
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
         x._accum((dxhat - m1 - xhat * m2) * inv)
 
-    out = _node(out_data, (x, gain, bias), backward)
-    return out
+    return _node(out_data, (x, gain, bias), backward)
 
 
 # ----------------------------------------------------------------------
@@ -399,11 +388,10 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tenso
 def reshape(a: Tensor, shape: tuple) -> Tensor:
     out_data = a.data.reshape(shape)
 
-    def backward():
-        a._accum(out.grad.reshape(a.data.shape))
+    def backward(grad):
+        a._accum(grad.reshape(a.data.shape))
 
-    out = _node(out_data, (a,), backward)
-    return out
+    return _node(out_data, (a,), backward)
 
 
 def transpose(a: Tensor, axes: tuple) -> Tensor:
@@ -411,11 +399,10 @@ def transpose(a: Tensor, axes: tuple) -> Tensor:
     inv = tuple(np.argsort(axes))
     out_data = a.data.transpose(axes)
 
-    def backward():
-        a._accum(out.grad.transpose(inv))
+    def backward(grad):
+        a._accum(grad.transpose(inv))
 
-    out = _node(out_data, (a,), backward)
-    return out
+    return _node(out_data, (a,), backward)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -424,19 +411,17 @@ def concat(tensors, axis: int = 0) -> Tensor:
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
-    def backward():
-        g = out.grad
+    def backward(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(lo, hi)
             t._accum(g[tuple(idx)])
 
-    out = _node(out_data, tuple(tensors), backward)
-    return out
+    return _node(out_data, tuple(tensors), backward)
 
 
 # ----------------------------------------------------------------------
-# gather / scatter (expert dispatch)
+# gathers
 
 
 def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
@@ -444,26 +429,12 @@ def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     idx = np.asarray(idx, dtype=np.intp)
     out_data = x.data[idx]
 
-    def backward():
+    def backward(grad):
         gx = np.zeros_like(x.data)
-        np.add.at(gx, idx, out.grad)
+        np.add.at(gx, idx, grad)
         x._accum(gx)
 
-    out = _node(out_data, (x,), backward)
-    return out
-
-
-def put_rows(values: Tensor, idx: np.ndarray, n_rows: int) -> Tensor:
-    """Scatter-add rows into a zero matrix: out[idx[i]] += values[i]."""
-    idx = np.asarray(idx, dtype=np.intp)
-    out_data = np.zeros((n_rows,) + values.data.shape[1:], dtype=np.float64)
-    np.add.at(out_data, idx, values.data)
-
-    def backward():
-        values._accum(out.grad[idx])
-
-    out = _node(out_data, (values,), backward)
-    return out
+    return _node(out_data, (x,), backward)
 
 
 def take_cols(x: Tensor, idx: np.ndarray) -> Tensor:
@@ -472,10 +443,87 @@ def take_cols(x: Tensor, idx: np.ndarray) -> Tensor:
     rows = np.arange(x.data.shape[0])[:, None]
     out_data = x.data[rows, idx]
 
-    def backward():
+    def backward(grad):
         gx = np.zeros_like(x.data)
-        np.add.at(gx, (rows, idx), out.grad)
+        np.add.at(gx, (rows, idx), grad)
         x._accum(gx)
 
-    out = _node(out_data, (x,), backward)
-    return out
+    return _node(out_data, (x,), backward)
+
+
+# ----------------------------------------------------------------------
+# fused expert ops: one node each, bitwise equal to the ops they replace
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+        mask: np.ndarray | None = None) -> Tensor:
+    """dense -> exact GELU -> optional dropout mask -> dense, as one node.
+
+    Forward and backward use the expressions of dense, gelu and mul, so the
+    output and all five gradients equal those of the composition bitwise.
+    mask, if given, has the hidden shape (..., F).
+    """
+    d_in, d_hid = w1.data.shape
+    d_out = w2.data.shape[1]
+    lead = x.data.shape[:-1]
+    x2 = x.data.reshape(-1, d_in)
+    if mask is not None:
+        mask = mask.reshape(-1, d_hid)
+    pre = x2 @ w1.data
+    pre = pre + b1.data
+    cdf = 0.5 * (1.0 + _special.erf(pre * _INV_SQRT2))
+    act = pre * cdf
+    hid = act if mask is None else act * mask
+    out_data = hid @ w2.data
+    out_data = out_data + b2.data
+    out_data = out_data.reshape(*lead, d_out)
+
+    def backward(grad):
+        g2 = grad.reshape(-1, d_out)
+        g_hid = g2 @ w2.data.T
+        w2._accum(hid.T @ g2)
+        b2._accum(g2.sum(axis=0))
+        if mask is not None:
+            g_hid = g_hid * mask
+        pdf = np.exp(-0.5 * pre * pre) * _INV_SQRT_2PI
+        g_pre = g_hid * (cdf + pre * pdf)
+        x._accum((g_pre @ w1.data.T).reshape(x.data.shape))
+        w1._accum(x2.T @ g_pre)
+        b1._accum(g_pre.sum(axis=0))
+
+    return _node(out_data, (x, w1, b1, w2, b2), backward)
+
+
+def combine_slots(values: list, rows: list, slots: list, weights: Tensor,
+                  n_rows: int, stack: bool = False) -> Tensor:
+    """Weight every (slot, expert) output by its gate and combine, as one node.
+
+    weights is (n_rows, S).  values[p] holds the expert outputs of token
+    rows rows[p] in slot slots[p]; a (row, slot) pair appears at most once.
+    Backward visits the pairs in the order given, which fixes the order in
+    which shared inputs accumulate their gradients.  Slot s of row r is
+    values[p] * weights[r, s] for the pair that holds it and 0 where no pair
+    does (a dropped assignment or an empty slot).  The (n_rows, S, Q) slot
+    buffer is returned as is when stack is set, else its slots are summed
+    left to right into (n_rows, Q).  values must not be empty.
+    """
+    gates = [weights.data[r, s][:, None] for r, s in zip(rows, slots)]
+    buf = np.zeros((n_rows, weights.data.shape[1], values[0].data.shape[1]))
+    for y, r, s, w in zip(values, rows, slots, gates):
+        buf[r, s] += y.data * w
+    if stack:
+        out_data = buf
+    else:
+        out_data = buf[:, 0]
+        for s in range(1, buf.shape[1]):
+            out_data = out_data + buf[:, s]
+
+    def backward(grad):
+        g_w = np.zeros_like(weights.data)
+        for y, r, s, w in zip(values, rows, slots, gates):
+            g = grad[r, s] if stack else grad[r]
+            y._accum(g * w)
+            g_w[r, s] += (g * y.data).sum(axis=1)
+        weights._accum(g_w)
+
+    return _node(out_data, tuple(values) + (weights,), backward)

@@ -13,10 +13,9 @@ import pytest
 
 import moelab.cli
 from moelab.cli import ExperimentConfig, load_config, main
-from moelab.dataset import DatasetSpec
 from moelab.errors import ConfigError, DivergenceError, EvaluationError
 from moelab.model import preset
-from moelab.trainer import HISTORY_COLUMNS, TrainConfig
+from moelab.trainer import HISTORY_COLUMNS
 
 
 def tiny_config_dict(out_dir, **kw):
@@ -165,6 +164,7 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, where, value,
     assert err.startswith("config error:") and err.count("\n") == 1
     assert named in err
     assert "Traceback" not in err
+    assert not (tmp_path / "out" / "config.json").exists()
 
 
 # What config.to_dict serializes to; checkpoint headers and config.json

@@ -1,7 +1,7 @@
 """Model assembly: spec validation, block placement, the forward pass of
 every variant, prediction wrappers, and checkpoint adaptation."""
 
-import math
+import gc
 import struct
 
 import numpy as np
@@ -25,7 +25,6 @@ from moelab.layers import BeMLP, ExpertMLP, MoELayer
 from moelab.losses import AuxLossState, member_avg_cross_entropy, total_loss
 from moelab.metrics import kl_diversity, nll_error
 from moelab.model import (
-    Model,
     ModelSpec,
     build_model,
     deep_ensemble_predict,
@@ -35,9 +34,9 @@ from moelab.model import (
     patchify,
     preset,
     PRESET_NAMES,
-    VARIANTS,
 )
 from moelab.rng import Rng
+from moelab.tensor import Tensor
 
 
 def tiny_spec(**kw):
@@ -230,6 +229,12 @@ class TestForwardContracts:
         with pytest.raises(ConfigError):
             forward(model, np.zeros((2, 8, 8, 4)), Rng(0))
 
+    @pytest.mark.parametrize("variant", ["vit", "vmoe"])
+    def test_empty_batch_rejected(self, variant):
+        model = build_model(tiny_spec(variant=variant), Rng(0))
+        with pytest.raises(ConfigError, match="B >= 1"):
+            forward(model, np.zeros((0, 8, 8, 3)), Rng(0))
+
     def test_bad_tiling_mode_rejected(self):
         model = build_model(tiny_spec(), Rng(0))
         with pytest.raises(ConfigError):
@@ -246,6 +251,30 @@ class TestForwardContracts:
         model = build_model(tiny_spec(variant="vmoe", last_n=2), Rng(5))
         bundle = forward(model, images(gen), Rng(0))
         assert len(bundle.decisions) == 2
+
+    def test_tape_freed_without_gc(self):
+        # backward closures never hold their own output, so dropping the
+        # loss and the bundle frees the tape by reference counting alone
+        def live_tensors():
+            return sum(isinstance(o, Tensor) for o in gc.get_objects())
+
+        gen = np.random.default_rng(5)
+        x, labels = images(gen, n=4), np.array([0, 1, 2, 3])
+        gc.collect()
+        before = live_tensors()
+        gc.disable()
+        try:
+            model = build_model(tiny_spec(variant="pbe", e=4, m=2), Rng(6))
+            bundle = forward(model, x, Rng(7), train=True, step=0)
+            loss = member_avg_cross_entropy(bundle.member_probs, labels)
+            loss.backward()
+            del bundle, loss
+            assert live_tensors() - before == len(model.parameters())
+            bundle = forward(model, x, Rng(7))
+            del bundle
+            assert live_tensors() - before == len(model.parameters())
+        finally:
+            gc.enable()
 
 
 class TestStructuralEquivalences:
@@ -487,6 +516,17 @@ class TestCheckpoints:
             except ConfigError:
                 rejected += 1
         assert rejected > len(corrupt) // 2
+
+    def test_header_version_must_match_prefix(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_checkpoint(checkpoint_from_model(
+            build_model(tiny_spec(variant="vmoe"), Rng(33))), path)
+        raw = path.read_bytes()
+        assert raw.count(b'"format_version":1') == 1
+        path.write_bytes(raw.replace(b'"format_version":1',
+                                     b'"format_version":7'))
+        with pytest.raises(ConfigError, match="format version 7"):
+            load_checkpoint(path)
 
     def test_apply_rejects_mismatched_names(self):
         a = build_model(tiny_spec(variant="vit"), Rng(29))

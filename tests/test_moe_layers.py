@@ -20,7 +20,7 @@ from moelab.layers import (
 )
 from moelab.rng import Rng
 from moelab.routing import CapacityConfig, RouterParams
-from moelab.tensor import Tensor, dense, gelu, tsum
+from moelab.tensor import Tensor, tsum
 
 
 def make_expert(gen, d, f, q=None):
@@ -53,7 +53,7 @@ def dense_mixture_oracle(h, layer):
     z = logits - logits.max(axis=1, keepdims=True)
     p = np.exp(z)
     p /= p.sum(axis=1, keepdims=True)
-    out = np.zeros((h.shape[0], layer.experts[0].out_dim))
+    out = np.zeros((h.shape[0], layer.experts[0].w2.data.shape[1]))
     for e, expert in enumerate(layer.experts):
         y = expert.forward(Tensor(h)).data
         out += p[:, e:e + 1] * y

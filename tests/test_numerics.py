@@ -1,8 +1,6 @@
 """Autodiff core: forward values against hand oracles, gradients against
 central differences, and the stability/determinism contracts."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -14,6 +12,7 @@ from moelab.tensor import (
     Tensor,
     add,
     clamp_min,
+    combine_slots,
     concat,
     dense,
     exp,
@@ -21,6 +20,7 @@ from moelab.tensor import (
     layernorm,
     log,
     matmul,
+    mlp,
     mul,
     normal_cdf,
     power,
@@ -125,19 +125,19 @@ def test_gaussian_noise_empty_shape():
     assert x.shape == (0,)
 
 
+def check_grads(f, params, tol=1e-4):
+    err = finite_difference_check(f, params)
+    assert err < tol, f"max rel err {err:.3e}"
+
+
 class TestGradients:
     """Every backward rule against central differences on small shapes."""
-
-    def _check(self, f, params, tol=1e-4):
-        err = finite_difference_check(f, params)
-        assert err < tol, f"max rel err {err:.3e}"
-
     def test_dense_grad(self):
         gen = np.random.default_rng(10)
         x = Tensor(gen.normal(size=(3, 4)), requires_grad=True)
         w = Tensor(gen.normal(size=(4, 2)), requires_grad=True)
         b = Tensor(gen.normal(size=2), requires_grad=True)
-        self._check(lambda: tsum(dense(x, w, b)), [x, w, b], tol=1e-6)
+        check_grads(lambda: tsum(dense(x, w, b)), [x, w, b], tol=1e-6)
 
     def test_constant_grad_is_zero(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
@@ -155,7 +155,7 @@ class TestGradients:
             picked = take_cols(probs, np.array([0, 1, 1, 0]))
             return mul(tsum(log(picked)), Tensor(-0.25))
 
-        self._check(f, [x, w], tol=1e-5)
+        check_grads(f, [x, w], tol=1e-5)
 
     @pytest.mark.parametrize("op", ["add", "mul", "matmul", "power", "exp",
                                     "log", "clamp", "gelu", "cdf", "ln",
@@ -199,7 +199,85 @@ class TestGradients:
                           [a]),
         }
         f, params = fns[op]
-        self._check(f, params)
+        check_grads(f, params)
+
+
+class TestFusedOps:
+    """mlp and combine_slots: central differences, and mlp against the
+    dense/gelu/mul/dense composition it replaces."""
+
+    def _mlp_params(self, seed):
+        gen = np.random.default_rng(seed)
+        shapes = [(5, 3), (3, 6), (6,), (6, 2), (2,)]
+        return [Tensor(gen.normal(size=s), requires_grad=True) for s in shapes]
+
+    def _mask(self, seed):
+        u = np.random.default_rng(seed).random((5, 6))
+        return (u >= 0.3).astype(np.float64) / 0.7
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_mlp_grad(self, masked):
+        params = self._mlp_params(40)
+        mask = self._mask(41) if masked else None
+        m52 = Tensor(np.random.default_rng(42).normal(size=(5, 2)))
+        check_grads(lambda: tsum(mul(mlp(*params, mask), m52)), params)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_mlp_bitwise_equals_composition(self, masked):
+        mask = self._mask(44) if masked else None
+        m52 = np.random.default_rng(45).normal(size=(5, 2))
+        results = []
+        for fused in (True, False):
+            x, w1, b1, w2, b2 = params = self._mlp_params(43)
+            if fused:
+                y = mlp(x, w1, b1, w2, b2, mask)
+            else:
+                hidden = gelu(dense(x, w1, b1))
+                if mask is not None:
+                    hidden = hidden * Tensor(mask)
+                y = dense(hidden, w2, b2)
+            tsum(mul(y, Tensor(m52))).backward()
+            results.append([y.data] + [p.grad for p in params])
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
+
+    def _combine_case(self):
+        # 4 rows, 3 slots: row 3 is dropped in slot 0, slot 2 is empty
+        gen = np.random.default_rng(46)
+        rows = [np.array([0, 2]), np.array([1]), np.array([3, 1]),
+                np.array([0, 2])]
+        slots = [0, 0, 1, 1]
+        values = [Tensor(gen.normal(size=(r.size, 2)), requires_grad=True)
+                  for r in rows]
+        weights = Tensor(gen.uniform(0.1, 1.0, size=(4, 3)),
+                         requires_grad=True)
+        return values, rows, slots, weights
+
+    @pytest.mark.parametrize("stack", [False, True])
+    def test_combine_slots_grad(self, stack):
+        values, rows, slots, weights = self._combine_case()
+        shape = (4, 3, 2) if stack else (4, 2)
+        mult = Tensor(np.random.default_rng(47).normal(size=shape))
+
+        def f():
+            return tsum(mul(combine_slots(values, rows, slots, weights, 4,
+                                          stack=stack), mult))
+
+        check_grads(f, values + [weights])
+
+    def test_combine_slots_values(self):
+        values, rows, slots, weights = self._combine_case()
+        stacked = combine_slots(values, rows, slots, weights, 4,
+                                stack=True).data
+        want = np.zeros((4, 3, 2))
+        for y, r, s in zip(values, rows, slots):
+            want[r, s] = y.data * weights.data[r, s][:, None]
+        np.testing.assert_array_equal(stacked, want)
+        np.testing.assert_array_equal(stacked[3, 0], 0.0)
+        np.testing.assert_array_equal(stacked[:, 2], 0.0)
+        summed = combine_slots(values, rows, slots, weights, 4).data
+        np.testing.assert_array_equal(
+            summed, stacked[:, 0] + stacked[:, 1] + stacked[:, 2])
 
 
 def test_layernorm_rows_standardized():
