@@ -135,45 +135,42 @@ def _auc_roc(in_scores, out_scores) -> float:
     """Mann-Whitney statistic: P(out > in) with ties counted half."""
     both = np.concatenate([in_scores, out_scores])
     order = np.argsort(both, kind="stable")
-    ranks = np.empty(len(both), dtype=np.float64)
     sorted_vals = both[order]
-    i = 0
-    while i < len(both):
-        j = i
-        while j + 1 < len(both) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # average rank, 1-based
-        i = j + 1
+    starts = np.append(True, sorted_vals[1:] != sorted_vals[:-1])
+    first = np.flatnonzero(starts)
+    last = np.append(first[1:], len(both)) - 1
+    ranks = np.empty(len(both), dtype=np.float64)
+    # average 1-based rank of each tie group, spread over its members
+    ranks[order] = (0.5 * (first + last) + 1.0)[np.cumsum(starts) - 1]
     n_in, n_out = len(in_scores), len(out_scores)
     u = ranks[n_in:].sum() - n_out * (n_out + 1) / 2.0
     return float(u / (n_in * n_out))
 
 
+def _tie_group_counts(in_scores, out_scores) -> tuple:
+    """(tp, fp) with OOD as the positive class, at each threshold.
+
+    Scores are taken in descending order and every run of equal scores is
+    one threshold; the counts are exact integers, returned as float64.
+    """
+    scores = np.concatenate([in_scores, out_scores])
+    positive = np.concatenate([np.zeros(len(in_scores), dtype=np.int64),
+                               np.ones(len(out_scores), dtype=np.int64)])
+    order = np.argsort(-scores, kind="stable")
+    scores = scores[order]
+    last = np.flatnonzero(np.append(scores[1:] != scores[:-1], True))
+    tp = np.cumsum(positive[order])[last]
+    return tp.astype(np.float64), (last + 1 - tp).astype(np.float64)
+
+
 def _auc_pr(in_scores, out_scores) -> float:
     """Average precision with OOD as the positive class."""
-    scores = np.concatenate([in_scores, out_scores])
-    positive = np.concatenate([np.zeros(len(in_scores)),
-                               np.ones(len(out_scores))])
-    order = np.argsort(-scores, kind="stable")
-    scores, positive = scores[order], positive[order]
-    n_pos = positive.sum()
-    ap = 0.0
-    tp = fp = 0.0
-    prev_recall = 0.0
-    i = 0
-    n = len(scores)
-    while i < n:
-        j = i
-        while j + 1 < n and scores[j + 1] == scores[i]:
-            j += 1
-        tp += positive[i:j + 1].sum()
-        fp += (j - i + 1) - positive[i:j + 1].sum()
-        recall = tp / n_pos
-        precision = tp / (tp + fp)
-        ap += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j + 1
-    return float(ap)
+    tp, fp = _tie_group_counts(in_scores, out_scores)
+    recall = tp / len(out_scores)
+    precision = tp / (tp + fp)
+    # cumsum adds strictly left to right; np.sum would pair terms up and
+    # round differently
+    return float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])
 
 
 def _fpr_at_tpr(in_scores, out_scores, tpr: float = 0.95) -> float:
@@ -188,25 +185,11 @@ def _fpr_at_precision(in_scores, out_scores, precision: float = 0.95) -> float:
 
     Returns 1.0 when no threshold reaches the target precision.
     """
-    scores = np.concatenate([in_scores, out_scores])
-    positive = np.concatenate([np.zeros(len(in_scores)),
-                               np.ones(len(out_scores))])
-    order = np.argsort(-scores, kind="stable")
-    scores, positive = scores[order], positive[order]
-    best = None
-    tp = fp = 0.0
-    i = 0
-    n = len(scores)
-    while i < n:
-        j = i
-        while j + 1 < n and scores[j + 1] == scores[i]:
-            j += 1
-        tp += positive[i:j + 1].sum()
-        fp += (j - i + 1) - positive[i:j + 1].sum()
-        if tp / (tp + fp) >= precision:
-            best = fp / len(in_scores)
-        i = j + 1
-    return 1.0 if best is None else float(best)
+    tp, fp = _tie_group_counts(in_scores, out_scores)
+    reached = np.flatnonzero(tp / (tp + fp) >= precision)
+    if reached.size == 0:
+        return 1.0
+    return float(fp[reached[-1]] / len(in_scores))
 
 
 def ood_metrics(in_scores, out_scores, *, at_precision: bool = False) -> dict:

@@ -15,6 +15,7 @@ is row-independent; deferred just does less work.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -27,8 +28,8 @@ from .layers import (BatchEnsembleDense, BeMLP, ExpertMLP, MoELayer,
                      dropout_mask, layer_forward, tile)
 from .rng import Rng
 from .routing import CapacityConfig, make_router
-from .tensor import (Tensor, concat, dense, layernorm, matmul, reshape,
-                     softmax, take_rows, tmean, transpose)
+from .tensor import (Tensor, concat, dense, layernorm, matmul, no_grad,
+                     reshape, softmax, take_rows, tmean, transpose)
 
 VARIANTS = ("vit", "vmoe", "pbe", "only_tiling", "only_partitioning",
             "multihead", "be", "mimo")
@@ -415,10 +416,18 @@ def forward(model: Model, images, rng: Rng, *, train: bool = False,
             ) -> PredictionBundle:
     """Run the full network; see PredictionBundle for what comes back.
 
-    train=True turns on routing noise and dropout and keeps the tape alive
-    for backward.  mc_sample draws an eval-time dropout mask addressed by the
-    sample index.  step feeds the per-step noise/dropout key.
+    train=True turns on routing noise and dropout and builds the tape for
+    backward; train=False runs under no_grad, so no tape is built.
+    mc_sample draws an eval-time dropout mask addressed by the sample index.
+    step feeds the per-step noise/dropout key.
     """
+    with contextlib.nullcontext() if train else no_grad():
+        return _forward(model, images, rng, train, step, mc_sample, tiling,
+                        want_features)
+
+
+def _forward(model, images, rng, train, step, mc_sample, tiling,
+             want_features):
     if tiling not in ("deferred", "naive"):
         raise ConfigError(f"unknown tiling {tiling!r}")
     spec = model.spec

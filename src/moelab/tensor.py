@@ -17,17 +17,45 @@ and ``combine_slots`` (gate-weight and sum every expert output of a MoE
 layer), each one node whose values and gradients are bitwise those of the
 composition it replaces.
 
+Inside a ``no_grad()`` block no tape is built: every op returns a bare
+result with no parents and no backward closure, so the intermediates an op
+keeps for its backward are freed as soon as the op returns.  Eval forwards
+run this way; calling ``backward()`` on such a result raises ``ValueError``.
+
+Ops compute their forward in place on arrays they have just allocated (bias
+adds, the normal CDF, the dropout mask product, normalisation), in both
+modes, with the same roundings as the out-of-place expressions; they never
+write an input's array.  A first gradient is stored as given, not copied, and later ones are
+added out of place, so an array handed to several ``_accum`` calls is never
+written.
+
 Everything is 64-bit.  At desk scale the cost is per-node Python work, not
 FLOPs, and the extra precision keeps finite-difference gradient checks and the
 bitwise-equality reductions honest.
 """
 from __future__ import annotations
 
+import contextlib
+import contextvars
+
 import numpy as np
 from scipy import special as _special
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+_grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no tape inside the block: op results carry no parents and no
+    backward closure, whatever their inputs require."""
+    token = _grad_enabled.set(False)
+    try:
+        yield
+    finally:
+        _grad_enabled.reset(token)
 
 
 def _as_array(x) -> np.ndarray:
@@ -80,12 +108,16 @@ class Tensor:
         if not self.requires_grad:
             return
         g = _sum_to_shape(_as_array(g), self.data.shape)
-        self.grad = g.copy() if self.grad is None else self.grad + g
+        self.grad = g if self.grad is None else self.grad + g
 
     def backward(self) -> None:
         """Run reverse-mode accumulation from a scalar output."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
+        if not self.requires_grad:
+            raise ValueError("backward() on a tensor with no tape: nothing "
+                             "it depends on requires grad, or it was built "
+                             "under no_grad()")
         order = []
         seen = set()
         stack = [(self, False)]
@@ -162,8 +194,11 @@ def _ensure(x) -> Tensor:
 
 
 def _node(data: np.ndarray, parents: tuple, backward) -> Tensor:
-    """Create an op result, wiring the graph only when a parent needs grads."""
+    """Create an op result, wiring the graph only when a parent needs grads
+    and grad mode is on."""
     out = Tensor(data)
+    if not _grad_enabled.get():
+        return out
     live = tuple(p for p in parents if p.requires_grad)
     if live:
         out.requires_grad = True
@@ -277,7 +312,7 @@ def dense(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     x2 = x.data.reshape(-1, d_in)
     out_data = x2 @ w.data
     if b is not None:
-        out_data = out_data + b.data
+        out_data += b.data
     out_data = out_data.reshape(*lead, d_out)
 
     def backward(grad):
@@ -328,9 +363,9 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along `axis`."""
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=axis, keepdims=True)
+    p = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=axis, keepdims=True)
 
     def backward(g):
         a._accum(p * (g - (g * p).sum(axis=axis, keepdims=True)))
@@ -338,36 +373,52 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _node(p, (a,), backward)
 
 
+def _phi(x: np.ndarray) -> np.ndarray:
+    """0.5 * (1 + erf(x / sqrt 2)) as a new array, computed in place."""
+    cdf = x * _INV_SQRT2
+    _special.erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    return cdf
+
+
+def _pdf(x: np.ndarray) -> np.ndarray:
+    """Standard normal density exp(-x^2 / 2) / sqrt(2 pi)."""
+    return np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+
+
 def gelu(a: Tensor) -> Tensor:
     """Exact GELU: x * Phi(x), with Phi the standard normal CDF."""
-    cdf = 0.5 * (1.0 + _special.erf(a.data * _INV_SQRT2))
+    cdf = _phi(a.data)
     out_data = a.data * cdf
 
     def backward(grad):
-        pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT_2PI
-        a._accum(grad * (cdf + a.data * pdf))
+        a._accum(grad * (cdf + a.data * _pdf(a.data)))
 
     return _node(out_data, (a,), backward)
 
 
 def normal_cdf(a: Tensor) -> Tensor:
     """Standard normal CDF, used by the load-balancing loss."""
-    out_data = 0.5 * (1.0 + _special.erf(a.data * _INV_SQRT2))
 
     def backward(grad):
-        pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT_2PI
-        a._accum(grad * pdf)
+        a._accum(grad * _pdf(a.data))
 
-    return _node(out_data, (a,), backward)
+    return _node(_phi(a.data), (a,), backward)
 
 
 def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
     """Layer normalization over the last axis with learned gain and bias."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out_data = xhat * gain.data + bias.data
+    # the variance takes numpy's var steps on the centred rows already held
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (xhat * xhat).sum(axis=-1, keepdims=True)
+    var /= x.data.shape[-1]
+    var += eps
+    inv = np.sqrt(var, out=var)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    out_data = xhat * gain.data
+    out_data += bias.data
 
     def backward(g):
         lead_axes = tuple(range(g.ndim - 1))
@@ -470,12 +521,13 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
     if mask is not None:
         mask = mask.reshape(-1, d_hid)
     pre = x2 @ w1.data
-    pre = pre + b1.data
-    cdf = 0.5 * (1.0 + _special.erf(pre * _INV_SQRT2))
-    act = pre * cdf
-    hid = act if mask is None else act * mask
+    pre += b1.data
+    cdf = _phi(pre)
+    hid = pre * cdf
+    if mask is not None:
+        hid *= mask
     out_data = hid @ w2.data
-    out_data = out_data + b2.data
+    out_data += b2.data
     out_data = out_data.reshape(*lead, d_out)
 
     def backward(grad):
@@ -485,8 +537,7 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
         b2._accum(g2.sum(axis=0))
         if mask is not None:
             g_hid = g_hid * mask
-        pdf = np.exp(-0.5 * pre * pre) * _INV_SQRT_2PI
-        g_pre = g_hid * (cdf + pre * pdf)
+        g_pre = g_hid * (cdf + pre * _pdf(pre))
         x._accum((g_pre @ w1.data.T).reshape(x.data.shape))
         w1._accum(x2.T @ g_pre)
         b1._accum(g_pre.sum(axis=0))

@@ -75,7 +75,11 @@ def lr_at(config: TrainConfig, step: int) -> float:
 
 def sgd_step(named_params, grads: dict, state: dict, config: TrainConfig,
              lr: float | None = None) -> dict:
-    """Global-norm clip, then v <- beta v + g and p <- p - lr v, in place."""
+    """Global-norm clip, then v <- beta v + g and p <- p - lr v.
+
+    Both updates write in place: the velocity arrays in `state` and every
+    parameter's data array.
+    """
     if lr is None:
         lr = config.base_lr
     sq = 0.0
@@ -87,10 +91,10 @@ def sgd_step(named_params, grads: dict, state: dict, config: TrainConfig,
     for name, p in named_params:
         v = state.get(name)
         if v is None:
-            v = np.zeros_like(p.data)
-        v = config.momentum * v + grads[name] * scale
-        state[name] = v
-        p.data = p.data - lr * v
+            v = state[name] = np.zeros_like(p.data)
+        v *= config.momentum
+        v += grads[name] * scale
+        p.data -= lr * v
     return state
 
 
@@ -115,7 +119,11 @@ def _mimo_batch(images, labels, spec, rng: Rng, step: int):
 
 def train(model: Model, dataset: Dataset, config: TrainConfig,
           rng: Rng | None = None):
-    """Run the loop; returns (model, history) with one dict per step."""
+    """Run the loop; returns (model, history) with one dict per step.
+
+    Each parameter's array is copied once on entry, so the in-place updates
+    never write an array the caller holds.
+    """
     spec = model.spec
     if dataset.spec.classes != spec.classes:
         raise ConfigError("dataset and model class counts differ")
@@ -124,6 +132,8 @@ def train(model: Model, dataset: Dataset, config: TrainConfig,
         raise ConfigError("batch_size exceeds training set size")
     rng = rng or Rng(config.seed)
     named = list(model.named_params())
+    for _, p in named:
+        p.data = p.data.copy()
     state: dict = {}
     history = []
     for s in range(config.steps):

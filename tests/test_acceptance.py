@@ -9,10 +9,8 @@ seconds.
 import json
 import math
 import time
-from pathlib import Path
 
 import numpy as np
-import pytest
 
 from moelab.analyzer import SIZE_LADDER, improvement_table, load_reference_points
 from moelab.checkpoint import (

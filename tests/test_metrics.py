@@ -8,6 +8,9 @@ import pytest
 
 from moelab.errors import ConfigError
 from moelab.metrics import (
+    _auc_pr,
+    _auc_roc,
+    _fpr_at_precision,
     EvalReport,
     MetricAccumulator,
     ece,
@@ -216,6 +219,88 @@ class TestOodMetrics:
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
             ood_metrics([], [0.5])
+
+
+def _tie_groups(sorted_vals):
+    """(i, j) bounds of each run of equal values, walked one at a time."""
+    i, n = 0, len(sorted_vals)
+    while i < n:
+        j = i
+        while j + 1 < n and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        yield i, j
+        i = j + 1
+
+
+def _loop_auc_roc(in_scores, out_scores):
+    both = np.concatenate([in_scores, out_scores])
+    order = np.argsort(both, kind="stable")
+    ranks = np.empty(len(both), dtype=np.float64)
+    for i, j in _tie_groups(both[order]):
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+    n_in, n_out = len(in_scores), len(out_scores)
+    u = ranks[n_in:].sum() - n_out * (n_out + 1) / 2.0
+    return float(u / (n_in * n_out))
+
+
+def _loop_descending(in_scores, out_scores):
+    """(tp, fp) after each tie group, accumulated as floats."""
+    scores = np.concatenate([in_scores, out_scores])
+    positive = np.concatenate([np.zeros(len(in_scores)),
+                               np.ones(len(out_scores))])
+    order = np.argsort(-scores, kind="stable")
+    scores, positive = scores[order], positive[order]
+    tp = fp = 0.0
+    for i, j in _tie_groups(scores):
+        tp += positive[i:j + 1].sum()
+        fp += (j - i + 1) - positive[i:j + 1].sum()
+        yield tp, fp
+
+
+def _loop_auc_pr(in_scores, out_scores):
+    n_pos = float(len(out_scores))
+    ap = prev_recall = 0.0
+    for tp, fp in _loop_descending(in_scores, out_scores):
+        recall = tp / n_pos
+        ap += (recall - prev_recall) * (tp / (tp + fp))
+        prev_recall = recall
+    return float(ap)
+
+
+def _loop_fpr_at_precision(in_scores, out_scores, precision=0.95):
+    best = None
+    for tp, fp in _loop_descending(in_scores, out_scores):
+        if tp / (tp + fp) >= precision:
+            best = fp / len(in_scores)
+    return 1.0 if best is None else float(best)
+
+
+class TestOodTieGroupsAgainstLoops:
+    """The vectorized tie-group passes equal the loops they replaced."""
+
+    def _cases(self, seed, tied):
+        gen = np.random.default_rng(seed)
+        for _ in range(200):
+            n_in, n_out = gen.integers(1, 80, size=2)
+            if tied:  # a handful of distinct values, most scores tied
+                levels = gen.integers(1, 6)
+                ins = gen.integers(0, levels, n_in) / levels
+                outs = gen.integers(0, levels, n_out) / levels
+            else:
+                ins, outs = gen.random(n_in), gen.random(n_out) + 0.3
+            yield ins, outs
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_bitwise_equal(self, tied):
+        got, want = [], []
+        for ins, outs in self._cases(11 + tied, tied):
+            got.append([_auc_roc(ins, outs), _auc_pr(ins, outs),
+                        _fpr_at_precision(ins, outs),
+                        _fpr_at_precision(ins, outs, 0.6)])
+            want.append([_loop_auc_roc(ins, outs), _loop_auc_pr(ins, outs),
+                         _loop_fpr_at_precision(ins, outs),
+                         _loop_fpr_at_precision(ins, outs, 0.6)])
+        np.testing.assert_array_equal(got, want)
 
 
 class TestFewshotProbe:

@@ -270,11 +270,28 @@ class TestForwardContracts:
             loss.backward()
             del bundle, loss
             assert live_tensors() - before == len(model.parameters())
+            # an eval forward builds no tape: nothing it returns has parents
             bundle = forward(model, x, Rng(7))
+            assert not any(o._parents for o in gc.get_objects()
+                           if isinstance(o, Tensor))
             del bundle
             assert live_tensors() - before == len(model.parameters())
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("variant", ["vit", "pbe", "be", "mimo"])
+    def test_eval_forward_has_no_tape(self, variant):
+        gen = np.random.default_rng(5)
+        x, labels = images(gen, n=4), np.array([0, 1, 2, 3])
+        model = build_model(tiny_spec(variant=variant, e=4, m=2), Rng(6))
+        bundle = forward(model, x, Rng(7))
+        assert not bundle.member_probs.requires_grad
+        loss = member_avg_cross_entropy(bundle.member_probs, labels)
+        with pytest.raises(ValueError, match="no tape"):
+            loss.backward()
+        assert all(p.grad is None for p in model.parameters())
+        taped = forward(model, x, Rng(7), train=True)
+        assert taped.member_probs.requires_grad
 
 
 class TestStructuralEquivalences:

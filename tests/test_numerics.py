@@ -1,8 +1,11 @@
 """Autodiff core: forward values against hand oracles, gradients against
 central differences, and the stability/determinism contracts."""
 
+import contextlib
+
 import numpy as np
 import pytest
+from scipy import special
 
 from moelab.errors import ConfigError
 from moelab.gradcheck import finite_difference_check
@@ -22,6 +25,7 @@ from moelab.tensor import (
     matmul,
     mlp,
     mul,
+    no_grad,
     normal_cdf,
     power,
     reshape,
@@ -303,3 +307,171 @@ def test_finite_difference_check_reports_nonfinite():
 
     with pytest.raises(EvaluationError):
         finite_difference_check(f, [x])
+
+
+_C = 1.0 / np.sqrt(2.0)
+
+
+def _old_cdf(x):
+    return 0.5 * (1.0 + special.erf(x * _C))
+
+
+class TestInPlaceOps:
+    """Each op that works in place on its own temporaries equals the
+    out-of-place expression it replaced, bit for bit, with and without a
+    tape."""
+
+    SHAPES = [(1, 1), (3, 5), (7, 33), (2, 4, 17), (64, 31)]
+
+    @pytest.fixture(params=[False, True], ids=["tape", "no_grad"])
+    def mode(self, request):
+        return no_grad() if request.param else contextlib.nullcontext()
+
+    def _x(self, shape, seed):
+        gen = np.random.default_rng(seed)
+        return gen.normal(scale=gen.uniform(0.1, 10.0), size=shape)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_dense(self, shape, mode):
+        x = self._x(shape, 1)
+        gen = np.random.default_rng(2)
+        w, b = gen.normal(size=(shape[-1], 6)), gen.normal(size=6)
+        with mode:
+            got = dense(Tensor(x, requires_grad=True), Tensor(w), Tensor(b))
+        np.testing.assert_array_equal(got.data, x @ w + b)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_layernorm(self, shape, mode):
+        x = self._x(shape, 3)
+        gen = np.random.default_rng(4)
+        g, b = gen.normal(size=shape[-1]), gen.normal(size=shape[-1])
+        mu = x.mean(axis=-1, keepdims=True)
+        var = x.var(axis=-1, keepdims=True)
+        want = (x - mu) * (1.0 / np.sqrt(var + 1e-6)) * g + b
+        with mode:
+            got = layernorm(Tensor(x, requires_grad=True), Tensor(g),
+                            Tensor(b))
+        np.testing.assert_array_equal(got.data, want)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("axis", [-1, 0])
+    def test_softmax(self, shape, axis, mode):
+        x = self._x(shape, 5)
+        e = np.exp(x - x.max(axis=axis, keepdims=True))
+        with mode:
+            got = softmax(Tensor(x, requires_grad=True), axis=axis)
+        np.testing.assert_array_equal(got.data,
+                                      e / e.sum(axis=axis, keepdims=True))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_gelu_and_normal_cdf(self, shape, mode):
+        x = self._x(shape, 6)
+        with mode:
+            act = gelu(Tensor(x, requires_grad=True))
+            cdf = normal_cdf(Tensor(x, requires_grad=True))
+        np.testing.assert_array_equal(act.data, x * _old_cdf(x))
+        np.testing.assert_array_equal(cdf.data, _old_cdf(x))
+
+    @pytest.mark.parametrize("shape", [(1, 3), (9, 5), (2, 7, 5)])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_mlp(self, shape, masked, mode):
+        x = self._x(shape, 7)
+        gen = np.random.default_rng(8)
+        w1, b1 = gen.normal(size=(shape[-1], 11)), gen.normal(size=11)
+        w2, b2 = gen.normal(size=(11, 4)), gen.normal(size=4)
+        mask = None
+        if masked:
+            u = gen.random(shape[:-1] + (11,))
+            mask = (u >= 0.3).astype(np.float64) / 0.7
+        x2 = x.reshape(-1, shape[-1])
+        pre = x2 @ w1 + b1
+        hid = pre * _old_cdf(pre)
+        if masked:
+            hid = hid * mask.reshape(-1, 11)
+        want = (hid @ w2 + b2).reshape(shape[:-1] + (4,))
+        with mode:
+            got = mlp(Tensor(x, requires_grad=True), Tensor(w1), Tensor(b1),
+                      Tensor(w2), Tensor(b2), mask)
+        np.testing.assert_array_equal(got.data, want)
+
+    def test_inputs_untouched(self):
+        gen = np.random.default_rng(9)
+        arrays = [gen.normal(size=s) for s in
+                  [(4, 3), (3, 5), (5,), (5, 2), (2,), (3,), (3,)]]
+        x, w1, b1, w2, b2, g, b = [Tensor(a.copy(), requires_grad=True)
+                                   for a in arrays]
+        mask = np.full((4, 5), 2.0)
+        for out in (dense(x, w1, b1), layernorm(x, g, b), softmax(x),
+                    gelu(x), normal_cdf(x), mlp(x, w1, b1, w2, b2, mask)):
+            tsum(out).backward()
+        for t, a in zip((x, w1, b1, w2, b2, g, b), arrays):
+            np.testing.assert_array_equal(t.data, a)
+        np.testing.assert_array_equal(mask, 2.0)
+
+
+class TestNoGrad:
+    def test_results_carry_no_tape(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        w = Tensor(np.ones((3, 2)), requires_grad=True)
+        with no_grad():
+            y = tsum(softmax(dense(x, w)))
+        assert not y.requires_grad
+        assert y._parents == () and y._backward is None
+        assert tsum(dense(x, w)).requires_grad
+
+    def test_nested_blocks_restore_mode(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        with no_grad():
+            with no_grad():
+                pass
+            assert not tsum(x).requires_grad
+        assert tsum(x).requires_grad
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError("boom")
+        assert tsum(x).requires_grad
+
+    def test_backward_without_tape_rejected(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        with no_grad():
+            y = tsum(x)
+        with pytest.raises(ValueError, match="no tape"):
+            y.backward()
+        with pytest.raises(ValueError, match="no tape"):
+            tsum(Tensor(np.ones(2))).backward()
+        assert x.grad is None
+
+    def test_first_gradient_kept_not_copied(self):
+        x = Tensor(np.zeros(3), requires_grad=True)
+        g = np.array([1.0, 2.0, 3.0])
+        x._accum(g)
+        assert x.grad is g
+        x._accum(g)
+        np.testing.assert_array_equal(g, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0, 6.0])
+
+    def test_shared_gradient_array_never_written(self):
+        # add hands the same gradient array to both parents; accumulating
+        # more into one of them must not change the other
+        for shared_first in (True, False):
+            a = Tensor(np.ones(3), requires_grad=True)
+            b = Tensor(np.ones(3), requires_grad=True)
+            terms = [add(a, b), mul(a, Tensor(2.0))]
+            if not shared_first:
+                terms.reverse()
+            tsum(add(*terms)).backward()
+            np.testing.assert_array_equal(a.grad, 3.0)
+            np.testing.assert_array_equal(b.grad, 1.0)
+
+
+def test_gradcheck_reevaluations_build_no_tape():
+    x = Tensor(np.array([0.3, -0.7]), requires_grad=True)
+    taped = []
+
+    def f():
+        y = tsum(mul(x, x))
+        taped.append(y.requires_grad)
+        return y
+
+    assert finite_difference_check(f, [x]) < 1e-6
+    assert taped == [True] + [False] * 4

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import moelab.trainer
-from moelab.checkpoint import checkpoint_from_model, save_checkpoint
+from moelab.checkpoint import (Checkpoint, apply_checkpoint,
+                               checkpoint_from_model, save_checkpoint,
+                               state_dict)
 from moelab.dataset import DatasetSpec, make_synthetic_dataset
 from moelab.errors import ConfigError, DivergenceError, EvaluationError
 from moelab.losses import LossConfig
@@ -156,8 +158,45 @@ class TestSgdStep:
         # v1 = 1, v2 = 0.5 + 1 = 1.5; p = -(1 + 1.5)
         np.testing.assert_allclose(named[0][1].data, [-2.5], atol=1e-15)
 
+    def test_in_place_update_matches_out_of_place_formula(self):
+        gen = np.random.default_rng(3)
+        named = self.params([gen.normal(size=7).tolist(),
+                             gen.normal(size=(2, 3)).tolist()])
+        want = {n: p.data.copy() for n, p in named}
+        vel = {n: np.zeros_like(p.data) for n, p in named}
+        cfg = TrainConfig(momentum=0.9, base_lr=0.1, clip_norm=1.0)
+        state = {}
+        for step in range(5):
+            grads = {n: gen.normal(size=p.data.shape) * 3 for n, p in named}
+            arrays = [p.data for _, p in named]
+            sgd_step(named, grads, state, cfg, lr=0.1 / (step + 1))
+            assert all(p.data is a for (_, p), a in zip(named, arrays))
+            gnorm = math.sqrt(sum(float(np.sum(g * g))
+                                  for g in grads.values()))
+            scale = min(1.0, 1.0 / gnorm)
+            for n in want:
+                vel[n] = 0.9 * vel[n] + grads[n] * scale
+                want[n] = want[n] - 0.1 / (step + 1) * vel[n]
+        for n, p in named:
+            np.testing.assert_array_equal(p.data, want[n])
+            np.testing.assert_array_equal(state[n], vel[n])
+
 
 class TestTrainLoop:
+    def test_caller_arrays_untouched(self):
+        ds = small_dataset(seed=4)
+        spec = tiny_model_spec(variant="pbe", m=2)
+        params = state_dict(build_model(spec, Rng(2)))
+        kept = {n: a.copy() for n, a in params.items()}
+        model = apply_checkpoint(build_model(spec, Rng(3)),
+                                 Checkpoint(spec, params))
+        assert all(t.data is params[n] for n, t in model.named_params())
+        model, _ = train(model, ds, TrainConfig(steps=3, batch_size=16))
+        for name, arr in params.items():
+            np.testing.assert_array_equal(arr, kept[name])
+        assert any(not np.array_equal(t.data, kept[n])
+                   for n, t in model.named_params())
+
     def test_deterministic_checkpoints(self, tmp_path):
         ds = small_dataset(seed=4)
         cfg = TrainConfig(steps=6, batch_size=16, base_lr=0.05, seed=11)
