@@ -11,14 +11,18 @@ dispatch core:
 plus the rank-1 batch-ensemble dense layer and its sparse-MoE equivalence
 view (BeMoeView), and the tiling helpers.
 
-Dispatch is organized per (slot, expert): each expert gathers the tokens
-routed to it in slot j and runs as one fused ``mlp`` tape node, and a single
-``combine_slots`` node per layer scales every output by its gate weight,
-writes it into an N x S x Q slot buffer and sums the slots left to right
-(moe) or returns the buffer (multihead).  Summing slot by slot makes "sum of
+Dispatch is one ``expert_dispatch`` tape node per layer.  The kept (row,
+slot) assignments are gathered once, grouped into one segment per (slot,
+expert) pair, slot-major with experts ascending; each segment runs its
+expert's GEMMs, and the node scales every output by its gate weight, writes
+it into an N x S x Q slot buffer and sums the slots left to right (moe) or
+returns the buffer (multihead).  Summing slot by slot makes "sum of
 multihead slots == moe output" hold bitwise, not just approximately.  Pairs
-are never grouped across slots: that would reorder the accumulation of the
-expert-weight gradients and move trained numbers.
+are never grouped across slots, and the GEMMs are never batched across
+segments: either would change roundings (a 1-row segment runs as a
+matrix-vector product) or reorder the accumulation of the expert-weight
+gradients, and move trained numbers.  Each segment's dropout mask is drawn
+from its own (slot, expert) stream.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ from .errors import ConfigError
 from .rng import Rng
 from .routing import (CapacityConfig, RouterParams, capacity_filter,
                       partitioned_gate)
-from .tensor import (Tensor, combine_slots, concat, gelu, matmul, mlp, reshape,
-                     take_rows)
+from .tensor import (Tensor, concat, expert_dispatch, gelu, matmul, mlp,
+                     reshape, take_rows)
 
 # ----------------------------------------------------------------------
 # experts
@@ -55,9 +59,17 @@ class ExpertMLP:
         return self.w1.data.shape[1]
 
 
-def dropout_mask(rng: Rng, rate: float, shape, *tags) -> np.ndarray:
-    """Inverted-dropout mask: keep with prob 1-rate, scale kept by 1/(1-rate)."""
-    u = rng.stream(*tags).random(shape)
+def dropout_mask(rng: Rng, rate: float, width: int, blocks) -> np.ndarray:
+    """Inverted-dropout mask: keep with prob 1-rate, scale kept by 1/(1-rate).
+
+    blocks lists (rows, tags) pairs: the mask stacks one rows x width block
+    per entry, in order, each drawn from the stream addressed by its tags.
+    """
+    u = np.empty((sum(n for n, _ in blocks), width))
+    lo = 0
+    for n, tags in blocks:
+        rng.uniform_into(u[lo:lo + n], *tags)
+        lo += n
     return (u >= rate).astype(np.float64) / (1.0 - rate)
 
 
@@ -97,7 +109,8 @@ def layer_forward(h: Tensor, layer: MoELayer, rng: Rng, *, train: bool = False,
                   dropout_on: bool | None = None,
                   noise_key: tuple = ("route", 0, 0),
                   dropout_key: tuple = ("drop", 0, 0)):
-    """Gate, capacity filter, per-(slot, expert) expert calls, one combine.
+    """Gate, capacity filter, then one expert_dispatch over every kept
+    assignment.
 
     Modes moe and pbe sum the slots (Eq. 1; pbe rows are tiled, so each
     member mixes only its own experts), only_partitioning sums the K*M slots
@@ -111,23 +124,28 @@ def layer_forward(h: Tensor, layer: MoELayer, rng: Rng, *, train: bool = False,
     decision = capacity_filter(decision, layer.capacity, layer.e)
     if dropout_on is None:
         dropout_on = train
-    values, rows, slots = [], [], []
-    for j in range(decision.indices.shape[1]):
-        ids_j = decision.indices[:, j]
-        keep_j = ~decision.dropped_mask[:, j]
-        for e in np.unique(ids_j[keep_j]):
-            tokens = np.nonzero((ids_j == e) & keep_j)[0]
-            x_e = take_rows(h, tokens)
-            mask = None
-            if dropout_on and layer.dropout_rate > 0.0:
-                mask = dropout_mask(rng, layer.dropout_rate,
-                                    (tokens.size, layer.experts[e].hidden_dim),
-                                    *dropout_key, int(e), j)
-            values.append(layer.experts[int(e)].forward(x_e, mask))
-            rows.append(tokens)
-            slots.append(j)
-    out = combine_slots(values, rows, slots, decision.weights,
-                        h.data.shape[0], stack=layer.mode == "multihead")
+    # kept assignments, slot-major; a stable sort on (slot, expert) groups
+    # them into one segment per (slot, expert) pair, rows ascending
+    n = decision.indices.shape[0]
+    kept = np.flatnonzero(~decision.dropped_mask.T)
+    rows, slots = kept % n, kept // n
+    key = slots * layer.e + decision.indices[rows, slots]
+    order = np.argsort(key, kind="stable")
+    rows, slots, key = rows[order], slots[order], key[order]
+    keys, starts = np.unique(key, return_index=True)
+    bounds = starts.tolist() + [key.size]
+    segs = [(*divmod(int(k), layer.e), lo, hi)  # (slot, expert, lo, hi)
+            for k, lo, hi in zip(keys, bounds[:-1], bounds[1:])]
+    mask = None
+    if dropout_on and layer.dropout_rate > 0.0:
+        mask = dropout_mask(rng, layer.dropout_rate,
+                            layer.experts[0].hidden_dim,
+                            [(hi - lo, (*dropout_key, e, j))
+                             for j, e, lo, hi in segs])
+    experts = [(ex.w1, ex.b1, ex.w2, ex.b2) for ex in layer.experts]
+    out = expert_dispatch(h, decision.weights, experts, rows, slots,
+                          [(e, lo, hi) for _, e, lo, hi in segs], mask,
+                          stack=layer.mode == "multihead")
     return out, decision
 
 

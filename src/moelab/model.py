@@ -483,8 +483,8 @@ def _forward(model, images, rng, train, step, mc_sample, tiling,
             mask = None
             if dropout_on and spec.dropout_rate > 0.0:
                 mask = dropout_mask(rng, spec.dropout_rate,
-                                    (bc * t, blk.mlp.hidden_dim),
-                                    *drop_key, -1, 0)
+                                    blk.mlp.hidden_dim,
+                                    [(bc * t, (*drop_key, -1, 0))])
             out = blk.mlp.forward(h_flat, mask)
             x = x + reshape(out, (bc, t, d))
         else:
@@ -549,15 +549,23 @@ def mc_dropout_predict(model: Model, images, n_samples: int, rng: Rng,
     return PredictionBundle(member, Tensor(member.data.mean(axis=0)))
 
 
-def deep_ensemble_predict(models, images, rng: Rng | None = None
-                          ) -> PredictionBundle:
-    """Pool independently trained models; each contributes one member."""
+def deep_ensemble_predict(models, images, rng: Rng | None = None, *,
+                          want_features: bool = False) -> PredictionBundle:
+    """Pool independently trained models; each contributes one member.
+
+    With want_features, member_features stacks every model's
+    member_features along the member axis, in model order.
+    """
     if not models:
         raise ConfigError("need at least one model")
     rng = rng or Rng(0)
-    stacks = []
-    for mdl in models:
-        bundle = forward(mdl, images, rng, train=False)
-        stacks.append(bundle.ensemble_probs.data[None, :, :])
-    member = Tensor(np.concatenate(stacks, axis=0))
-    return PredictionBundle(member, Tensor(member.data.mean(axis=0)))
+    bundles = [forward(mdl, images, rng, train=False,
+                       want_features=want_features) for mdl in models]
+    member = Tensor(np.concatenate(
+        [b.ensemble_probs.data[None, :, :] for b in bundles], axis=0))
+    features = None
+    if want_features:
+        features = np.concatenate([b.member_features for b in bundles],
+                                  axis=0)
+    return PredictionBundle(member, Tensor(member.data.mean(axis=0)),
+                            member_features=features)

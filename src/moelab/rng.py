@@ -6,6 +6,13 @@ mutable stream.  The same seed and tags always reproduce the same values, no
 matter how many unrelated draws happened in between.  That property is what
 makes deferred tiling bitwise-equal to naive tiling, lets gradient checks
 freeze the routing noise, and gives byte-identical reruns.
+
+Building a Philox generator costs more than the small draws most callers
+make, so the hot draws (``normal`` and ``uniform_into``) re-key one Philox
+that the ``Rng`` owns instead: they reset its key and counter to the start
+of the addressed stream and draw at once, with bitwise the values a fresh
+``stream(*tags)`` gives.  An ``Rng`` is therefore not for sharing between
+threads.
 """
 
 from __future__ import annotations
@@ -37,6 +44,8 @@ class Rng:
 
     def __init__(self, seed: int):
         self.seed = int(seed)
+        self._bits = np.random.Philox(0)
+        self._gen = np.random.Generator(self._bits)
 
     def __repr__(self) -> str:
         return f"Rng(seed={self.seed})"
@@ -50,6 +59,23 @@ class Rng:
         """
         return np.random.Generator(np.random.Philox(key=_key_words(self.seed, tags)))
 
+    def _keyed(self, tags: tuple) -> np.random.Generator:
+        """The owned generator, reset to the start of the (seed, tags)
+        stream: the state of a fresh ``Philox(key=...)``.  Valid until the
+        next keyed draw."""
+        self._bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64),
+                      "key": _key_words(self.seed, tags)},
+            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0}
+        return self._gen
+
     def normal(self, shape, *tags) -> np.ndarray:
         """Standard normal draw of `shape`, addressed by tags."""
-        return self.stream(*tags).standard_normal(shape, dtype=np.float64)
+        return self._keyed(tags).standard_normal(shape, dtype=np.float64)
+
+    def uniform_into(self, out: np.ndarray, *tags) -> None:
+        """Fill the float64 array `out` with the uniform [0, 1) draws of
+        stream(*tags).random(out.shape), in C order."""
+        self._keyed(tags).random(out=out)

@@ -12,10 +12,12 @@ for the cyclic garbage collector.
 The op set is exactly what the transformer and its losses need: dense/matmul,
 softmax, layernorm, GELU, the normal CDF, elementwise arithmetic,
 reductions, reshapes, concatenation, and row and column gathers.  Two fused
-ops keep expert dispatch short: ``mlp`` (dense -> GELU -> dropout -> dense)
-and ``combine_slots`` (gate-weight and sum every expert output of a MoE
-layer), each one node whose values and gradients are bitwise those of the
-composition it replaces.
+ops keep the MLPs short, each one node whose values and gradients are
+bitwise those of the composition it replaces: ``mlp`` (dense -> GELU ->
+dropout -> dense) and ``expert_dispatch``, which runs every expert of a MoE
+layer on the rows routed to it and gate-weights and sums their outputs.
+A MoE layer therefore adds one expert node to the tape, whatever its
+number of experts and slots.
 
 Inside a ``no_grad()`` block no tape is built: every op returns a bare
 result with no parents and no backward closure, so the intermediates an op
@@ -447,11 +449,11 @@ def reshape(a: Tensor, shape: tuple) -> Tensor:
 
 def transpose(a: Tensor, axes: tuple) -> Tensor:
     axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
     out_data = a.data.transpose(axes)
 
     def backward(grad):
-        a._accum(grad.transpose(inv))
+        inverse = sorted(range(len(axes)), key=axes.__getitem__)
+        a._accum(grad.transpose(inverse))
 
     return _node(out_data, (a,), backward)
 
@@ -459,14 +461,15 @@ def transpose(a: Tensor, axes: tuple) -> Tensor:
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [_ensure(t) for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
 
     def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
+        idx = [slice(None)] * g.ndim
+        lo = 0
+        for t in tensors:
+            hi = lo + t.data.shape[axis]
             idx[axis] = slice(lo, hi)
             t._accum(g[tuple(idx)])
+            lo = hi
 
     return _node(out_data, tuple(tensors), backward)
 
@@ -503,7 +506,7 @@ def take_cols(x: Tensor, idx: np.ndarray) -> Tensor:
 
 
 # ----------------------------------------------------------------------
-# fused expert ops: one node each, bitwise equal to the ops they replace
+# fused MLP ops: one node each, bitwise equal to the ops they replace
 
 
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
@@ -545,23 +548,48 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
     return _node(out_data, (x, w1, b1, w2, b2), backward)
 
 
-def combine_slots(values: list, rows: list, slots: list, weights: Tensor,
-                  n_rows: int, stack: bool = False) -> Tensor:
-    """Weight every (slot, expert) output by its gate and combine, as one node.
+def expert_dispatch(x: Tensor, weights: Tensor, experts: list,
+                    rows: np.ndarray, slots: np.ndarray, segments: list,
+                    mask: np.ndarray | None = None,
+                    stack: bool = False) -> Tensor:
+    """Run every expert of a MoE layer and combine by gate weight, as one node.
 
-    weights is (n_rows, S).  values[p] holds the expert outputs of token
-    rows rows[p] in slot slots[p]; a (row, slot) pair appears at most once.
-    Backward visits the pairs in the order given, which fixes the order in
-    which shared inputs accumulate their gradients.  Slot s of row r is
-    values[p] * weights[r, s] for the pair that holds it and 0 where no pair
-    does (a dropped assignment or an empty slot).  The (n_rows, S, Q) slot
-    buffer is returned as is when stack is set, else its slots are summed
-    left to right into (n_rows, Q).  values must not be empty.
+    x is the (N, D) layer input, weights the (N, S) gate weights and experts
+    the layer's (w1, b1, w2, b2) tuples.  The R kept (row, slot) assignments
+    are rows[a] and slots[a]; a (row, slot) pair appears at most once.  Each
+    segment (e, lo, hi) runs assignments lo:hi through experts[e].  mask, if
+    given, is the (R, F) dropout mask of the hidden units.
+
+    Every segment computes mlp(x[rows], ...) with its own GEMMs; GELU, the
+    mask and the combine run once over all R assignments.  Slot s of row r is
+    the expert output times weights[r, s], or 0 where no assignment holds it
+    (a dropped assignment or an empty slot).  The (N, S, Q) slot buffer is
+    returned as is when stack is set, else its slots are summed left to
+    right into (N, Q).
+
+    Values and gradients equal bitwise those of one take_rows and one mlp
+    per segment followed by a per-segment gate-and-combine, with backward
+    visiting the segments in the order given: that order fixes how an expert
+    serving several segments, and a row in several slots, accumulate their
+    gradients.
     """
-    gates = [weights.data[r, s][:, None] for r, s in zip(rows, slots)]
-    buf = np.zeros((n_rows, weights.data.shape[1], values[0].data.shape[1]))
-    for y, r, s, w in zip(values, rows, slots, gates):
-        buf[r, s] += y.data * w
+    spans = [(experts[e], lo, hi) for e, lo, hi in segments]
+    gate = weights.data[rows, slots][:, None]
+    xs = x.data[rows]
+    pre = np.empty((rows.size, experts[0][0].data.shape[1]))
+    for (w1, b1, _, _), lo, hi in spans:
+        np.matmul(xs[lo:hi], w1.data, out=pre[lo:hi])
+        pre[lo:hi] += b1.data
+    cdf = _phi(pre)
+    hid = pre * cdf
+    if mask is not None:
+        hid *= mask
+    ys = np.empty((rows.size, experts[0][2].data.shape[1]))
+    for (_, _, w2, b2), lo, hi in spans:
+        np.matmul(hid[lo:hi], w2.data, out=ys[lo:hi])
+        ys[lo:hi] += b2.data
+    buf = np.zeros(weights.data.shape + ys.shape[1:])
+    buf[rows, slots] += ys * gate  # +=, not =: a -0.0 product lands as 0.0
     if stack:
         out_data = buf
     else:
@@ -570,11 +598,27 @@ def combine_slots(values: list, rows: list, slots: list, weights: Tensor,
             out_data = out_data + buf[:, s]
 
     def backward(grad):
+        g = grad[rows, slots] if stack else grad[rows]
         g_w = np.zeros_like(weights.data)
-        for y, r, s, w in zip(values, rows, slots, gates):
-            g = grad[r, s] if stack else grad[r]
-            y._accum(g * w)
-            g_w[r, s] += (g * y.data).sum(axis=1)
+        g_w[rows, slots] += (g * ys).sum(axis=1)
         weights._accum(g_w)
+        g *= gate
+        g_hid = np.empty_like(hid)
+        for (_, _, w2, b2), lo, hi in spans:
+            np.matmul(g[lo:hi], w2.data.T, out=g_hid[lo:hi])
+            w2._accum(hid[lo:hi].T @ g[lo:hi])
+            b2._accum(g[lo:hi].sum(axis=0))
+        if mask is not None:
+            g_hid *= mask
+        g_pre = g_hid * (cdf + pre * _pdf(pre))
+        g_xs = np.empty_like(xs)
+        for (w1, b1, _, _), lo, hi in spans:
+            np.matmul(g_pre[lo:hi], w1.data.T, out=g_xs[lo:hi])
+            w1._accum(xs[lo:hi].T @ g_pre[lo:hi])
+            b1._accum(g_pre[lo:hi].sum(axis=0))
+        g_x = np.zeros_like(x.data)
+        np.add.at(g_x, rows, g_xs)
+        x._accum(g_x)
 
-    return _node(out_data, tuple(values) + (weights,), backward)
+    params = [t for ex in experts for t in ex]
+    return _node(out_data, (x, *params, weights), backward)

@@ -9,6 +9,7 @@ with the same config yields bitwise-identical parameters.
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import math
 from dataclasses import dataclass, field
@@ -122,7 +123,9 @@ def train(model: Model, dataset: Dataset, config: TrainConfig,
     """Run the loop; returns (model, history) with one dict per step.
 
     Each parameter's array is copied once on entry, so the in-place updates
-    never write an array the caller holds.
+    never write an array the caller holds.  The cyclic garbage collector is
+    off during the step loop, since the tape has no reference cycles for it
+    to find; the caller's setting is restored on exit, also on error.
     """
     spec = model.spec
     if dataset.spec.classes != spec.classes:
@@ -136,45 +139,54 @@ def train(model: Model, dataset: Dataset, config: TrainConfig,
         p.data = p.data.copy()
     state: dict = {}
     history = []
-    for s in range(config.steps):
-        idx = rng.stream("batch", s).choice(n, size=config.batch_size,
-                                            replace=False)
-        images = dataset.train_x[idx]
-        labels = dataset.train_y[idx]
-        if spec.variant == "mimo":
-            if spec.batch_repetitions > 1:
-                images = np.concatenate([images] * spec.batch_repetitions, 0)
-                labels = np.concatenate([labels] * spec.batch_repetitions, 0)
-            images, labels = _mimo_batch(images, labels, spec, rng, s)
-        out = forward(model, images, rng, train=True, step=s)
-        data = member_avg_cross_entropy(out.member_probs, labels,
-                                        mode=config.loss.loss_mode)
-        aux_states = [AuxLossState.from_decision(d) for d in out.decisions]
-        loss = total_loss(data, aux_states, config.loss.aux_weight)
-        loss_val = loss.item()
-        if not math.isfinite(loss_val):
-            raise DivergenceError(s, loss_val)
-        loss.backward()
-        grads = {}
-        for name, p in named:
-            grads[name] = p.grad if p.grad is not None \
-                else np.zeros_like(p.data)
-        lr = lr_at(config, s)
-        sgd_step(named, grads, state, config, lr)
-        for _, p in named:
-            p.grad = None
-        row = {"step": s, "loss": loss_val,
-               "aux": loss_val - data.item(), "lr": lr,
-               "nll": None, "error": None, "ece": None, "kl": None}
-        last = s == config.steps - 1
-        if (config.eval_every and (s + 1) % config.eval_every == 0) or last:
-            acc = MetricAccumulator()
-            val = forward(model, dataset.val_x, rng, train=False, step=s)
-            acc.add_batch(val.member_probs, dataset.val_y)
-            r = acc.result()
-            row.update(nll=r["nll"], error=r["error_pct"], ece=r["ece"],
-                       kl=r["kl_diversity"])
-        history.append(row)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for s in range(config.steps):
+            idx = rng.stream("batch", s).choice(n, size=config.batch_size,
+                                                replace=False)
+            images = dataset.train_x[idx]
+            labels = dataset.train_y[idx]
+            if spec.variant == "mimo":
+                reps = spec.batch_repetitions
+                if reps > 1:
+                    images = np.concatenate([images] * reps, 0)
+                    labels = np.concatenate([labels] * reps, 0)
+                images, labels = _mimo_batch(images, labels, spec, rng, s)
+            out = forward(model, images, rng, train=True, step=s)
+            data = member_avg_cross_entropy(out.member_probs, labels,
+                                            mode=config.loss.loss_mode)
+            aux_states = [AuxLossState.from_decision(d)
+                          for d in out.decisions]
+            loss = total_loss(data, aux_states, config.loss.aux_weight)
+            loss_val = loss.item()
+            if not math.isfinite(loss_val):
+                raise DivergenceError(s, loss_val)
+            loss.backward()
+            grads = {}
+            for name, p in named:
+                grads[name] = p.grad if p.grad is not None \
+                    else np.zeros_like(p.data)
+            lr = lr_at(config, s)
+            sgd_step(named, grads, state, config, lr)
+            for _, p in named:
+                p.grad = None
+            row = {"step": s, "loss": loss_val,
+                   "aux": loss_val - data.item(), "lr": lr,
+                   "nll": None, "error": None, "ece": None, "kl": None}
+            last = s == config.steps - 1
+            if last or (config.eval_every
+                        and (s + 1) % config.eval_every == 0):
+                acc = MetricAccumulator()
+                val = forward(model, dataset.val_x, rng, train=False, step=s)
+                acc.add_batch(val.member_probs, dataset.val_y)
+                r = acc.result()
+                row.update(nll=r["nll"], error=r["error_pct"], ece=r["ece"],
+                           kl=r["kl_diversity"])
+            history.append(row)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     return model, history
 
 
@@ -204,25 +216,34 @@ def evaluate(model: Model | None, dataset: Dataset, rng: Rng, *,
     """Test-split metrics plus OOD/shift detection and optional probes.
 
     Pass models=[...] to evaluate a deep ensemble; mc_samples > 0 ensembles
-    that many eval-time dropout draws of the single model.
+    that many eval-time dropout draws of the single model.  The few-shot
+    probes take their features from the test-split metrics pass.
     """
     if (model is None) == (models is None):
         raise ConfigError("pass exactly one of model or models")
 
-    def predict(images):
+    def predict(images, want_features=False):
         if models is not None:
-            return deep_ensemble_predict(models, images, rng)
+            return deep_ensemble_predict(models, images, rng,
+                                         want_features=want_features)
         if mc_samples > 0:
             return mc_dropout_predict(model, images, mc_samples, rng)
-        return forward(model, images, rng, train=False)
+        return forward(model, images, rng, train=False,
+                       want_features=want_features)
 
     acc = MetricAccumulator()
-    test_ens = []
+    test_ens, feats = [], []
     for xb, yb in zip(_batched(dataset.test_x, batch_size),
                       _batched(dataset.test_y, batch_size)):
-        bundle = predict(xb)
+        bundle = predict(xb, want_features=bool(fewshot_shots))
         acc.add_batch(bundle.member_probs, yb)
         test_ens.append(bundle.ensemble_probs.data)
+        if fewshot_shots:
+            if mc_samples > 0:
+                # MC-dropout members are random draws: the probe takes the
+                # features of a deterministic pass
+                bundle = forward(model, xb, rng, want_features=True)
+            feats.append(bundle.member_features)
     r = acc.result()
     in_scores = ood_scores(np.concatenate(test_ens, axis=0))
 
@@ -237,15 +258,6 @@ def evaluate(model: Model | None, dataset: Dataset, rng: Rng, *,
 
     fewshot = {}
     if fewshot_shots:
-        feats = []
-        for xb in _batched(dataset.test_x, batch_size):
-            if models is not None:
-                per = [forward(mm, xb, rng, want_features=True)
-                       .member_features for mm in models]
-                feats.append(np.concatenate(per, axis=0))
-            else:
-                feats.append(forward(model, xb, rng, want_features=True)
-                             .member_features)
         features = np.concatenate(feats, axis=1)
         for shots in fewshot_shots:
             fewshot[int(shots)] = fewshot_probe(features, dataset.test_y,

@@ -19,8 +19,10 @@ from moelab.layers import (
     untile,
 )
 from moelab.rng import Rng
-from moelab.routing import CapacityConfig, RouterParams
-from moelab.tensor import Tensor, tsum
+from moelab.routing import (CapacityConfig, RouterParams, capacity_filter,
+                            partitioned_gate)
+from moelab.tensor import (Tensor, _node, expert_dispatch, mlp, mul, reshape,
+                           take_rows, tsum)
 
 
 def make_expert(gen, d, f, q=None):
@@ -424,3 +426,178 @@ class TestLayerGradients:
             return tsum(mlp.forward(x))
 
         self._check(f, params)
+
+
+# ----------------------------------------------------------------------
+# the per-pair dispatch that expert_dispatch replaced, kept as its oracle
+
+
+def per_pair_combine(values, rows, slots, weights, n_rows, stack=False):
+    """Weight every (slot, expert) output by its gate and combine, as one
+    node; backward visits the pairs in the order given."""
+    gates = [weights.data[r, s][:, None] for r, s in zip(rows, slots)]
+    buf = np.zeros((n_rows, weights.data.shape[1], values[0].data.shape[1]))
+    for y, r, s, w in zip(values, rows, slots, gates):
+        buf[r, s] += y.data * w
+    if stack:
+        out_data = buf
+    else:
+        out_data = buf[:, 0]
+        for s in range(1, buf.shape[1]):
+            out_data = out_data + buf[:, s]
+
+    def backward(grad):
+        g_w = np.zeros_like(weights.data)
+        for y, r, s, w in zip(values, rows, slots, gates):
+            g = grad[r, s] if stack else grad[r]
+            y._accum(g * w)
+            g_w[r, s] += (g * y.data).sum(axis=1)
+        weights._accum(g_w)
+
+    return _node(out_data, tuple(values) + (weights,), backward)
+
+
+def per_pair_dispatch(x, weights, experts, rows, slots, segments, mask=None,
+                      stack=False):
+    """One take_rows and one mlp node per segment, then one combine."""
+    values, seg_rows, seg_slots = [], [], []
+    for e, lo, hi in segments:
+        seg_mask = None if mask is None else mask[lo:hi]
+        values.append(mlp(take_rows(x, rows[lo:hi]), *experts[e], seg_mask))
+        seg_rows.append(rows[lo:hi])
+        seg_slots.append(int(slots[lo]))
+    return per_pair_combine(values, seg_rows, seg_slots, weights,
+                            x.data.shape[0], stack)
+
+
+def per_pair_layer_forward(h, layer, rng, *, train=False, dropout_on=None,
+                           noise_key=("route", 0, 0),
+                           dropout_key=("drop", 0, 0)):
+    """layer_forward with a loop over (slot, expert) pairs and a fresh
+    dropout stream per pair."""
+    decision = partitioned_gate(h, layer.router, layer.k, rng,
+                                tiled=layer.mode != "only_partitioning",
+                                train=train, noise_key=noise_key)
+    decision = capacity_filter(decision, layer.capacity, layer.e)
+    if dropout_on is None:
+        dropout_on = train
+    values, rows, slots = [], [], []
+    for j in range(decision.indices.shape[1]):
+        ids_j = decision.indices[:, j]
+        keep_j = ~decision.dropped_mask[:, j]
+        for e in np.unique(ids_j[keep_j]):
+            tokens = np.nonzero((ids_j == e) & keep_j)[0]
+            mask = None
+            if dropout_on and layer.dropout_rate > 0.0:
+                u = rng.stream(*dropout_key, int(e), j).random(
+                    (tokens.size, layer.experts[e].hidden_dim))
+                mask = (u >= layer.dropout_rate).astype(np.float64) \
+                    / (1.0 - layer.dropout_rate)
+            values.append(layer.experts[int(e)].forward(take_rows(h, tokens),
+                                                         mask))
+            rows.append(tokens)
+            slots.append(j)
+    out = per_pair_combine(values, rows, slots, decision.weights,
+                           h.data.shape[0], stack=layer.mode == "multihead")
+    return out, decision
+
+
+def _grads(tensors):
+    return [np.zeros_like(t.data) if t.grad is None else t.grad
+            for t in tensors]
+
+
+class TestExpertDispatchBitwise:
+    """expert_dispatch and layer_forward against the per-pair oracle: the
+    values and every gradient, bit for bit."""
+
+    def _dispatch_case(self, seed, n, n_slots, e, drop):
+        # random (row, slot) -> expert assignments in pair order, some
+        # dropped; experts not drawn stay unused
+        gen = np.random.default_rng(seed)
+        ids = gen.integers(0, e, size=(n, n_slots))
+        kept = gen.random((n, n_slots)) >= drop
+        rows, slots, segments = [], [], []
+        for j in range(n_slots):
+            for ex in np.unique(ids[kept[:, j], j]):
+                r = np.nonzero((ids[:, j] == ex) & kept[:, j])[0]
+                segments.append((int(ex), len(rows), len(rows) + r.size))
+                rows += r.tolist()
+                slots += [j] * r.size
+        experts = [tuple(Tensor(gen.normal(size=sh), requires_grad=True)
+                         for sh in [(3, 5), (5,), (5, 3), (3,)])
+                   for _ in range(e)]
+        leaf = Tensor(gen.normal(size=(n, 3)), requires_grad=True)
+        gate_leaf = Tensor(gen.uniform(0.1, 1.0, size=(n, n_slots)),
+                           requires_grad=True)
+        mask = (gen.random((len(rows), 5)) >= 0.3) / 0.7
+        return (leaf, gate_leaf, experts, np.array(rows, dtype=np.intp),
+                np.array(slots, dtype=np.intp), segments, mask)
+
+    # (seed, rows, slots, experts, drop probability)
+    CASES = {"expert_in_3_segments": (30, 9, 3, 2, 0.0),
+             "drops": (31, 12, 4, 3, 0.3),
+             "1_row_segments_unused_experts": (32, 5, 3, 8, 0.2)}
+
+    def test_cases_cover_their_names(self):
+        _, _, _, _, _, segs, _ = self._dispatch_case(
+            *self.CASES["expert_in_3_segments"])
+        assert max(sum(e == ex for e, _, _ in segs) for ex in range(2)) >= 3
+        _, _, _, rows, _, _, _ = self._dispatch_case(*self.CASES["drops"])
+        assert rows.size < 12 * 4
+        _, _, _, _, _, segs, _ = self._dispatch_case(
+            *self.CASES["1_row_segments_unused_experts"])
+        assert any(hi - lo == 1 for _, lo, hi in segs)
+        assert len({e for e, _, _ in segs}) < 8
+
+    @pytest.mark.parametrize("stack", [False, True])
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_op_equals_per_pair(self, case, masked, stack):
+        results = []
+        for op in (expert_dispatch, per_pair_dispatch):
+            leaf, gate_leaf, experts, rows, slots, segments, mask = \
+                self._dispatch_case(*self.CASES[case])
+            # non-leaf inputs, as in a layer
+            x, weights = leaf * 1.5, gate_leaf * 0.5
+            out = op(x, weights, experts, rows, slots, segments,
+                     mask if masked else None, stack=stack)
+            mult = np.random.default_rng(35).normal(size=out.data.shape)
+            tsum(mul(out, Tensor(mult))).backward()
+            params = [t for ex in experts for t in ex]
+            results.append([out.data] + _grads([leaf, gate_leaf] + params))
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("dropout_on", [False, True])
+    @pytest.mark.parametrize("mode,e,k,m,capacity", [
+        ("only_partitioning", 8, 2, 2, None),  # 4 slots
+        ("multihead", 4, 3, 1, None),          # 3 stacked slots
+        ("moe", 4, 3, 1, 0.6),                 # 3 slots, drops
+        ("pbe", 8, 2, 2, 0.8),
+    ])
+    def test_layer_equals_per_pair(self, mode, e, k, m, capacity,
+                                   dropout_on):
+        results = []
+        for fn in (layer_forward, per_pair_layer_forward):
+            gen = np.random.default_rng(33)
+            layer = make_layer(gen, e=e, k=k, d=3, f=5, mode=mode, m=m,
+                               noise=0.3)
+            layer.capacity = CapacityConfig(capacity)
+            layer.dropout_rate = 0.4
+            leaf = Tensor(gen.normal(size=(4, 4, 3)), requires_grad=True)
+            h = reshape(leaf * 2.0, (16, 3))
+            out, dec = fn(h, layer, Rng(8), train=True, dropout_on=dropout_on,
+                          noise_key=("route", 1, 2),
+                          dropout_key=("drop", 1, 2, -1))
+            mult = np.random.default_rng(34).normal(size=out.data.shape)
+            # the gate weights also feed a second consumer, as in the
+            # balance losses
+            (tsum(mul(out, Tensor(mult))) + tsum(dec.weights)).backward()
+            params = [t for ex in layer.experts
+                      for t in (ex.w1, ex.b1, ex.w2, ex.b2)]
+            results.append([out.data, dec.dropped_mask]
+                           + _grads([leaf, dec.weights]
+                                    + list(layer.router.weights) + params))
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)

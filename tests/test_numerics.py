@@ -15,10 +15,10 @@ from moelab.tensor import (
     Tensor,
     add,
     clamp_min,
-    combine_slots,
     concat,
     dense,
     exp,
+    expert_dispatch,
     gelu,
     layernorm,
     log,
@@ -207,8 +207,9 @@ class TestGradients:
 
 
 class TestFusedOps:
-    """mlp and combine_slots: central differences, and mlp against the
-    dense/gelu/mul/dense composition it replaces."""
+    """mlp and expert_dispatch: central differences, hand oracles, and mlp
+    against the dense/gelu/mul/dense composition it replaces (the per-pair
+    oracle of expert_dispatch is in test_moe_layers.py)."""
 
     def _mlp_params(self, seed):
         gen = np.random.default_rng(seed)
@@ -245,43 +246,66 @@ class TestFusedOps:
         for got, want in zip(*results):
             np.testing.assert_array_equal(got, want)
 
-    def _combine_case(self):
-        # 4 rows, 3 slots: row 3 is dropped in slot 0, slot 2 is empty
+    def _dispatch_case(self):
+        # 4 rows, 3 slots over 3 experts: row 3 is dropped in slot 0, slot 2
+        # is empty, expert 2 is unused and (slot 0, expert 1) has one row
         gen = np.random.default_rng(46)
-        rows = [np.array([0, 2]), np.array([1]), np.array([3, 1]),
-                np.array([0, 2])]
-        slots = [0, 0, 1, 1]
-        values = [Tensor(gen.normal(size=(r.size, 2)), requires_grad=True)
-                  for r in rows]
+        experts = [tuple(Tensor(gen.normal(size=s), requires_grad=True)
+                         for s in [(2, 3), (3,), (3, 2), (2,)])
+                   for _ in range(3)]
+        rows = np.array([0, 2, 1, 3, 1, 0, 2])
+        slots = np.array([0, 0, 0, 1, 1, 1, 1])
+        segments = [(0, 0, 2), (1, 2, 3), (0, 3, 5), (1, 5, 7)]
+        x = Tensor(gen.normal(size=(4, 2)), requires_grad=True)
         weights = Tensor(gen.uniform(0.1, 1.0, size=(4, 3)),
                          requires_grad=True)
-        return values, rows, slots, weights
+        mask = (gen.random((7, 3)) >= 0.3) / 0.7
+        return x, weights, experts, rows, slots, segments, mask
 
     @pytest.mark.parametrize("stack", [False, True])
-    def test_combine_slots_grad(self, stack):
-        values, rows, slots, weights = self._combine_case()
+    def test_expert_dispatch_grad(self, stack):
+        x, weights, experts, rows, slots, segments, mask = \
+            self._dispatch_case()
         shape = (4, 3, 2) if stack else (4, 2)
         mult = Tensor(np.random.default_rng(47).normal(size=shape))
 
         def f():
-            return tsum(mul(combine_slots(values, rows, slots, weights, 4,
-                                          stack=stack), mult))
+            return tsum(mul(expert_dispatch(x, weights, experts, rows, slots,
+                                            segments, mask, stack=stack),
+                            mult))
 
-        check_grads(f, values + [weights])
+        check_grads(f, [x, weights] + [t for ex in experts for t in ex])
 
-    def test_combine_slots_values(self):
-        values, rows, slots, weights = self._combine_case()
-        stacked = combine_slots(values, rows, slots, weights, 4,
-                                stack=True).data
+    def test_expert_dispatch_values(self):
+        x, weights, experts, rows, slots, segments, mask = \
+            self._dispatch_case()
+        stacked = expert_dispatch(x, weights, experts, rows, slots, segments,
+                                  mask, stack=True).data
         want = np.zeros((4, 3, 2))
-        for y, r, s in zip(values, rows, slots):
-            want[r, s] = y.data * weights.data[r, s][:, None]
+        for e, lo, hi in segments:
+            r, s = rows[lo:hi], slots[lo]
+            y = mlp(Tensor(x.data[r]), *experts[e], mask[lo:hi]).data
+            want[r, s] = y * weights.data[r, s][:, None]
         np.testing.assert_array_equal(stacked, want)
         np.testing.assert_array_equal(stacked[3, 0], 0.0)
         np.testing.assert_array_equal(stacked[:, 2], 0.0)
-        summed = combine_slots(values, rows, slots, weights, 4).data
+        summed = expert_dispatch(x, weights, experts, rows, slots, segments,
+                                 mask).data
         np.testing.assert_array_equal(
             summed, stacked[:, 0] + stacked[:, 1] + stacked[:, 2])
+
+    def test_expert_dispatch_builds_no_tape_under_no_grad(self):
+        x, weights, experts, rows, slots, segments, mask = \
+            self._dispatch_case()
+        taped = expert_dispatch(x, weights, experts, rows, slots, segments,
+                                mask)
+        assert taped.requires_grad and taped._backward is not None
+        with no_grad():
+            bare = expert_dispatch(x, weights, experts, rows, slots,
+                                   segments, mask)
+        assert not bare.requires_grad
+        assert bare._parents == () and bare._backward is None
+        np.testing.assert_array_equal(bare.data, taped.data)
 
 
 def test_layernorm_rows_standardized():
@@ -401,12 +425,17 @@ class TestInPlaceOps:
         x, w1, b1, w2, b2, g, b = [Tensor(a.copy(), requires_grad=True)
                                    for a in arrays]
         mask = np.full((4, 5), 2.0)
+        gate = Tensor(np.full((4, 2), 0.5), requires_grad=True)
+        rows, slots = np.array([0, 2, 1, 3]), np.array([0, 0, 1, 1])
         for out in (dense(x, w1, b1), layernorm(x, g, b), softmax(x),
-                    gelu(x), normal_cdf(x), mlp(x, w1, b1, w2, b2, mask)):
+                    gelu(x), normal_cdf(x), mlp(x, w1, b1, w2, b2, mask),
+                    expert_dispatch(x, gate, [(w1, b1, w2, b2)], rows, slots,
+                                    [(0, 0, 2), (0, 2, 4)], mask)):
             tsum(out).backward()
         for t, a in zip((x, w1, b1, w2, b2, g, b), arrays):
             np.testing.assert_array_equal(t.data, a)
         np.testing.assert_array_equal(mask, 2.0)
+        np.testing.assert_array_equal(gate.data, 0.5)
 
 
 class TestNoGrad:

@@ -82,3 +82,47 @@ def test_numpy_integer_tags_equal_python_ints():
     a = r.stream("layer", np.int64(4)).normal(size=4)
     b = r.stream("layer", 4).normal(size=4)
     np.testing.assert_array_equal(a, b)
+
+
+def test_keyed_draws_equal_fresh_streams():
+    # normal and uniform_into re-key one owned generator; every draw must
+    # equal that of a fresh stream(*tags), whatever was drawn before it
+    r = Rng(17)
+    tag_sets = [("drop", 1, 0, -1, 3, 0), ("route", 0, 5), ("x",), ()]
+    shapes = [(1, 1), (3, 7), (5,), (0, 4)]
+    for tags in tag_sets:
+        for shape in shapes:
+            got = np.empty(shape)
+            r.uniform_into(got, *tags)
+            np.testing.assert_array_equal(got, r.stream(*tags).random(shape))
+            np.testing.assert_array_equal(
+                r.normal(shape, *tags),
+                r.stream(*tags).standard_normal(shape))
+
+
+def test_keyed_draws_interleaved_into_segments():
+    r = Rng(4)
+    buf = np.empty((6, 4))
+    r.uniform_into(buf[:2], "drop", 0, 1)
+    between = r.normal((3, 3), "route", 2)
+    r.uniform_into(buf[2:3], "drop", 1, 1)
+    r.uniform_into(buf[3:], "drop", 0, 1)
+    np.testing.assert_array_equal(buf[:2],
+                                  r.stream("drop", 0, 1).random((2, 4)))
+    np.testing.assert_array_equal(buf[2:3],
+                                  r.stream("drop", 1, 1).random((1, 4)))
+    np.testing.assert_array_equal(buf[3:],
+                                  r.stream("drop", 0, 1).random((3, 4)))
+    np.testing.assert_array_equal(
+        between, r.stream("route", 2).standard_normal((3, 3)))
+
+
+def test_stream_is_fresh_and_unaliased():
+    r = Rng(6)
+    g = r.stream("a")
+    first = g.random(3)
+    r.uniform_into(np.empty(5), "a")
+    r.normal(4, "b")
+    assert r.stream("a") is not g
+    np.testing.assert_array_equal(np.concatenate([first, g.random(3)]),
+                                  r.stream("a").random(6))

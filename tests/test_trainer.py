@@ -1,11 +1,14 @@
 """Optimizer mechanics, schedule shapes, the training loop's determinism and
 convergence, and the evaluation driver."""
 
+import dataclasses
+import gc
 import math
 
 import numpy as np
 import pytest
 
+import moelab.model
 import moelab.trainer
 from moelab.checkpoint import (Checkpoint, apply_checkpoint,
                                checkpoint_from_model, save_checkpoint,
@@ -13,7 +16,7 @@ from moelab.checkpoint import (Checkpoint, apply_checkpoint,
 from moelab.dataset import DatasetSpec, make_synthetic_dataset
 from moelab.errors import ConfigError, DivergenceError, EvaluationError
 from moelab.losses import LossConfig
-from moelab.metrics import EvalReport
+from moelab.metrics import EvalReport, fewshot_probe
 from moelab.model import ModelSpec, build_model, forward
 from moelab.rng import Rng
 from moelab.tensor import Tensor
@@ -270,6 +273,35 @@ class TestTrainLoop:
         assert math.isinf(info.value.value)
         assert "step 3" in str(info.value)
 
+    @pytest.mark.parametrize("diverge", [False, True])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_gc_paused_in_loop_and_restored(self, enabled, diverge,
+                                            monkeypatch):
+        ds = small_dataset(seed=8)
+        model = build_model(tiny_model_spec(), Rng(6))
+        real = moelab.trainer.total_loss
+        during = []
+
+        def spy(data, aux_states, aux_weight):
+            during.append(gc.isenabled())
+            if diverge and len(during) == 2:
+                return Tensor(np.array(math.nan))
+            return real(data, aux_states, aux_weight)
+
+        monkeypatch.setattr(moelab.trainer, "total_loss", spy)
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if diverge:
+                with pytest.raises(DivergenceError):
+                    train(model, ds, TrainConfig(steps=3, batch_size=8))
+            else:
+                train(model, ds, TrainConfig(steps=3, batch_size=8))
+            after = gc.isenabled()
+        finally:
+            gc.enable()
+        assert during == [False] * (2 if diverge else 3)
+        assert after == enabled
+
     def test_nonfinite_activations_abort(self):
         # a genuinely blown-up model fails inside the forward pass, before
         # the loss is ever formed
@@ -367,6 +399,46 @@ class TestEvaluate:
         rep = evaluate(model, ds, Rng(1000), fewshot_shots=(2,))
         assert set(rep.fewshot) == {2}
         assert 0 <= rep.fewshot[2] <= 100
+
+    @pytest.mark.parametrize("protocol", ["single", "ensemble", "mc"])
+    def test_fewshot_features_from_the_metrics_pass(self, protocol,
+                                                    monkeypatch):
+        ds = small_dataset(seed=20)
+        spec = tiny_model_spec(variant="pbe", e=4, k=1, m=2,
+                               dropout_rate=0.2)
+        models = [build_model(spec, Rng(30 + j)) for j in range(2)]
+        args = {"single": ((models[0],), {}),
+                "ensemble": ((None,), {"models": models}),
+                "mc": ((models[0],), {"mc_samples": 2})}[protocol]
+        probed = models if protocol == "ensemble" else models[:1]
+        # the probe's features from a deterministic pass of their own
+        feats = [np.concatenate([forward(mm, ds.test_x[lo:lo + 16], Rng(1000),
+                                         want_features=True).member_features
+                                 for mm in probed], axis=0)
+                 for lo in range(0, len(ds.test_y), 16)]
+        features = np.concatenate(feats, axis=1)
+        plain = evaluate(*args[0], ds, Rng(1000), batch_size=16, **args[1])
+        want = dataclasses.replace(plain, fewshot={
+            s: fewshot_probe(features, ds.test_y, s) for s in (1, 2)})
+
+        images = []
+        real = moelab.model.forward
+
+        def counting(model, x, *a, **kw):
+            images.append(len(x))
+            return real(model, x, *a, **kw)
+
+        monkeypatch.setattr(moelab.model, "forward", counting)
+        monkeypatch.setattr(moelab.trainer, "forward", counting)
+        got = evaluate(*args[0], ds, Rng(1000), batch_size=16,
+                       fewshot_shots=(1, 2), **args[1])
+        assert got.to_json() == want.to_json()
+        n_eval = len(ds.test_y) + len(ds.ood_x) + len(ds.shift_x)
+        # one metrics pass per member model or MC sample; MC dropout alone
+        # adds a deterministic feature pass over the test split
+        want_images = {"single": n_eval, "ensemble": 2 * n_eval,
+                       "mc": 2 * n_eval + len(ds.test_y)}[protocol]
+        assert sum(images) == want_images
 
     def test_requires_exactly_one_model_argument(self):
         ds = small_dataset(seed=19)
