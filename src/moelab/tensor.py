@@ -27,9 +27,24 @@ run this way; calling ``backward()`` on such a result raises ``ValueError``.
 Ops compute their forward in place on arrays they have just allocated (bias
 adds, the normal CDF, the dropout mask product, normalisation), in both
 modes, with the same roundings as the out-of-place expressions; they never
-write an input's array.  A first gradient is stored as given, not copied, and later ones are
-added out of place, so an array handed to several ``_accum`` calls is never
-written.
+write an input's array.  A first gradient is stored as given, not copied,
+and later ones are added out of place, so an array handed to several
+``_accum`` calls is never written.  A gradient that already is a float64
+ndarray of the tensor's shape skips the conversion and the broadcast
+reduction.
+
+The normal CDF that GELU and the load loss share is 0.5 (1 + erf(x / sqrt 2))
+with an in-house erf: the cephes rational approximations (ndtr.c) that
+scipy.special runs, reproduced bit for bit.  For |x| <= 1 it is
+x T(x^2) / U(x^2); above, 1 - erfc(|x|) with the sign of x, where erfc(a)
+is exp(-a^2) P(a) / Q(a) below 8, exp(-a^2) R(a) / S(a) from 8, and 0 once
+-a^2 < -MAXLOG; NaN stays NaN.  Exactness rests on two rules.  Each Horner
+step is a separate numpy multiply and add, so no step is fused into an FMA.
+exp(-a^2) comes from libm through ``math.exp``, one call per element,
+because numpy's SIMD exp rounds differently from libm on a few percent of
+inputs.  The kernel works in place over fixed-size chunks and gathers only
+the |x| > 1 elements, so the per-element ``math.exp`` cost falls only on
+them (the load loss's inputs, rarely a GELU's).
 
 Everything is 64-bit.  At desk scale the cost is per-node Python work, not
 FLOPs, and the extra precision keeps finite-difference gradient checks and the
@@ -39,12 +54,38 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import math
 
 import numpy as np
-from scipy import special as _special
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+# The erf coefficients of cephes ndtr.c (S. L. Moshier); U, Q and S have an
+# implied leading coefficient of 1.
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
+          2.23200534594684319226E3, 7.00332514112805075473E3,
+          5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2,
+          4.59432382970980127987E3, 2.26290000613890934246E4,
+          4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1,
+           7.46321056442269912687E0, 4.86371970985681366614E1,
+           1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3,
+           5.57535335369399327526E2)
+_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1,
+           3.54937778887819891062E2, 9.75708501743205489753E2,
+           1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0,
+           5.01905042251180477414E0, 6.16021097993053585195E0,
+           7.40974269950448939160E0, 2.97886665372100240670E0)
+_ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0,
+           1.20489539808096656605E1, 1.70814450747565897222E1,
+           9.60896809063285878198E0, 3.36907645100081516050E0)
+_MAXLOG = 7.09782712893383996843E2
+_ERF_CHUNK = 16384  # elements: the three scratch buffers stay in L2
 
 _grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
 
@@ -109,7 +150,9 @@ class Tensor:
     def _accum(self, g: np.ndarray) -> None:
         if not self.requires_grad:
             return
-        g = _sum_to_shape(_as_array(g), self.data.shape)
+        if not (type(g) is np.ndarray and g.dtype == np.float64
+                and g.shape == self.data.shape):
+            g = _sum_to_shape(_as_array(g), self.data.shape)
         self.grad = g if self.grad is None else self.grad + g
 
     def backward(self) -> None:
@@ -375,10 +418,96 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _node(p, (a,), backward)
 
 
+def _polevl(x: np.ndarray, coef: tuple, out: np.ndarray) -> np.ndarray:
+    """coef[0] x^n + ... + coef[n] into out, by Horner's rule."""
+    np.multiply(x, coef[0], out=out)
+    for c in coef[1:-1]:
+        out += c
+        out *= x
+    out += coef[-1]
+    return out
+
+
+def _p1evl(x: np.ndarray, coef: tuple, out: np.ndarray) -> np.ndarray:
+    """x^n + coef[0] x^(n-1) + ... + coef[n-1] into out, by Horner's rule."""
+    np.add(x, coef[0], out=out)
+    for c in coef[1:]:
+        out *= x
+        out += c
+    return out
+
+
+def _erf_near(x, z, t, out) -> np.ndarray:
+    """erf for |x| <= 1, x T(x^2) / U(x^2), into out (which may be x); z
+    and t are scratch of x's size."""
+    np.multiply(x, x, out=z)
+    _polevl(z, _ERF_T, t)
+    t *= x
+    _p1evl(z, _ERF_U, out)
+    np.divide(t, out, out=out)
+    return out
+
+
+def _erf_tail(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """erf where |x| > 1 or x is NaN (1-D, a = |x|): 1 - erfc(a) with the
+    sign of x."""
+    y = np.zeros_like(a)  # erfc; stays 0 where it underflows
+    mid = np.flatnonzero(a < 8.0)
+    far = np.flatnonzero((a >= 8.0) & (a < 27.0))  # so that a * a is finite
+    far = far[a[far] * a[far] <= _MAXLOG]
+    for idx, num, den in ((mid, _ERFC_P, _ERFC_Q), (far, _ERFC_R, _ERFC_S)):
+        if not idx.size:
+            continue
+        b = a[idx]
+        z = b * b
+        np.negative(z, out=z)
+        # libm's exp, as cephes calls it: numpy's SIMD exp rounds differently
+        e = np.fromiter(map(math.exp, z.tolist()), np.float64, z.size)
+        e *= _polevl(b, num, z)
+        e /= _p1evl(b, den, np.empty_like(b))
+        y[idx] = e
+    np.subtract(1.0, y, out=y)
+    np.copysign(y, x, out=y)
+    y[np.isnan(x)] = np.nan
+    return y
+
+
+def _erf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """erf(x), bitwise equal to cephes' erf (the one scipy.special runs).
+
+    out is a C-contiguous float64 array of x's shape, a new one by default;
+    it may be x itself.  The kernel runs over chunks of _ERF_CHUNK elements
+    in per-call scratch buffers and gathers only the elements that leave the
+    |x| <= 1 branch.
+    """
+    x = np.asarray(x, dtype=np.float64, order="C")
+    out = np.empty(x.shape) if out is None else out
+    if not out.flags.c_contiguous or out.shape != x.shape:
+        raise ValueError("out must be C-contiguous with the shape of x")
+    src, dst = x.reshape(-1), out.reshape(-1)
+    n = min(src.size, _ERF_CHUNK)
+    z, t, u = np.empty(n), np.empty(n), np.empty(n)
+    for lo in range(0, src.size, _ERF_CHUNK):
+        xc, oc = src[lo:lo + _ERF_CHUNK], dst[lo:lo + _ERF_CHUNK]
+        m = xc.size
+        if xc.max() <= 1.0 and xc.min() >= -1.0:  # False when a NaN is present
+            _erf_near(xc, z[:m], t[:m], oc)
+            continue
+        near = np.abs(xc, out=z[:m]) <= 1.0
+        tail = np.flatnonzero(~near)
+        # gathered before the scratch and oc (which may be xc) are written
+        xt, at = xc[tail], z[tail]
+        near = np.flatnonzero(near)
+        k = near.size
+        oc[near] = _erf_near(xc[near], z[:k], t[:k], u[:k])
+        oc[tail] = _erf_tail(xt, at)
+    return out
+
+
 def _phi(x: np.ndarray) -> np.ndarray:
     """0.5 * (1 + erf(x / sqrt 2)) as a new array, computed in place."""
-    cdf = x * _INV_SQRT2
-    _special.erf(cdf, out=cdf)
+    cdf = np.multiply(x, _INV_SQRT2, out=np.empty(x.shape))
+    _erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
     return cdf

@@ -221,6 +221,8 @@ def evaluate(model: Model | None, dataset: Dataset, rng: Rng, *,
     """
     if (model is None) == (models is None):
         raise ConfigError("pass exactly one of model or models")
+    if batch_size < 1:
+        raise ConfigError("batch_size must be > 0")
 
     def predict(images, want_features=False):
         if models is not None:

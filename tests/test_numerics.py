@@ -2,11 +2,17 @@
 central differences, and the stability/determinism contracts."""
 
 import contextlib
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import special
 
+import moelab
 from moelab.errors import ConfigError
 from moelab.gradcheck import finite_difference_check
 from moelab.layers import tile
@@ -36,6 +42,7 @@ from moelab.tensor import (
     transpose,
     tsum,
 )
+from moelab.tensor import _ERF_CHUNK, _erf, _phi
 
 
 def test_dense_hand_example():
@@ -436,6 +443,81 @@ class TestInPlaceOps:
             np.testing.assert_array_equal(t.data, a)
         np.testing.assert_array_equal(mask, 2.0)
         np.testing.assert_array_equal(gate.data, 0.5)
+
+
+class TestErf:
+    """The in-house erf and the normal CDF built on it equal scipy's cephes
+    erf bit for bit, NaN included, and leave their input alone."""
+
+    SPECIAL = np.array([
+        0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0),
+        8.0, -8.0, np.nextafter(8.0, 0.0), np.inf, -np.inf, np.nan, -np.nan,
+        5e-324, -5e-324, 2.0e-308, -2.0e-308, np.sqrt(709.782712893384),
+        np.nextafter(np.sqrt(709.782712893384), 30.0), 1e308, -1e308])
+
+    @staticmethod
+    def _check(x):
+        before = x.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, cdf = _erf(x), _phi(x)
+        want = special.erf(x)
+        assert got.shape == x.shape and cdf.shape == x.shape
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      want.view(np.uint64))
+        np.testing.assert_array_equal(cdf.view(np.uint64),
+                                      _old_cdf(x).view(np.uint64))
+        np.testing.assert_array_equal(x.view(np.uint64),
+                                      before.view(np.uint64))
+
+    @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (1.0, 8.0), (8.0, 26.7),
+                                       (26.7, None)],
+                             ids=["near", "mid", "far", "underflow"])
+    def test_branches(self, lo, hi):
+        gen = np.random.default_rng(int(lo * 10))
+        n = 1_000_000
+        if hi is None:  # log-spread from 26.7 up to 1e301
+            mag = lo * 10.0 ** gen.uniform(0.0, 300.0, n)
+        else:
+            mag = gen.uniform(lo, hi, n)
+        self._check(np.where(gen.random(n) < 0.5, -mag, mag))
+
+    def test_special_values(self):
+        self._check(self.SPECIAL)
+        self._check(self.SPECIAL[::-1].reshape(3, 7))
+
+    @pytest.mark.parametrize("shape", [
+        (_ERF_CHUNK - 1,), (_ERF_CHUNK,), (_ERF_CHUNK + 1,), (0,), (),
+        (7, 33), (3, _ERF_CHUNK // 2 + 5), (2, 5, _ERF_CHUNK // 8 + 1)])
+    def test_shapes_and_chunk_edges(self, shape):
+        gen = np.random.default_rng(len(shape))
+        x = gen.normal(scale=2.0, size=shape)
+        self._check(x)
+        if x.size:  # a tail element only in the last chunk
+            y = np.clip(x, -1.0, 1.0).reshape(-1)
+            y[-1] = -3.5
+            self._check(y.reshape(shape))
+
+    def test_noncontiguous_input(self):
+        x = np.random.default_rng(3).normal(scale=2.0, size=(40, 30))
+        self._check(x.T)
+        self._check(x[::3, 1::2])
+
+    def test_in_place(self):
+        x = np.random.default_rng(4).normal(scale=2.0, size=(5, 9))
+        want = special.erf(x)
+        assert _erf(x, out=x) is x
+        np.testing.assert_array_equal(x.view(np.uint64), want.view(np.uint64))
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, moelab, moelab.cli; print(sorted(m for m in "
+            "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    src = str(Path(moelab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.strip() == "[]"
 
 
 class TestNoGrad:

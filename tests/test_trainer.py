@@ -447,3 +447,14 @@ class TestEvaluate:
             evaluate(None, ds, Rng(0))
         with pytest.raises(ConfigError):
             evaluate(model, ds, Rng(0), models=[model])
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_rejects_nonpositive_batch_size(self, batch_size, monkeypatch):
+        ds = small_dataset(seed=19)
+        model = build_model(tiny_model_spec(), Rng(12))
+        calls = []
+        monkeypatch.setattr(moelab.trainer, "forward",
+                            lambda *a, **kw: calls.append(a))
+        with pytest.raises(ConfigError, match="batch_size"):
+            evaluate(model, ds, Rng(0), batch_size=batch_size)
+        assert calls == []
