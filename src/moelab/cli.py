@@ -220,15 +220,13 @@ def _cell_flops(spec: ModelSpec, protocol: str, m: int,
 
 
 def _run_cell(config: ExperimentConfig, spec: ModelSpec, protocol: str,
-              m: int) -> list:
-    """All repetitions of one sweep cell; returns flattened reports."""
+              m: int, datasets: list) -> list:
+    """All repetitions of one sweep cell, repetition i on datasets[i];
+    returns flattened reports."""
     flops_giga = _cell_flops(spec, protocol, m, config.train)
     flat = []
-    for i in range(config.repetitions):
+    for i, dataset in enumerate(datasets):
         seed = config.train.seed + i
-        dataset = make_dataset(
-            replace(config.dataset, seed=config.dataset.seed + i)
-        )
         eval_rng = Rng(seed + EVAL_SEED_OFFSET)
         if protocol == "deep_ensemble":
             models = [
@@ -266,9 +264,14 @@ def run_sweep(config: ExperimentConfig, out_dir: Path) -> Path:
         header += [f"{name}_mean", f"{name}_stderr"]
     header.append("train_gflops")
     lines = [",".join(header)]
+    # every cell trains and evaluates on the same repetition datasets, and
+    # neither train nor evaluate writes a dataset array
+    datasets = [make_dataset(replace(config.dataset,
+                                     seed=config.dataset.seed + i))
+                for i in range(config.repetitions)]
     for variant, e, k, m in itertools.product(variants, es, ks, ms):
         spec, protocol, m_eff = _cell_spec(config.model, variant, e, k, m)
-        flat = _run_cell(config, spec, protocol, m_eff)
+        flat = _run_cell(config, spec, protocol, m_eff, datasets)
         row = [variant, str(e), str(k), str(m)]
         for name in SWEEP_METRICS:
             values = [fr.get(name) for fr in flat]

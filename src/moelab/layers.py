@@ -23,6 +23,16 @@ segments: either would change roundings (a 1-row segment runs as a
 matrix-vector product) or reorder the accumulation of the expert-weight
 gradients, and move trained numbers.  Each segment's dropout mask is drawn
 from its own (slot, expert) stream.
+
+An eval forward wants only some rows of its last MoE layer (layer_forward's
+rows), and a segment then keeps only their assignments.  A row of a GEMM
+with 2 or more rows has the same bits whatever the other rows are, so the
+kept rows' outputs do not change, with one exception, the 2-row rule: a
+segment left with one row of a longer segment would drop to the
+matrix-vector path, so it runs that row twice and keeps the first result
+(tensor.matmul_rows).  A segment that had one row to begin with stays on
+the vector path.  The dense and batch-ensemble MLPs follow the same rule
+for a one-image batch or member block.
 """
 
 from __future__ import annotations
@@ -51,8 +61,10 @@ class ExpertMLP:
     w2: Tensor
     b2: Tensor
 
-    def forward(self, x: Tensor, dropout_mask: np.ndarray | None = None) -> Tensor:
-        return mlp(x, self.w1, self.b1, self.w2, self.b2, dropout_mask)
+    def forward(self, x: Tensor, dropout_mask: np.ndarray | None = None,
+                full_rows: int | None = None) -> Tensor:
+        return mlp(x, self.w1, self.b1, self.w2, self.b2, dropout_mask,
+                   full_rows)
 
     @property
     def hidden_dim(self) -> int:
@@ -108,7 +120,8 @@ class MoELayer:
 def layer_forward(h: Tensor, layer: MoELayer, rng: Rng, *, train: bool = False,
                   dropout_on: bool | None = None,
                   noise_key: tuple = ("route", 0, 0),
-                  dropout_key: tuple = ("drop", 0, 0)):
+                  dropout_key: tuple = ("drop", 0, 0),
+                  rows: np.ndarray | None = None):
     """Gate, capacity filter, then one expert_dispatch over every kept
     assignment.
 
@@ -117,6 +130,12 @@ def layer_forward(h: Tensor, layer: MoELayer, rng: Rng, *, train: bool = False,
     of its untiled rows, and multihead stacks the K slots into N x K x Q
     (Eq. 2), whose sum reproduces moe bitwise.  Returns (output,
     RoutingDecision); the decision feeds the balance losses.
+
+    rows, if given, lists the ascending rows whose output is wanted, and the
+    output has one row per entry.  Every row is still gated and
+    capacity-filtered and the dropout mask is drawn for every assignment, so
+    the decision and the kept rows' bits are those of the full layer; only
+    the experts' work shrinks to the kept assignments of those rows.
     """
     decision = partitioned_gate(h, layer.router, layer.k, rng,
                                 tiled=layer.mode != "only_partitioning",
@@ -128,10 +147,10 @@ def layer_forward(h: Tensor, layer: MoELayer, rng: Rng, *, train: bool = False,
     # them into one segment per (slot, expert) pair, rows ascending
     n = decision.indices.shape[0]
     kept = np.flatnonzero(~decision.dropped_mask.T)
-    rows, slots = kept % n, kept // n
-    key = slots * layer.e + decision.indices[rows, slots]
+    assigned, slots = kept % n, kept // n
+    key = slots * layer.e + decision.indices[assigned, slots]
     order = np.argsort(key, kind="stable")
-    rows, slots, key = rows[order], slots[order], key[order]
+    assigned, slots, key = assigned[order], slots[order], key[order]
     keys, starts = np.unique(key, return_index=True)
     bounds = starts.tolist() + [key.size]
     segs = [(*divmod(int(k), layer.e), lo, hi)  # (slot, expert, lo, hi)
@@ -142,10 +161,26 @@ def layer_forward(h: Tensor, layer: MoELayer, rng: Rng, *, train: bool = False,
                             layer.experts[0].hidden_dim,
                             [(hi - lo, (*dropout_key, e, j))
                              for j, e, lo, hi in segs])
+    spans = [(e, lo, hi, hi - lo) for _, e, lo, hi in segs]
+    x, weights = h, decision.weights
+    if rows is not None:
+        # keep the assignments of the wanted rows, renumbered to their
+        # position in rows; each segment remembers its full length
+        where = np.full(n, -1)
+        where[rows] = np.arange(rows.size)
+        pos = where[assigned]
+        sel = pos >= 0
+        ends = np.concatenate([[0], np.cumsum(sel)]).tolist()
+        spans = [(e, ends[lo], ends[hi], full) for e, lo, hi, full in spans
+                 if ends[hi] > ends[lo]]
+        assigned, slots = pos[sel], slots[sel]
+        mask = None if mask is None else mask[sel]
+        x, weights = take_rows(h, rows), take_rows(decision.weights, rows)
     experts = [(ex.w1, ex.b1, ex.w2, ex.b2) for ex in layer.experts]
-    out = expert_dispatch(h, decision.weights, experts, rows, slots,
-                          [(e, lo, hi) for _, e, lo, hi in segs], mask,
-                          stack=layer.mode == "multihead")
+    out = expert_dispatch(x, weights, experts, assigned, slots,
+                          [(e, lo, hi) for e, lo, hi, _ in spans], mask,
+                          stack=layer.mode == "multihead",
+                          full_rows=[full for *_, full in spans])
     return out, decision
 
 
@@ -215,16 +250,22 @@ class BatchEnsembleDense:
         return len(self.r)
 
 
-def be_dense_forward(h_tiled: Tensor, be: BatchEnsembleDense) -> Tensor:
-    """Member-m rows -> ((h * r_m) U) * s_m, on the member-major tiled layout."""
+def be_dense_forward(h_tiled: Tensor, be: BatchEnsembleDense,
+                     full_rows: int | None = None) -> Tensor:
+    """Member-m rows -> ((h * r_m) U) * s_m, on the member-major tiled layout.
+
+    full_rows, when the rows were cut from a longer tiled input, keeps each
+    member block's bits as in tensor.matmul_rows.
+    """
     n = h_tiled.data.shape[0]
     if n % be.m != 0:
         raise ConfigError(f"tiled row count {n} not divisible by M={be.m}")
     b = n // be.m
+    full_b = None if full_rows is None else full_rows // be.m
     outs = []
     for mm in range(be.m):
         h_m = take_rows(h_tiled, np.arange(mm * b, (mm + 1) * b))
-        outs.append(matmul(h_m * be.r[mm], be.u) * be.s[mm])
+        outs.append(matmul(h_m * be.r[mm], be.u, full_b) * be.s[mm])
     return concat(outs, axis=0)
 
 
@@ -270,11 +311,12 @@ class BeMLP:
     be2: BatchEnsembleDense
     b2: Tensor
 
-    def forward(self, x_tiled: Tensor, dropout_mask_: np.ndarray | None = None) -> Tensor:
-        hidden = gelu(be_dense_forward(x_tiled, self.be1) + self.b1)
+    def forward(self, x_tiled: Tensor, dropout_mask_: np.ndarray | None = None,
+                full_rows: int | None = None) -> Tensor:
+        hidden = gelu(be_dense_forward(x_tiled, self.be1, full_rows) + self.b1)
         if dropout_mask_ is not None:
             hidden = hidden * Tensor(dropout_mask_)
-        return be_dense_forward(hidden, self.be2) + self.b2
+        return be_dense_forward(hidden, self.be2, full_rows) + self.b2
 
     @property
     def m(self) -> int:

@@ -224,6 +224,8 @@ def fewshot_probe(features, labels, shots: int, mode: str = "joint",
     """
     if mode not in ("joint", "disjoint"):
         raise ConfigError(f"unknown probe mode {mode!r}")
+    if shots < 1:
+        raise ConfigError("shots must be >= 1")
     feats = _as_array(features)
     if feats.ndim != 3:
         raise ConfigError("features must be (members, examples, dim)")

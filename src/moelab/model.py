@@ -11,6 +11,21 @@ M times right before that block's MLP (the attention of that block still sees
 the untiled batch).  tiling="naive" replicates the images up front instead.
 In eval mode the two produce bitwise identical predictions because every op
 is row-independent; deferred just does less work.
+
+What the head reads: one class-token row per image (per member), after the
+last block and the final layernorm.  Attention mixes tokens, so every block
+before the last needs all its rows.  The last block's attention still runs
+on every row: its keys and values span all tokens, and a MoE gate after it
+routes every row.  Its MLP does not: in an eval forward it runs on the
+class rows only, and those rows go straight to the final layernorm.  A MoE
+layer there still gates and capacity-filters every row, so the capacity
+fill order, the keyed eval noise and the returned decisions are those of
+the full layer, and the dropout masks are drawn for every row and then
+row-selected.  The outputs stay bitwise equal because a GEMM row's bits do
+not depend on the other rows; a GEMM left with one row of a longer operand
+keeps them through tensor.matmul_rows.  Training keeps all rows: there the
+weight gradients' GEMMs sum over every row, and pruning would change their
+bits.
 """
 
 from __future__ import annotations
@@ -417,8 +432,11 @@ def forward(model: Model, images, rng: Rng, *, train: bool = False,
     """Run the full network; see PredictionBundle for what comes back.
 
     train=True turns on routing noise and dropout and builds the tape for
-    backward; train=False runs under no_grad, so no tape is built.
-    mc_sample draws an eval-time dropout mask addressed by the sample index.
+    backward; train=False runs under no_grad, so no tape is built, and runs
+    the last block's MLP on the class-token rows only (see the module
+    docstring), with the outputs of a full-row forward bit for bit.
+    mc_sample draws an eval-time dropout mask addressed by the sample index;
+    mc_sample=-1 draws the masks a train forward at the same step draws.
     step feeds the per-step noise/dropout key.
     """
     with contextlib.nullcontext() if train else no_grad():
@@ -468,6 +486,7 @@ def _forward(model, images, rng, train, step, mc_sample, tiling,
     sample = -1 if mc_sample is None else int(mc_sample)
     decisions = []
 
+    last = model.blocks[-1]
     for blk in model.blocks:
         i = blk.index
         x = x + _attention(layernorm(x, blk.ln1_g, blk.ln1_b), blk, spec.heads)
@@ -475,8 +494,12 @@ def _forward(model, images, rng, train, step, mc_sample, tiling,
             x = tile(x, tile_m)
             pending_tile = False
         bc = x.data.shape[0]
-        h = layernorm(x, blk.ln2_g, blk.ln2_b)
-        h_flat = reshape(h, (bc * t, d))
+        n = bc * t
+        flat = reshape(x, (n, d))
+        # the rows the MLP runs on: all of them, except in the last block of
+        # an eval forward, where only the head reads the output
+        rows = np.arange(bc) * t if blk is last and not train else None
+        res = flat if rows is None else take_rows(flat, rows)
         noise_key = ("route", i, step)
         drop_key = ("drop", i, step, sample)
         if isinstance(blk.mlp, (ExpertMLP, BeMLP)):
@@ -484,28 +507,33 @@ def _forward(model, images, rng, train, step, mc_sample, tiling,
             if dropout_on and spec.dropout_rate > 0.0:
                 mask = dropout_mask(rng, spec.dropout_rate,
                                     blk.mlp.hidden_dim,
-                                    [(bc * t, (*drop_key, -1, 0))])
-            out = blk.mlp.forward(h_flat, mask)
-            x = x + reshape(out, (bc, t, d))
+                                    [(n, (*drop_key, -1, 0))])
+                mask = mask if rows is None else mask[rows]
+            res = res + blk.mlp.forward(layernorm(res, blk.ln2_g, blk.ln2_b),
+                                        mask, full_rows=n)
         else:
-            out, decision = layer_forward(h_flat, blk.mlp, rng, train=train,
-                                          dropout_on=dropout_on,
-                                          noise_key=noise_key,
-                                          dropout_key=drop_key)
+            out, decision = layer_forward(
+                layernorm(flat, blk.ln2_g, blk.ln2_b), blk.mlp, rng,
+                train=train, dropout_on=dropout_on, noise_key=noise_key,
+                dropout_key=drop_key, rows=rows)
             decisions.append(decision)
             if blk.mlp.mode == "multihead":
-                # slot outputs become ensemble members: broadcast the residual
-                # over K slots, then fold slots into the batch (member-major)
-                slots = reshape(out, (bc, t, spec.k, d))
-                stacked = reshape(x, (bc, t, 1, d)) + slots
-                stacked = transpose(stacked, (2, 0, 1, 3))
-                x = reshape(stacked, (spec.k * bc, t, d))
+                # slot outputs become ensemble members: broadcast the
+                # residual over K slots, then fold slots into the rows
+                # (member-major)
+                r = res.data.shape[0]
+                stacked = transpose(reshape(res, (r, 1, d)) + out, (1, 0, 2))
+                res = reshape(stacked, (spec.k * r, d))
+                bc *= spec.k
             else:
-                x = x + reshape(out, (bc, t, d))
+                res = res + out
+        if blk is not last:
+            x = reshape(res, (bc, t, d))
 
-    bc = x.data.shape[0]
-    flat = reshape(x, (bc * t, d))
-    cls_tokens = take_rows(flat, np.arange(bc) * t)
+    # the head reads the class rows, all that an eval forward's last block
+    # kept
+    cls_tokens = res if rows is not None else take_rows(res,
+                                                        np.arange(bc) * t)
     feats = layernorm(cls_tokens, model.final_g, model.final_b)
     logits = dense(feats, model.head_w, model.head_b)
 

@@ -17,7 +17,9 @@ bitwise those of the composition it replaces: ``mlp`` (dense -> GELU ->
 dropout -> dense) and ``expert_dispatch``, which runs every expert of a MoE
 layer on the rows routed to it and gate-weights and sums their outputs.
 A MoE layer therefore adds one expert node to the tape, whatever its
-number of experts and slots.
+number of experts and slots.  Their GEMMs, and ``matmul``'s, go through
+``matmul_rows``, so that rows cut from a longer operand keep the bits they
+have in the full product (a lone row would otherwise run through gemv).
 
 Inside a ``no_grad()`` block no tape is built: every op returns a bare
 result with no parents and no backward closure, so the intermediates an op
@@ -339,9 +341,32 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
 # matrix ops
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """np.matmul semantics; batch dims broadcast, grads reduced back."""
-    out_data = np.matmul(a.data, b.data)
+def matmul_rows(a: np.ndarray, w: np.ndarray, full_rows: int | None = None,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """a @ w, where a holds rows cut from an operand of full_rows rows (by
+    default a itself), with the bits those rows have in the full product.
+
+    A row of a GEMM with 2 or more rows has the same bits whatever the other
+    rows are, but numpy runs a 1-row operand through gemv, which rounds
+    differently.  So a lone row cut from a longer operand runs twice and
+    keeps its first result, and a row that was alone already stays on gemv.
+    """
+    if a.shape[0] == 1 and full_rows is not None and full_rows > 1:
+        res = np.matmul(np.concatenate([a, a]), w)[:1]
+        if out is None:
+            return res
+        out[...] = res
+        return out
+    return np.matmul(a, w, out=out)
+
+
+def matmul(a: Tensor, b: Tensor, full_rows: int | None = None) -> Tensor:
+    """np.matmul semantics; batch dims broadcast, grads reduced back.
+
+    full_rows, for a 2-D a cut from a longer operand, keeps the rows' bits
+    as in matmul_rows.
+    """
+    out_data = matmul_rows(a.data, b.data, full_rows)
 
     def backward(g):
         a._accum(np.matmul(g, np.swapaxes(b.data, -1, -2)))
@@ -639,12 +664,14 @@ def take_cols(x: Tensor, idx: np.ndarray) -> Tensor:
 
 
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
-        mask: np.ndarray | None = None) -> Tensor:
+        mask: np.ndarray | None = None, full_rows: int | None = None
+        ) -> Tensor:
     """dense -> exact GELU -> optional dropout mask -> dense, as one node.
 
     Forward and backward use the expressions of dense, gelu and mul, so the
     output and all five gradients equal those of the composition bitwise.
-    mask, if given, has the hidden shape (..., F).
+    mask, if given, has the hidden shape (..., F).  full_rows, when x's rows
+    were cut from a longer input, keeps their bits as in matmul_rows.
     """
     d_in, d_hid = w1.data.shape
     d_out = w2.data.shape[1]
@@ -652,13 +679,13 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
     x2 = x.data.reshape(-1, d_in)
     if mask is not None:
         mask = mask.reshape(-1, d_hid)
-    pre = x2 @ w1.data
+    pre = matmul_rows(x2, w1.data, full_rows)
     pre += b1.data
     cdf = _phi(pre)
     hid = pre * cdf
     if mask is not None:
         hid *= mask
-    out_data = hid @ w2.data
+    out_data = matmul_rows(hid, w2.data, full_rows)
     out_data += b2.data
     out_data = out_data.reshape(*lead, d_out)
 
@@ -680,14 +707,17 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
 def expert_dispatch(x: Tensor, weights: Tensor, experts: list,
                     rows: np.ndarray, slots: np.ndarray, segments: list,
                     mask: np.ndarray | None = None,
-                    stack: bool = False) -> Tensor:
+                    stack: bool = False,
+                    full_rows: list | None = None) -> Tensor:
     """Run every expert of a MoE layer and combine by gate weight, as one node.
 
     x is the (N, D) layer input, weights the (N, S) gate weights and experts
     the layer's (w1, b1, w2, b2) tuples.  The R kept (row, slot) assignments
     are rows[a] and slots[a]; a (row, slot) pair appears at most once.  Each
     segment (e, lo, hi) runs assignments lo:hi through experts[e].  mask, if
-    given, is the (R, F) dropout mask of the hidden units.
+    given, is the (R, F) dropout mask of the hidden units.  full_rows, if
+    given, holds per segment the assignment count of the segment it was cut
+    from, whose bits its GEMMs keep (see matmul_rows).
 
     Every segment computes mlp(x[rows], ...) with its own GEMMs; GELU, the
     mask and the combine run once over all R assignments.  Slot s of row r is
@@ -703,19 +733,21 @@ def expert_dispatch(x: Tensor, weights: Tensor, experts: list,
     gradients.
     """
     spans = [(experts[e], lo, hi) for e, lo, hi in segments]
+    if full_rows is None:
+        full_rows = [hi - lo for _, lo, hi in segments]
     gate = weights.data[rows, slots][:, None]
     xs = x.data[rows]
     pre = np.empty((rows.size, experts[0][0].data.shape[1]))
-    for (w1, b1, _, _), lo, hi in spans:
-        np.matmul(xs[lo:hi], w1.data, out=pre[lo:hi])
+    for ((w1, b1, _, _), lo, hi), full in zip(spans, full_rows):
+        matmul_rows(xs[lo:hi], w1.data, full, out=pre[lo:hi])
         pre[lo:hi] += b1.data
     cdf = _phi(pre)
     hid = pre * cdf
     if mask is not None:
         hid *= mask
     ys = np.empty((rows.size, experts[0][2].data.shape[1]))
-    for (_, _, w2, b2), lo, hi in spans:
-        np.matmul(hid[lo:hi], w2.data, out=ys[lo:hi])
+    for ((_, _, w2, b2), lo, hi), full in zip(spans, full_rows):
+        matmul_rows(hid[lo:hi], w2.data, full, out=ys[lo:hi])
         ys[lo:hi] += b2.data
     buf = np.zeros(weights.data.shape + ys.shape[1:])
     buf[rows, slots] += ys * gate  # +=, not =: a -0.0 product lands as 0.0

@@ -217,12 +217,20 @@ def evaluate(model: Model | None, dataset: Dataset, rng: Rng, *,
 
     Pass models=[...] to evaluate a deep ensemble; mc_samples > 0 ensembles
     that many eval-time dropout draws of the single model.  The few-shot
-    probes take their features from the test-split metrics pass.
+    probes take their features from the test-split metrics pass.  A
+    negative mc_samples, mc_samples with models, or a shot count below 1
+    raises ConfigError before any forward pass.
     """
     if (model is None) == (models is None):
         raise ConfigError("pass exactly one of model or models")
     if batch_size < 1:
         raise ConfigError("batch_size must be > 0")
+    if mc_samples < 0:
+        raise ConfigError("mc_samples must be >= 0")
+    if models is not None and mc_samples:
+        raise ConfigError("mc_samples needs a single model, not models")
+    if any(int(shots) < 1 for shots in fewshot_shots):
+        raise ConfigError("fewshot_shots must all be >= 1")
 
     def predict(images, want_features=False):
         if models is not None:

@@ -9,6 +9,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import moelab.cli
@@ -471,6 +472,30 @@ class TestSweep:
         path = write_config(tmp_path, d)
         assert main(["sweep", "--config", str(path)]) == 2
         assert "transformer_xl" in capsys.readouterr().err
+
+    def test_builds_each_dataset_once(self, tmp_path, monkeypatch):
+        # every cell shares the repetition datasets, so they are frozen
+        # here: a write by train or evaluate would raise
+        built = []
+        real = moelab.cli.make_dataset
+
+        def frozen(spec):
+            ds = real(spec)
+            for value in vars(ds).values():
+                if isinstance(value, np.ndarray):
+                    value.flags.writeable = False
+            built.append(spec.seed)
+            return ds
+
+        monkeypatch.setattr(moelab.cli, "make_dataset", frozen)
+        d = tiny_config_dict(tmp_path / "out", repetitions=2, grid={
+            "variant": ["pbe", "deep_ensemble", "mc_dropout"], "m": [2]})
+        path = write_config(tmp_path, d)
+        assert main(["sweep", "--config", str(path)]) == 0
+        assert built == [11, 12]
+        _, rows = read_sweep(tmp_path / "out")
+        assert [r["variant"] for r in rows] == ["pbe", "deep_ensemble",
+                                                "mc_dropout"]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         d = tiny_config_dict(tmp_path / "unused", grid={"m": [1, 2]},

@@ -351,6 +351,14 @@ class TestFewshotProbe:
             fewshot_probe(np.zeros((1, 10, 2)), np.zeros(10, dtype=int),
                           shots=2, mode="zero_shot")
 
+    @pytest.mark.parametrize("shots", [0, -1])
+    def test_nonpositive_shots_rejected(self, shots):
+        # [:shots] would train on every example but the last |shots|
+        gen = np.random.default_rng(13)
+        feats, y = self.gaussian_features(gen, m=1, n_per_class=10, s=4)
+        with pytest.raises(ConfigError, match="shots"):
+            fewshot_probe(feats, y, shots=shots)
+
 
 def random_members(gen, m, n, c):
     raw = gen.uniform(0.05, 1.0, size=(m, n, c))

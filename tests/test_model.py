@@ -372,6 +372,56 @@ class TestStructuralEquivalences:
         np.testing.assert_array_equal(a, b)
 
 
+class TestPrunedEvalForward:
+    """An eval forward runs the last block's MLP on the class rows only.
+
+    The full-row reference needs no copy of the old forward: with routing
+    noise off, a train=True forward runs every row through every block,
+    and an eval forward with mc_sample=-1 draws the dropout masks of the
+    train forward at the same step.  only_tiling keeps its default noise,
+    whose keyed draw train and eval share.  Batch 1 leaves a dense or BE
+    GEMM with one row, and small batches leave (slot, expert) segments with
+    one class row: both hold only if such a GEMM keeps its full-GEMM bits.
+    """
+
+    @pytest.mark.parametrize("variant,kw", [
+        ("vit", {}),
+        ("vmoe", {"k": 2, "capacity_ratio": 1.0}),
+        ("vmoe", {"k": 3}),
+        ("pbe", {"m": 2}),
+        ("only_tiling", {"m": 2}),
+        ("only_partitioning", {"e": 8, "k": 2, "m": 2}),
+        ("multihead", {"k": 3}),
+        ("be", {"m": 2}),
+        ("be", {"m": 3}),
+        ("mimo", {"m": 2}),
+    ])
+    @pytest.mark.parametrize("batch", [1, 2, 3, 5, 64])
+    def test_matches_full_row_reference(self, variant, kw, batch):
+        gen = np.random.default_rng(batch)
+        x = images(gen, n=batch)
+        noise = {} if variant == "only_tiling" else {"noise_scale": 0.0}
+        for rate in (0.0, 0.1):
+            model = build_model(tiny_spec(variant=variant, dropout_rate=rate,
+                                          **noise, **kw), Rng(batch))
+            for p in model.parameters():  # leave the near-uniform init
+                p.data += 0.3 * gen.standard_normal(p.data.shape)
+            for tiling in ("deferred", "naive"):
+                ref = forward(model, x, Rng(3), train=True, step=4,
+                              tiling=tiling, want_features=True)
+                got = forward(model, x, Rng(3), step=4, mc_sample=-1,
+                              tiling=tiling, want_features=True)
+                for a, b in ((ref.member_probs.data, got.member_probs.data),
+                             (ref.member_features, got.member_features)):
+                    assert a.shape == b.shape
+                    assert a.tobytes() == b.tobytes(), (rate, tiling)
+                assert len(ref.decisions) == len(got.decisions)
+                for da, db in zip(ref.decisions, got.decisions):
+                    np.testing.assert_array_equal(da.indices, db.indices)
+                    np.testing.assert_array_equal(da.dropped_mask,
+                                                  db.dropped_mask)
+
+
 class TestMcDropout:
     def test_zero_rate_warns_and_members_match(self):
         gen = np.random.default_rng(16)

@@ -29,6 +29,7 @@ from moelab.tensor import (
     layernorm,
     log,
     matmul,
+    matmul_rows,
     mlp,
     mul,
     no_grad,
@@ -78,6 +79,60 @@ def test_dense_batch_concat_exact():
     out_b = dense(Tensor(xb), w, b).data
     out_ab = dense(Tensor(np.concatenate([xa, xb])), w, b).data
     np.testing.assert_array_equal(out_ab, np.concatenate([out_a, out_b]))
+
+
+class TestRowGemm:
+    """The BLAS property the pruned eval forward rests on.
+
+    An eval forward runs the last block's MLP on the class rows only, and
+    keeps the bits of the full-row forward because a row of a GEMM with 2 or
+    more rows has the same bits whatever the other rows are.  A 1-row
+    operand is the exception: numpy runs it through gemv, whose
+    accumulation order differs from gemm's, so a lone row cut from a longer
+    operand must run as two rows (matmul_rows does).  The raw 1-row product
+    is therefore not claimed here.  A numpy or BLAS upgrade that breaks the
+    property fails these tests instead of moving the benchmark digests.
+    """
+
+    # (D, F) of the model's GEMMs: hidden 32 into an MLP of 64 or 128, back
+    # out, and wider operands of the same kind
+    SHAPES = [(32, 64), (64, 32), (32, 128), (128, 32), (64, 64),
+              (128, 128)]
+    ROWS = [2, 3, 5, 16, 65, 320, 640]
+
+    @pytest.mark.parametrize("d,f", SHAPES)
+    def test_row_subsets_keep_their_bits(self, d, f):
+        gen = np.random.default_rng(d * 1000 + f)
+        w = gen.normal(size=(d, f))
+        for n in self.ROWS:
+            a = gen.normal(size=(n, d))
+            full = a @ w
+            for _ in range(6):
+                size = int(gen.integers(2, n + 1))
+                idx = np.sort(gen.choice(n, size=size, replace=False))
+                got = a[idx] @ w
+                assert got.tobytes() == full[idx].tobytes(), (n, size)
+
+    @pytest.mark.parametrize("d,f", SHAPES)
+    def test_lone_row_runs_as_two(self, d, f):
+        gen = np.random.default_rng(d * 1000 + f + 1)
+        w = gen.normal(size=(d, f))
+        for n in self.ROWS:
+            a = gen.normal(size=(n, d))
+            full = a @ w
+            for i in gen.choice(n, size=min(n, 4), replace=False):
+                got = matmul_rows(a[i:i + 1], w, n)
+                assert got.tobytes() == full[i:i + 1].tobytes(), (n, i)
+                out = np.empty((1, f))
+                assert matmul_rows(a[i:i + 1], w, n, out=out) is out
+                assert out.tobytes() == full[i:i + 1].tobytes()
+
+    def test_alone_row_stays_on_gemv(self):
+        gen = np.random.default_rng(2)
+        a, w = gen.normal(size=(1, 32)), gen.normal(size=(32, 64))
+        for full_rows in (None, 1):
+            got = matmul_rows(a, w, full_rows)
+            assert got.tobytes() == (a @ w).tobytes()
 
 
 def test_softmax_uniform():

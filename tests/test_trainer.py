@@ -448,6 +448,27 @@ class TestEvaluate:
         with pytest.raises(ConfigError):
             evaluate(model, ds, Rng(0), models=[model])
 
+    @pytest.mark.parametrize("ensemble,kw,match", [
+        (False, {"mc_samples": -2}, "mc_samples"),
+        (True, {"mc_samples": 2}, "single model"),
+        (True, {"mc_samples": 2, "fewshot_shots": (1,)}, "single model"),
+        (False, {"fewshot_shots": (2, 0)}, "fewshot_shots"),
+    ], ids=["negative_mc_samples", "mc_samples_with_models",
+            "mc_samples_with_models_and_fewshot", "nonpositive_shots"])
+    def test_rejects_bad_arguments_before_any_forward(self, ensemble, kw,
+                                                      match, monkeypatch):
+        ds = small_dataset(seed=19)
+        model = build_model(tiny_model_spec(), Rng(12))
+        first, extra = ((None,), {"models": [model, model]}) if ensemble \
+            else ((model,), {})
+        calls = []
+        for owner in (moelab.trainer, moelab.model):
+            monkeypatch.setattr(owner, "forward",
+                                lambda *a, **k: calls.append(a))
+        with pytest.raises(ConfigError, match=match):
+            evaluate(*first, ds, Rng(0), **extra, **kw)
+        assert calls == []
+
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_rejects_nonpositive_batch_size(self, batch_size, monkeypatch):
         ds = small_dataset(seed=19)
