@@ -149,22 +149,36 @@ def pareto_frontier(points: list) -> list:
 
 
 def load_reference_points(path=None) -> list:
-    """Rows of the shipped (or given) results CSV as dicts."""
+    """Rows of the shipped (or given) results CSV as dicts.
+
+    Raises ConfigError for an unreadable file, a missing column or an nll
+    or gflops cell that is not a finite number.
+    """
     if path is None:
         ref = resources.files("moelab").joinpath("data/paper_points.csv")
         text = ref.read_text(encoding="utf-8")
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read {path}: {exc}") from None
     rows = []
     reader = csv.DictReader(text.splitlines())
     required = {"family", "variant", "nll", "gflops"}
     if reader.fieldnames is None or not required <= set(reader.fieldnames):
         raise ConfigError(f"results CSV needs columns {sorted(required)}")
-    for row in reader:
+    for i, row in enumerate(reader, start=1):
+        try:
+            nll, gflops = float(row["nll"]), float(row["gflops"])
+            if not (math.isfinite(nll) and math.isfinite(gflops)):
+                raise ValueError
+        except (TypeError, ValueError):
+            raise ConfigError(f"results CSV row {i}: nll and gflops must be "
+                              f"finite numbers, got {row['nll']!r} and "
+                              f"{row['gflops']!r}") from None
         rows.append({"family": row["family"], "variant": row["variant"],
-                     "nll": float(row["nll"]),
-                     "gflops": float(row["gflops"])})
+                     "nll": nll, "gflops": gflops})
     return rows
 
 

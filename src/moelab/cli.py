@@ -45,7 +45,7 @@ from .analyzer import (
 from .checkpoint import checkpoint_from_model, save_checkpoint, write_atomic
 from .config import Record, check_value, field_types
 from .dataset import DatasetSpec, make_dataset
-from .errors import ConfigError, DivergenceError, EvaluationError
+from .errors import ConfigError, DivergenceError, EvaluationError, FitError
 from .flops import deep_ensemble_flops, flops_estimate, flops_forward, tiling_saving
 from .model import PRESET_NAMES, VARIANTS, ModelSpec, build_model, preset
 from .rng import Rng
@@ -380,6 +380,9 @@ def analyze_gain_map(rows, path, out_dir: Path, baseline) -> None:
     for row in rows:
         key = (int(_float_cell(row, "k", path)),
                int(_float_cell(row, "m", path)))
+        if key in points:
+            raise ConfigError(f"{path}: cell k={key[0]}, m={key[1]} "
+                              "appears more than once")
         label = (row.get("label") or "").strip() or f"K={key[0]},M={key[1]}"
         points[key] = CostPoint(label, _float_cell(row, "metric", path),
                                 _float_cell(row, "gflops", path))
@@ -425,12 +428,7 @@ def _cmd_analyze(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.mode == "normalized_improvement":
-        if args.input:
-            rows = _read_csv_rows(args.input)
-            _require_columns(rows, args.input,
-                             ("family", "variant", "nll", "gflops"))
-        else:
-            rows = load_reference_points()
+        rows = load_reference_points(args.input)
         analyze_normalized_improvement(rows, out_dir, args.variant,
                                        args.reference)
     elif args.mode == "pareto":
@@ -545,11 +543,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fl.add_argument("--batch-size", type=int, default=1)
     p_fl.add_argument("--ensemble", type=int, default=2,
                       help="deep-ensemble size for the ratio lines")
-    tile = p_fl.add_mutually_exclusive_group()
-    tile.add_argument("--deferred", action="store_true", default=True,
-                      help="price tiling at the first routed block (default)")
-    tile.add_argument("--naive", action="store_true", default=False,
-                      help="price input-level tiling instead")
+    p_fl.add_argument("--naive", action="store_true",
+                      help="price input-level tiling instead of deferred "
+                      "tiling at the first routed block")
     p_fl.set_defaults(func=_cmd_flops)
     return parser
 
@@ -559,7 +555,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, FitError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:

@@ -138,14 +138,6 @@ def load_csv_split(path, image_size: int, channels: int):
     return x, np.asarray(labels)
 
 
-def save_csv_split(path, images: np.ndarray, labels: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        flat = images.reshape(len(labels), -1)
-        for y, px in zip(labels, flat):
-            w.writerow([int(y)] + [repr(float(v)) for v in px])
-
-
 def load_csv_dataset(spec: DatasetSpec) -> Dataset:
     if spec.kind != "csv":
         raise ConfigError("load_csv_dataset needs a csv spec")

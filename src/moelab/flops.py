@@ -91,19 +91,17 @@ def flops_forward(spec: ModelSpec, tiling: str = "deferred") -> FlopsReport:
     return FlopsReport(total, parts, tiling)
 
 
-def flops_estimate(spec: ModelSpec, steps: int, batch: int,
-                   deferred_tiling: bool = True) -> float:
-    """Training GFLOPs: 3 * forward * steps * batch."""
-    tiling = "deferred" if deferred_tiling else "naive"
-    return flops_forward(spec, tiling).train_giga(steps, batch)
+def flops_estimate(spec: ModelSpec, steps: int, batch: int) -> float:
+    """Training GFLOPs at deferred tiling: 3 * forward * steps * batch."""
+    return flops_forward(spec).train_giga(steps, batch)
 
 
-def deep_ensemble_flops(spec: ModelSpec, m: int, steps: int, batch: int,
-                        deferred_tiling: bool = True) -> float:
+def deep_ensemble_flops(spec: ModelSpec, m: int, steps: int,
+                        batch: int) -> float:
     """M independently trained models cost exactly M times one model."""
     if m < 1:
         raise ConfigError("ensemble size must be >= 1")
-    return m * flops_estimate(spec, steps, batch, deferred_tiling)
+    return m * flops_estimate(spec, steps, batch)
 
 
 def tiling_saving(spec: ModelSpec) -> float:

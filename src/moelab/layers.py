@@ -9,7 +9,7 @@ dispatch core:
 * multihead         -- top-K contributions stacked into K slots, not summed
 
 plus the rank-1 batch-ensemble dense layer and its sparse-MoE equivalence
-view (BeMoeView), and the tiling helpers.
+view (BeMoeView), and tile, the member-major batch tiling.
 
 Dispatch is one ``expert_dispatch`` tape node per layer.  The kept (row,
 slot) assignments are gathered once, grouped into one segment per (slot,
@@ -46,7 +46,7 @@ from .rng import Rng
 from .routing import (CapacityConfig, RouterParams, capacity_filter,
                       partitioned_gate)
 from .tensor import (Tensor, concat, expert_dispatch, gelu, matmul, mlp,
-                     reshape, take_rows)
+                     take_rows)
 
 # ----------------------------------------------------------------------
 # experts
@@ -197,28 +197,6 @@ def tile(x, m: int):
     if isinstance(x, Tensor):
         return concat([x] * m, axis=0)
     return np.concatenate([np.asarray(x)] * m, axis=0)
-
-
-def untile(y, m: int):
-    """Inverse of tile for replicated inputs: member 0's block."""
-    data = y.data if isinstance(y, Tensor) else np.asarray(y)
-    if data.shape[0] % m != 0:
-        raise ConfigError(f"row count {data.shape[0]} not divisible by M={m}")
-    b = data.shape[0] // m
-    if isinstance(y, Tensor):
-        return take_rows(y, np.arange(b))
-    return data[:b].copy()
-
-
-def split_members(y, m: int):
-    """Regroup member-major rows into a leading member axis: (M*B, ...) -> (M, B, ...)."""
-    shape = y.data.shape if isinstance(y, Tensor) else np.asarray(y).shape
-    if shape[0] % m != 0:
-        raise ConfigError(f"row count {shape[0]} not divisible by M={m}")
-    new_shape = (m, shape[0] // m) + tuple(shape[1:])
-    if isinstance(y, Tensor):
-        return reshape(y, new_shape)
-    return np.asarray(y).reshape(new_shape)
 
 
 # ----------------------------------------------------------------------

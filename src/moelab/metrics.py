@@ -1,5 +1,7 @@
 """Evaluation metrics: NLL, error, calibration, diversity, OOD, few-shot.
 
+MetricAccumulator is the one implementation of NLL, error, ECE and the
+member-diversity metrics; every report reads them from its result().
 Accumulation is order-independent by construction: every per-example value
 goes into a list and totals are taken with math.fsum, which returns the
 correctly rounded sum of the multiset regardless of arrival order.  Two
@@ -19,47 +21,13 @@ from .errors import ConfigError
 from .tensor import Tensor
 
 PROB_FLOOR = 1e-12
+ECE_BINS = 15  # equal-width confidence bins
 
 
 def _as_array(x) -> np.ndarray:
     if isinstance(x, Tensor):
         return x.data
     return np.asarray(x, dtype=np.float64)
-
-
-def nll_error(ensemble_probs, labels) -> tuple:
-    """Mean -log p(y) and 100 * (1 - top-1 accuracy).
-
-    argmax breaks ties toward the lowest class index.
-    """
-    p = _as_array(ensemble_probs)
-    y = np.asarray(labels)
-    picked = np.clip(p[np.arange(len(y)), y], PROB_FLOOR, None)
-    nll = float(math.fsum(-np.log(picked)) / len(y))
-    err = 100.0 * float(np.mean(np.argmax(p, axis=1) != y))
-    return nll, err
-
-
-def ece(ensemble_probs, labels, bins: int = 15) -> float:
-    """Expected calibration error over equal-width confidence bins."""
-    if bins < 1:
-        raise ConfigError("bins must be >= 1")
-    p = _as_array(ensemble_probs)
-    y = np.asarray(labels)
-    conf = p.max(axis=1)
-    correct = (np.argmax(p, axis=1) == y).astype(np.float64)
-    idx = np.minimum((conf * bins).astype(int), bins - 1)
-    n = len(y)
-    total = 0.0
-    for b in range(bins):
-        sel = idx == b
-        nb = int(sel.sum())
-        if nb == 0:
-            continue
-        acc = math.fsum(correct[sel]) / nb
-        avg_conf = math.fsum(conf[sel]) / nb
-        total += (nb / n) * abs(acc - avg_conf)
-    return float(total)
 
 
 def _pairwise_kl(mp: np.ndarray) -> np.ndarray:
@@ -76,15 +44,6 @@ def _pairwise_kl(mp: np.ndarray) -> np.ndarray:
     return out / (m * (m - 1))
 
 
-def kl_diversity(member_probs) -> float:
-    """Mean over inputs and ordered pairs m != m' of KL(p_m || p_m')."""
-    mp = _as_array(member_probs)
-    if mp.shape[0] < 2:
-        raise ConfigError("kl_diversity needs at least 2 members")
-    vals = _pairwise_kl(mp)
-    return float(math.fsum(vals) / len(vals))
-
-
 def _pairwise_cos_dis(mp: np.ndarray):
     m = mp.shape[0]
     norms = np.linalg.norm(mp, axis=-1)
@@ -99,30 +58,6 @@ def _pairwise_cos_dis(mp: np.ndarray):
             dis += (preds[a] != preds[b]).astype(np.float64)
             pairs += 1
     return cos / pairs, dis / pairs
-
-
-def pair_diversity(member_probs, labels) -> tuple:
-    """(mean pairwise cosine similarity, normalized disagreement).
-
-    Disagreement is the pair-averaged probability that two members pick
-    different classes, normalized by the mean member error rate.  When both
-    are zero (identical, perfect members) the ratio is defined as 0.
-    """
-    mp = _as_array(member_probs)
-    if mp.shape[0] < 2:
-        raise ConfigError("pair_diversity needs at least 2 members")
-    y = np.asarray(labels)
-    cos, dis = _pairwise_cos_dis(mp)
-    preds = np.argmax(mp, axis=-1)
-    member_err = (preds != y[None, :]).astype(np.float64).mean(axis=0)
-    mean_dis = math.fsum(dis) / len(dis)
-    mean_err = math.fsum(member_err) / len(member_err)
-    if mean_dis == 0.0 and mean_err == 0.0:
-        norm_dis = 0.0
-    else:
-        norm_dis = mean_dis / mean_err if mean_err > 0 else float("inf")
-    cosine = math.fsum(cos) / len(cos)
-    return float(cosine), float(norm_dis)
 
 
 def ood_scores(ensemble_probs) -> np.ndarray:
@@ -180,35 +115,18 @@ def _fpr_at_tpr(in_scores, out_scores, tpr: float = 0.95) -> float:
     return float(np.mean(in_scores >= thresh))
 
 
-def _fpr_at_precision(in_scores, out_scores, precision: float = 0.95) -> float:
-    """FPR at the most inclusive threshold keeping precision >= target.
-
-    Returns 1.0 when no threshold reaches the target precision.
-    """
-    tp, fp = _tie_group_counts(in_scores, out_scores)
-    reached = np.flatnonzero(tp / (tp + fp) >= precision)
-    if reached.size == 0:
-        return 1.0
-    return float(fp[reached[-1]] / len(in_scores))
-
-
-def ood_metrics(in_scores, out_scores, *, at_precision: bool = False) -> dict:
+def ood_metrics(in_scores, out_scores) -> dict:
     """{auc_roc, auc_pr, fpr95} for OOD-ness scores (higher = more OOD).
 
-    fpr95 is the false-positive rate at 95% true-positive rate; pass
-    at_precision=True for the rate at 95% precision instead.
+    fpr95 is the false-positive rate at 95% true-positive rate.
     """
     ins = np.asarray(in_scores, dtype=np.float64)
     outs = np.asarray(out_scores, dtype=np.float64)
     if len(ins) == 0 or len(outs) == 0:
         raise ConfigError("need both in- and out-of-distribution scores")
-    if at_precision:
-        fpr = _fpr_at_precision(ins, outs)
-    else:
-        fpr = _fpr_at_tpr(ins, outs)
     return {"auc_roc": _auc_roc(ins, outs),
             "auc_pr": _auc_pr(ins, outs),
-            "fpr95": fpr}
+            "fpr95": _fpr_at_tpr(ins, outs)}
 
 
 def fewshot_probe(features, labels, shots: int, mode: str = "joint",
@@ -275,8 +193,7 @@ class MetricAccumulator:
     totals.
     """
 
-    def __init__(self, bins: int = 15):
-        self.bins = bins
+    def __init__(self):
         self.n_members = None
         self._nll = []
         self._member_nll = []
@@ -304,8 +221,8 @@ class MetricAccumulator:
         conf = ens.max(axis=1)
         self._correct.extend((np.argmax(ens, 1) == y).astype(float).tolist())
         self._conf.extend(conf.tolist())
-        self._bin.extend(np.minimum((conf * self.bins).astype(int),
-                                    self.bins - 1).tolist())
+        self._bin.extend(np.minimum((conf * ECE_BINS).astype(int),
+                                    ECE_BINS - 1).tolist())
         if m >= 2:
             self._kl.extend(_pairwise_kl(mp).tolist())
             cos, dis = _pairwise_cos_dis(mp)
@@ -316,12 +233,10 @@ class MetricAccumulator:
             self._member_err.extend(merr.tolist())
 
     def merge(self, other: "MetricAccumulator") -> "MetricAccumulator":
-        if self.bins != other.bins:
-            raise ConfigError("bin counts differ")
         if (self.n_members is not None and other.n_members is not None
                 and self.n_members != other.n_members):
             raise ConfigError("member counts differ")
-        out = MetricAccumulator(self.bins)
+        out = MetricAccumulator()
         out.n_members = self.n_members or other.n_members
         for name in ("_nll", "_member_nll", "_correct", "_conf", "_bin",
                      "_kl", "_cos", "_dis", "_member_err"):
@@ -333,6 +248,18 @@ class MetricAccumulator:
         return len(self._nll)
 
     def result(self) -> dict:
+        """Metrics of the ensemble (the member mean) over every example.
+
+        nll is the mean -log p(y) and error_pct is 100 * (1 - top-1
+        accuracy), with argmax ties broken toward the lowest class index.
+        ece is the expected calibration error over ECE_BINS equal-width
+        confidence bins, and member_nll the members' mean NLL.  With 2 or
+        more members, kl_diversity is the mean over ordered pairs m != m'
+        of KL(p_m || p_m'), cosine_similarity the mean pairwise cosine, and
+        normalized_disagreement the pair-averaged rate at which two members
+        pick different classes divided by the mean member error rate (0
+        when both are 0); with one member the three are None.
+        """
         n = self.count
         if n == 0:
             raise ConfigError("no examples accumulated")
@@ -342,7 +269,7 @@ class MetricAccumulator:
         conf = np.asarray(self._conf)
         correct = np.asarray(self._correct)
         total = 0.0
-        for b in range(self.bins):
+        for b in range(ECE_BINS):
             sel = bins == b
             nb = int(sel.sum())
             if nb == 0:
@@ -394,17 +321,6 @@ class EvalReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        d = json.loads(text)
-        d["fewshot"] = {int(k): v for k, v in d.get("fewshot", {}).items()}
-        return cls(**d)
-
     SCALAR_FIELDS = ("nll", "error_pct", "ece", "kl_diversity",
                      "cosine_similarity", "normalized_disagreement",
                      "flops_train_giga")
-
-    def csv_values(self) -> list:
-        def fmt(v):
-            return "" if v is None else f"{v:.10g}"
-        return [fmt(getattr(self, f)) for f in self.SCALAR_FIELDS]

@@ -3,8 +3,9 @@
 Hand-rolled on purpose: the plots needed here are a log-x scatter with
 optional series lines and a highlighted frontier polyline, and emitting
 the couple of dozen SVG elements directly keeps the package free of
-plotting dependencies.  Output is a plain UTF-8 ``.svg`` string that any
-browser renders.
+plotting dependencies.  A plot is a ScatterPlot with Series added to it;
+its render() returns plain UTF-8 ``.svg`` text that any browser renders.
+The analyze subcommand draws every plot this way (cli._scatter_svg).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 
-__all__ = ["Series", "ScatterPlot", "render_scatter"]
+__all__ = ["Series", "ScatterPlot"]
 
 # Colorblind-safe cycle (Okabe-Ito, minus black which is used for axes).
 PALETTE = (
@@ -294,12 +295,3 @@ class ScatterPlot:
         out.append("</svg>")
         return "\n".join(out) + "\n"
 
-
-def render_scatter(series, frontier=None, **kw):
-    """Convenience wrapper: build a :class:`ScatterPlot` and render it."""
-    plot = ScatterPlot(**kw)
-    for s in series:
-        plot.add(s)
-    if frontier:
-        plot.frontier = list(frontier)
-    return plot.render()

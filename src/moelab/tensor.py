@@ -317,15 +317,6 @@ def log(a: Tensor) -> Tensor:
     return _node(out_data, (a,), backward)
 
 
-def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-
-    def backward(grad):
-        a._accum(grad * out_data)
-
-    return _node(out_data, (a,), backward)
-
-
 def clamp_min(a: Tensor, floor: float) -> Tensor:
     """max(a, floor); gradient passes only where the input was above."""
     out_data = np.maximum(a.data, floor)

@@ -9,12 +9,13 @@ seconds.
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from moelab.analyzer import SIZE_LADDER, improvement_table, load_reference_points
 from moelab.checkpoint import (
-    adapt_checkpoint_pbe,
+    Checkpoint,
     checkpoint_from_model,
     model_from_checkpoint,
 )
@@ -30,10 +31,9 @@ from moelab.layers import (
     be_dense_forward,
     layer_forward,
     tile,
-    untile,
 )
 from moelab.losses import AuxLossState, member_avg_cross_entropy, total_loss
-from moelab.metrics import ece, kl_diversity, nll_error
+from moelab.metrics import MetricAccumulator
 from moelab.model import build_model, forward, preset
 from moelab.flops import deep_ensemble_flops, flops_estimate, tiling_saving
 from moelab.rng import Rng
@@ -45,6 +45,13 @@ from moelab.trainer import TrainConfig, evaluate, train
 def report(n, ok, detail):
     print(f"criterion {n:2d}: {'PASS' if ok else 'FAIL'}  {detail}")
     return ok
+
+
+def metrics_of(member_probs, labels):
+    """The report metrics of one (M, N, C) batch of member predictions."""
+    acc = MetricAccumulator()
+    acc.add_batch(member_probs, labels)
+    return acc.result()
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +261,14 @@ def test_criterion_04_structural_reductions():
     images = gen.normal(size=(3, 8, 8, 3))
     checks = {}
 
-    # a) the partitioned ensemble with one member IS the routed model
-    #    (both sides reloaded so the float32 checkpoint rounding matches)
+    # a) the partitioned ensemble with one member IS the routed model: at
+    #    M=1 the two share every parameter name, so the vmoe checkpoint
+    #    loads as pbe (both sides reloaded, so the float32 rounding matches)
     vmoe_spec = preset("tiny", variant="vmoe", e=4, k=2, m=1)
     ckpt = checkpoint_from_model(build_model(vmoe_spec, Rng(1)))
     vmoe = model_from_checkpoint(ckpt)
-    pbe1 = model_from_checkpoint(adapt_checkpoint_pbe(ckpt, 1))
+    pbe1 = model_from_checkpoint(
+        Checkpoint(replace(vmoe_spec, variant="pbe"), ckpt.params))
     out_a = forward(vmoe, images, Rng(9), train=False).ensemble_probs.data
     out_b = forward(pbe1, images, Rng(9), train=False).ensemble_probs.data
     checks["pbe_m1_bitwise"] = np.array_equal(out_a, out_b)
@@ -269,15 +278,16 @@ def test_criterion_04_structural_reductions():
                      noise_multiplier=0.0)
     ot = build_model(ot_spec, Rng(2))
     out = forward(ot, images, Rng(10), train=False)
-    checks["zero_noise_kl_zero"] = \
-        kl_diversity(out.member_probs.data) == 0.0
+    checks["zero_noise_kl_zero"] = metrics_of(
+        out.member_probs.data, np.zeros(3, dtype=int))["kl_diversity"] == 0.0
 
-    # c) tile / untile round-trips
+    # c) every member block of a tiled batch is the batch itself
     rt = True
     for m in (1, 2, 3, 5):
         x = gen.normal(size=(4, 3))
-        rt = rt and np.array_equal(untile(tile(x, m), m), x)
-    checks["tile_untile"] = rt
+        blocks = tile(x, m).reshape(m, 4, 3)
+        rt = rt and all(np.array_equal(block, x) for block in blocks)
+    checks["tile_blocks"] = rt
 
     # d) pricing-level tiling choice never changes the numbers
     eq = True
@@ -443,19 +453,21 @@ def test_criterion_09_metric_units():
     probs = raw / raw.sum(axis=1, keepdims=True)
     u = gen.uniform(size=100_000)
     labels = (u[:, None] > np.cumsum(probs, axis=1)).sum(axis=1)
-    self_ece = ece(probs, labels)
+    self_ece = metrics_of(probs[None], labels)["ece"]
     checks["self_consistent_ece"] = self_ece < 0.01
 
-    hand_p = np.array([[0.5, 0.5], [0.25, 0.75]])
-    nll, _ = nll_error(hand_p, np.array([0, 1]))
+    hand_p = np.array([[[0.5, 0.5], [0.25, 0.75]]])
+    nll = metrics_of(hand_p, np.array([0, 1]))["nll"]
     checks["hand_nll"] = abs(nll - (-(math.log(0.5) + math.log(0.75)) / 2)) \
         < 1e-4
 
-    conf = np.array([[1.0, 0.0], [1.0, 0.0]])
-    checks["hand_ece"] = abs(ece(conf, np.array([0, 1])) - 0.5) < 1e-4
+    conf = np.array([[[1.0, 0.0], [1.0, 0.0]]])
+    checks["hand_ece"] = \
+        abs(metrics_of(conf, np.array([0, 1]))["ece"] - 0.5) < 1e-4
 
     mp = np.array([[[0.75, 0.25]], [[0.25, 0.75]]])
-    checks["hand_kl"] = abs(kl_diversity(mp) - 0.5 * math.log(3.0)) < 1e-4
+    kl = metrics_of(mp, np.array([0]))["kl_diversity"]
+    checks["hand_kl"] = abs(kl - 0.5 * math.log(3.0)) < 1e-4
 
     jensen = True
     for _ in range(50):
@@ -465,9 +477,8 @@ def test_criterion_09_metric_units():
         raw = gen.uniform(size=(m, b, c))
         member = raw / raw.sum(axis=-1, keepdims=True)
         y = gen.integers(0, c, size=b)
-        ens_nll, _ = nll_error(member.mean(axis=0), y)
-        member_nlls = [nll_error(member[j], y)[0] for j in range(m)]
-        jensen = jensen and ens_nll <= math.fsum(member_nlls) / m + 1e-12
+        out = metrics_of(member, y)
+        jensen = jensen and out["nll"] <= out["member_nll"] + 1e-12
     checks["ensemble_nll_jensen"] = jensen
 
     ok = all(checks.values())

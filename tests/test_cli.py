@@ -7,6 +7,7 @@ codes can be asserted directly.
 
 import json
 import math
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -510,6 +511,9 @@ class TestSweep:
             == (out2 / "sweep.csv").read_bytes()
 
 
+PAPER_POINTS = resources.files("moelab").joinpath(
+    "data/paper_points.csv").read_text(encoding="utf-8")
+
 EXPECTED_RAW = {"S/32": 9.82, "B/32": 9.53, "L/32": 3.76, "L/16": 5.38,
                 "H/14": 4.27}
 
@@ -542,6 +546,34 @@ class TestAnalyze:
             == (out2 / "improvement.csv").read_bytes()
         assert (out1 / "improvement.svg").read_bytes() \
             == (out2 / "improvement.svg").read_bytes()
+
+    def test_packaged_points_as_input_match_default(self, tmp_path):
+        csv = tmp_path / "points.csv"
+        csv.write_text(PAPER_POINTS, encoding="utf-8")
+        default, given = tmp_path / "default", tmp_path / "given"
+        assert main(["analyze", "--mode", "normalized_improvement",
+                     "--out", str(default)]) == 0
+        assert main(["analyze", "--mode", "normalized_improvement",
+                     "--input", str(csv), "--out", str(given)]) == 0
+        for name in ("improvement.csv", "improvement.svg"):
+            assert (given / name).read_bytes() == (default / name).read_bytes()
+
+    @pytest.mark.parametrize("case", ["non_numeric_gflops", "three_families",
+                                      "missing_file"])
+    def test_bad_input_exits_2(self, tmp_path, capsys, case):
+        csv = tmp_path / "points.csv"
+        lines = PAPER_POINTS.splitlines()
+        if case == "non_numeric_gflops":
+            lines[1] = lines[1].rsplit(",", 1)[0] + ",lots"
+        elif case == "three_families":
+            # phi is a cubic: 3 vit rows cannot fit it
+            keep = ("S/32", "B/32", "L/32")
+            lines = lines[:1] + [l for l in lines[1:] if l.startswith(keep)]
+        if case != "missing_file":
+            csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["analyze", "--mode", "normalized_improvement",
+                     "--input", str(csv), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_custom_input_missing_column_exits_2(self, tmp_path, capsys):
         csv = tmp_path / "in.csv"
@@ -639,6 +671,19 @@ class TestAnalyze:
                      "--baseline", "one,one",
                      "--out", str(tmp_path / "o")]) == 2
         assert "baseline" in capsys.readouterr().err
+
+    def test_gain_map_repeated_cell_exits_2(self, tmp_path, capsys):
+        csv = tmp_path / "in.csv"
+        csv.write_text(
+            "k,m,metric,gflops\n"
+            "1,1,1.0,1.0\n"
+            "1,2,0.5,2.0\n"
+            "1,2,0.4,2.5\n",
+            encoding="utf-8",
+        )
+        assert main(["analyze", "--mode", "gain_map", "--input", str(csv),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "k=1, m=2" in capsys.readouterr().err
 
     def test_gain_map_requires_input(self, tmp_path):
         assert main(["analyze", "--mode", "gain_map",

@@ -1,5 +1,7 @@
 """Synthetic prototype datasets and the CSV interchange format."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,16 @@ from moelab.dataset import (
     load_csv_split,
     make_dataset,
     make_synthetic_dataset,
-    save_csv_split,
 )
 from moelab.errors import ConfigError
+
+
+def save_csv_split(path, images, labels):
+    """Write a split in the CSV format: label, then row-major pixels."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh)
+        for y, px in zip(labels, images.reshape(len(labels), -1)):
+            w.writerow([int(y)] + [repr(float(v)) for v in px])
 
 
 class TestDatasetSpec:

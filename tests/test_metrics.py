@@ -10,46 +10,53 @@ from moelab.errors import ConfigError
 from moelab.metrics import (
     _auc_pr,
     _auc_roc,
-    _fpr_at_precision,
-    EvalReport,
+    ECE_BINS,
     MetricAccumulator,
-    ece,
     fewshot_probe,
-    kl_diversity,
-    nll_error,
     ood_metrics,
     ood_scores,
-    pair_diversity,
 )
+
+
+def accumulate(member_probs, labels):
+    """MetricAccumulator.result() over one (M, N, C) batch."""
+    acc = MetricAccumulator()
+    acc.add_batch(member_probs, labels)
+    return acc.result()
+
+
+def single(probs, labels):
+    """Metrics of one (N, C) prediction, read as a one-member ensemble."""
+    return accumulate(np.asarray(probs)[None], labels)
 
 
 class TestNllError:
     def test_coin_flip(self):
         p = np.full((8, 2), 0.5)
         y = np.zeros(8, dtype=int)
-        nll, err = nll_error(p, y)
-        np.testing.assert_allclose(nll, math.log(2.0), atol=1e-12)
+        np.testing.assert_allclose(single(p, y)["nll"], math.log(2.0),
+                                   atol=1e-12)
 
     def test_perfect_one_hot(self):
         p = np.eye(4)[[0, 1, 2, 3]]
-        nll, err = nll_error(p, np.arange(4))
-        assert err == 0.0
-        assert nll < 1e-10
+        out = single(p, np.arange(4))
+        assert out["error_pct"] == 0.0
+        assert out["nll"] < 1e-10
 
     def test_hand_example(self):
         p = np.array([[0.9, 0.1], [0.1, 0.9]])
         y = np.array([0, 0])
-        nll, err = nll_error(p, y)
-        np.testing.assert_allclose(nll, 1.2040, atol=1e-4)
-        np.testing.assert_allclose(nll, -(math.log(0.9) + math.log(0.1)) / 2,
+        out = single(p, y)
+        np.testing.assert_allclose(out["nll"], 1.2040, atol=1e-4)
+        np.testing.assert_allclose(out["nll"],
+                                   -(math.log(0.9) + math.log(0.1)) / 2,
                                    atol=1e-12)
-        assert err == 50.0
+        assert out["error_pct"] == 50.0
 
     def test_argmax_tie_breaks_low(self):
         p = np.array([[0.5, 0.5]])
-        _, err0 = nll_error(p, np.array([0]))
-        _, err1 = nll_error(p, np.array([1]))
-        assert err0 == 0.0 and err1 == 100.0
+        assert single(p, np.array([0]))["error_pct"] == 0.0
+        assert single(p, np.array([1]))["error_pct"] == 100.0
 
     def test_order_invariance(self):
         gen = np.random.default_rng(0)
@@ -57,20 +64,20 @@ class TestNllError:
         p = raw / raw.sum(axis=1, keepdims=True)
         y = gen.integers(0, 5, size=64)
         perm = gen.permutation(64)
-        assert nll_error(p, y) == nll_error(p[perm], y[perm])
+        assert single(p, y) == single(p[perm], y[perm])
 
 
 class TestEce:
     def test_full_confidence_half_correct(self):
         p = np.array([[1.0, 0.0]] * 4)
         y = np.array([0, 0, 1, 1])
-        np.testing.assert_allclose(ece(p, y), 0.5, atol=1e-12)
+        np.testing.assert_allclose(single(p, y)["ece"], 0.5, atol=1e-12)
 
     def test_single_sample_correct(self):
         for c in (0.55, 0.7, 0.95):
             p = np.array([[c, 1.0 - c]])
-            np.testing.assert_allclose(ece(p, np.array([0])), abs(1.0 - c),
-                                       atol=1e-12)
+            np.testing.assert_allclose(single(p, np.array([0]))["ece"],
+                                       abs(1.0 - c), atol=1e-12)
 
     def test_self_consistent_predictions_calibrated(self):
         # labels drawn from the predicted distribution itself: ECE -> 0
@@ -80,16 +87,18 @@ class TestEce:
         p = raw / raw.sum(axis=1, keepdims=True)
         u = gen.uniform(size=n)
         y = (u[:, None] > np.cumsum(p, axis=1)).sum(axis=1)
-        assert ece(p, y) < 0.01
+        assert single(p, y)["ece"] < 0.01
 
-    def test_bins_one_degenerate(self):
+    def test_single_occupied_bin(self):
+        # every confidence inside one bin: ECE is |accuracy - confidence|
         gen = np.random.default_rng(2)
-        raw = gen.uniform(0.01, 1.0, size=(50, 3))
-        p = raw / raw.sum(axis=1, keepdims=True)
-        y = gen.integers(0, 3, size=50)
-        conf = p.max(axis=1).mean()
-        acc = (p.argmax(axis=1) == y).mean()
-        np.testing.assert_allclose(ece(p, y, bins=1), abs(acc - conf),
+        lo, hi = 9 / ECE_BINS, 10 / ECE_BINS
+        c = gen.uniform(lo + 1e-3, hi - 1e-3, size=50)
+        p = np.stack([c, 1.0 - c], axis=1)
+        y = gen.integers(0, 2, size=50)
+        conf = c.mean()
+        acc = (y == 0).mean()
+        np.testing.assert_allclose(single(p, y)["ece"], abs(acc - conf),
                                    atol=1e-12)
 
     def test_bounded_by_one(self):
@@ -97,49 +106,57 @@ class TestEce:
         raw = gen.uniform(0.01, 1.0, size=(200, 4))
         p = raw / raw.sum(axis=1, keepdims=True)
         y = gen.integers(0, 4, size=200)
-        assert 0.0 <= ece(p, y) <= 1.0
+        assert 0.0 <= single(p, y)["ece"] <= 1.0
 
-    def test_rejects_zero_bins(self):
-        with pytest.raises(ConfigError):
-            ece(np.array([[1.0]]), np.array([0]), bins=0)
+
+def kl_of(member_probs):
+    labels = np.zeros(np.shape(member_probs)[1], dtype=int)
+    return accumulate(member_probs, labels)["kl_diversity"]
 
 
 class TestKlDiversity:
     def test_identical_members_zero(self):
         p = np.full((3, 5, 4), 0.25)
-        assert kl_diversity(p) == 0.0
+        assert kl_of(p) == 0.0
 
     def test_hand_pair(self):
         mp = np.array([[[0.75, 0.25]], [[0.25, 0.75]]])
         # KL(p||q) = KL(q||p) = 0.5 ln 3 for this symmetric pair
-        np.testing.assert_allclose(kl_diversity(mp), 0.5 * math.log(3.0),
+        np.testing.assert_allclose(kl_of(mp), 0.5 * math.log(3.0),
                                    atol=1e-12)
-        np.testing.assert_allclose(kl_diversity(mp), 0.5493, atol=1e-4)
+        np.testing.assert_allclose(kl_of(mp), 0.5493, atol=1e-4)
 
     def test_member_order_invariance(self):
         gen = np.random.default_rng(4)
         raw = gen.uniform(0.05, 1.0, size=(4, 10, 3))
         mp = raw / raw.sum(axis=-1, keepdims=True)
-        a = kl_diversity(mp)
-        b = kl_diversity(mp[[2, 0, 3, 1]])
+        a = kl_of(mp)
+        b = kl_of(mp[[2, 0, 3, 1]])
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_nonnegative(self):
         gen = np.random.default_rng(5)
         raw = gen.uniform(0.05, 1.0, size=(3, 20, 5))
         mp = raw / raw.sum(axis=-1, keepdims=True)
-        assert kl_diversity(mp) >= 0.0
+        assert kl_of(mp) >= 0.0
 
-    def test_single_member_rejected(self):
-        with pytest.raises(ConfigError):
-            kl_diversity(np.full((1, 4, 2), 0.5))
+    def test_single_member_is_none(self):
+        out = accumulate(np.full((1, 4, 2), 0.5), np.zeros(4, dtype=int))
+        assert out["kl_diversity"] is None
+        assert out["cosine_similarity"] is None
+        assert out["normalized_disagreement"] is None
+
+
+def pairwise_of(member_probs, labels):
+    out = accumulate(member_probs, labels)
+    return out["cosine_similarity"], out["normalized_disagreement"]
 
 
 class TestPairDiversity:
     def test_identical_members(self):
         p = np.full((2, 6, 3), 1.0 / 3.0)
         y = np.zeros(6, dtype=int)
-        cos, dis = pair_diversity(p, y)
+        cos, dis = pairwise_of(p, y)
         np.testing.assert_allclose(cos, 1.0, atol=1e-9)
         assert dis == 0.0
 
@@ -147,7 +164,7 @@ class TestPairDiversity:
         mp = np.zeros((2, 4, 3))
         mp[0, :, 0] = 1.0
         mp[1, :, 1] = 1.0
-        cos, _ = pair_diversity(mp, np.zeros(4, dtype=int))
+        cos, _ = pairwise_of(mp, np.zeros(4, dtype=int))
         np.testing.assert_allclose(cos, 0.0, atol=1e-9)
 
     def test_hand_normalized_disagreement(self):
@@ -157,14 +174,14 @@ class TestPairDiversity:
         mp[:, :, 1] = 0.1
         mp[1, 0] = [0.1, 0.9]  # the single disagreement, and member 1's error
         y = np.zeros(4, dtype=int)
-        _, dis = pair_diversity(mp, y)
+        _, dis = pairwise_of(mp, y)
         # disagreement rate 0.25, mean member error (0 + 0.25)/2 = 0.125
         np.testing.assert_allclose(dis, 0.25 / 0.125, atol=1e-12)
 
     def test_perfect_members_zero_ratio(self):
         mp = np.zeros((2, 3, 2))
         mp[:, :, 0] = 1.0
-        cos, dis = pair_diversity(mp, np.zeros(3, dtype=int))
+        cos, dis = pairwise_of(mp, np.zeros(3, dtype=int))
         assert dis == 0.0
 
 
@@ -205,12 +222,6 @@ class TestOodMetrics:
         # need ceil(0.95*5)=5 outs above threshold -> threshold 0.25
         # ins >= 0.25: {0.3, 0.9} -> fpr 0.5
         assert ood_metrics(ins, outs)["fpr95"] == 0.5
-
-    def test_fpr_at_precision_flag(self):
-        ins = np.array([0.1, 0.2])
-        outs = np.array([0.3, 0.4])
-        out = ood_metrics(ins, outs, at_precision=True)
-        assert out["fpr95"] == 0.0
 
     def test_scores_from_probs(self):
         p = np.array([[0.9, 0.1], [0.5, 0.5]])
@@ -267,14 +278,6 @@ def _loop_auc_pr(in_scores, out_scores):
     return float(ap)
 
 
-def _loop_fpr_at_precision(in_scores, out_scores, precision=0.95):
-    best = None
-    for tp, fp in _loop_descending(in_scores, out_scores):
-        if tp / (tp + fp) >= precision:
-            best = fp / len(in_scores)
-    return 1.0 if best is None else float(best)
-
-
 class TestOodTieGroupsAgainstLoops:
     """The vectorized tie-group passes equal the loops they replaced."""
 
@@ -294,12 +297,8 @@ class TestOodTieGroupsAgainstLoops:
     def test_bitwise_equal(self, tied):
         got, want = [], []
         for ins, outs in self._cases(11 + tied, tied):
-            got.append([_auc_roc(ins, outs), _auc_pr(ins, outs),
-                        _fpr_at_precision(ins, outs),
-                        _fpr_at_precision(ins, outs, 0.6)])
-            want.append([_loop_auc_roc(ins, outs), _loop_auc_pr(ins, outs),
-                         _loop_fpr_at_precision(ins, outs),
-                         _loop_fpr_at_precision(ins, outs, 0.6)])
+            got.append([_auc_roc(ins, outs), _auc_pr(ins, outs)])
+            want.append([_loop_auc_roc(ins, outs), _loop_auc_pr(ins, outs)])
         np.testing.assert_array_equal(got, want)
 
 
@@ -365,6 +364,34 @@ def random_members(gen, m, n, c):
     return raw / raw.sum(axis=-1, keepdims=True)
 
 
+def oracle_metrics(mp, y):
+    """Each metric's definition written out in numpy, one pair at a time."""
+    m, n, _ = mp.shape
+    ens = mp.mean(axis=0)
+    pred = np.argmax(ens, axis=1)
+    conf = ens.max(axis=1)
+    idx = np.minimum((conf * ECE_BINS).astype(int), ECE_BINS - 1)
+    ece = 0.0
+    for b in range(ECE_BINS):
+        sel = idx == b
+        if sel.any():
+            ece += sel.mean() * abs(np.mean(pred[sel] == y[sel])
+                                    - conf[sel].mean())
+    kl = [np.sum(mp[a] * np.log(mp[a] / mp[b]), axis=1)
+          for a in range(m) for b in range(m) if a != b]
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    norms = np.linalg.norm(mp, axis=-1)
+    cos = [np.sum(mp[a] * mp[b], axis=1) / (norms[a] * norms[b])
+           for a, b in pairs]
+    preds = np.argmax(mp, axis=-1)
+    disagree = np.mean([preds[a] != preds[b] for a, b in pairs])
+    return {"nll": math.fsum(-np.log(ens[np.arange(n), y])) / n,
+            "error_pct": 100.0 * float(np.mean(pred != y)),
+            "ece": ece, "kl_diversity": np.mean(kl),
+            "cosine_similarity": np.mean(cos),
+            "normalized_disagreement": disagree / np.mean(preds != y)}
+
+
 class TestAccumulator:
     def test_matches_direct_functions(self):
         gen = np.random.default_rng(13)
@@ -373,17 +400,13 @@ class TestAccumulator:
         acc = MetricAccumulator()
         acc.add_batch(mp, y)
         out = acc.result()
-        ens = mp.mean(axis=0)
-        nll, err = nll_error(ens, y)
-        assert out["nll"] == nll
-        assert out["error_pct"] == err
-        np.testing.assert_allclose(out["ece"], ece(ens, y), atol=1e-15)
-        np.testing.assert_allclose(out["kl_diversity"], kl_diversity(mp),
-                                   atol=1e-15)
-        cos, dis = pair_diversity(mp, y)
-        np.testing.assert_allclose(out["cosine_similarity"], cos, atol=1e-15)
-        np.testing.assert_allclose(out["normalized_disagreement"], dis,
-                                   atol=1e-15)
+        want = oracle_metrics(mp, y)
+        assert out["nll"] == want["nll"]
+        assert out["error_pct"] == want["error_pct"]
+        for key in ("ece", "kl_diversity", "cosine_similarity",
+                    "normalized_disagreement"):
+            np.testing.assert_allclose(out[key], want[key], atol=1e-15,
+                                       err_msg=key)
 
     def test_merge_equals_single_pass(self):
         gen = np.random.default_rng(14)
@@ -431,22 +454,3 @@ class TestAccumulator:
             acc.add_batch(mp, y)
             out = acc.result()
             assert out["nll"] <= out["member_nll"] + 1e-12
-
-
-class TestEvalReport:
-    def test_json_round_trip(self):
-        rep = EvalReport(nll=0.5, error_pct=12.5, ece=0.03,
-                         kl_diversity=0.01, cosine_similarity=0.9,
-                         normalized_disagreement=0.4, flops_train_giga=1.5,
-                         ood={"val_vs_shift": {"auc_roc": 0.8,
-                                               "auc_pr": 0.7,
-                                               "fpr95": 0.3}},
-                         fewshot={5: 40.0, 25: 20.0})
-        back = EvalReport.from_json(rep.to_json())
-        assert back == rep
-
-    def test_none_fields_serialize_empty_csv(self):
-        rep = EvalReport(nll=0.5, error_pct=10.0, ece=0.02)
-        vals = rep.csv_values()
-        assert vals[0] == "0.5"
-        assert vals[3] == ""

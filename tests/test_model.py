@@ -1,29 +1,26 @@
 """Model assembly: spec validation, block placement, the forward pass of
-every variant, prediction wrappers, and checkpoint adaptation."""
+every variant, prediction wrappers, and checkpoints."""
 
 import gc
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from moelab.checkpoint import (
     Checkpoint,
-    adapt_checkpoint_be,
-    adapt_checkpoint_mimo,
-    adapt_checkpoint_pbe,
     apply_checkpoint,
     checkpoint_from_model,
     load_checkpoint,
     model_from_checkpoint,
     save_checkpoint,
-    state_dict,
 )
 from moelab.errors import ConfigError
 from moelab.gradcheck import finite_difference_check
 from moelab.layers import BeMLP, ExpertMLP, MoELayer
 from moelab.losses import AuxLossState, member_avg_cross_entropy, total_loss
-from moelab.metrics import kl_diversity, nll_error
+from moelab.metrics import MetricAccumulator
 from moelab.model import (
     ModelSpec,
     build_model,
@@ -48,6 +45,12 @@ def tiny_spec(**kw):
 
 def images(gen, n=3, size=8, channels=3):
     return gen.uniform(-1.0, 1.0, size=(n, size, size, channels))
+
+
+def metrics_of(member_probs, labels):
+    acc = MetricAccumulator()
+    acc.add_batch(member_probs, labels)
+    return acc.result()
 
 
 class TestModelSpec:
@@ -299,7 +302,9 @@ class TestStructuralEquivalences:
         gen = np.random.default_rng(5)
         vmoe = build_model(tiny_spec(variant="vmoe", e=4, k=2), Rng(6))
         ckpt = checkpoint_from_model(vmoe)
-        pbe = model_from_checkpoint(adapt_checkpoint_pbe(ckpt, 1))
+        # at M=1, vmoe and pbe share every parameter name
+        pbe = model_from_checkpoint(
+            Checkpoint(replace(vmoe.spec, variant="pbe"), ckpt.params))
         vmoe_back = model_from_checkpoint(ckpt)
         x = images(gen)
         a = forward(vmoe_back, x, Rng(0)).member_probs.data
@@ -332,14 +337,16 @@ class TestStructuralEquivalences:
         bundle = forward(model, images(gen), Rng(0))
         np.testing.assert_array_equal(bundle.member_probs.data[0],
                                       bundle.member_probs.data[1])
-        assert kl_diversity(bundle.member_probs) == 0.0
+        kl = metrics_of(bundle.member_probs, np.zeros(3, int))["kl_diversity"]
+        assert kl == 0.0
 
     def test_only_tiling_default_noise_breaks_symmetry(self):
         spec = tiny_spec(variant="only_tiling", m=2)
         model = build_model(spec, Rng(11))
         gen = np.random.default_rng(12)
         bundle = forward(model, images(gen), Rng(3))
-        assert kl_diversity(bundle.member_probs) > 0.0
+        kl = metrics_of(bundle.member_probs, np.zeros(3, int))["kl_diversity"]
+        assert kl > 0.0
 
     def test_single_expert_vmoe_equals_vit(self):
         spec_v = tiny_spec(variant="vit")
@@ -482,10 +489,8 @@ class TestDeepEnsemble:
         x = images(gen, n=16)
         labels = gen.integers(0, 4, size=16)
         bundle = deep_ensemble_predict(models, x)
-        ens_nll, _ = nll_error(bundle.ensemble_probs, labels)
-        member_nlls = [nll_error(bundle.member_probs.data[j], labels)[0]
-                       for j in range(3)]
-        assert ens_nll <= np.mean(member_nlls) + 1e-12
+        out = metrics_of(bundle.member_probs, labels)
+        assert out["nll"] <= out["member_nll"] + 1e-12
 
     def test_rejects_empty_list(self):
         with pytest.raises(ConfigError):
@@ -600,122 +605,6 @@ class TestCheckpoints:
         b = build_model(tiny_spec(variant="vmoe"), Rng(29))
         with pytest.raises(ConfigError):
             apply_checkpoint(a, checkpoint_from_model(b))
-
-    def test_state_dict_detached(self):
-        model = build_model(tiny_spec(), Rng(30))
-        sd = state_dict(model)
-        sd["head.w"][:] = 99.0
-        assert model.head_w.data.max() < 99.0
-
-
-class TestAdapters:
-    def test_pbe_router_slices_reconstruct(self):
-        vmoe = build_model(tiny_spec(variant="vmoe", e=4, k=1), Rng(31))
-        ckpt = checkpoint_from_model(vmoe)
-        adapted = adapt_checkpoint_pbe(ckpt, 2)
-        assert adapted.spec.variant == "pbe"
-        assert adapted.spec.m == 2
-        for i in (1, 3):
-            w = ckpt.params[f"blocks.{i}.mlp.router.0.w"]
-            w0 = adapted.params[f"blocks.{i}.mlp.router.0.w"]
-            w1 = adapted.params[f"blocks.{i}.mlp.router.1.w"]
-            np.testing.assert_array_equal(np.vstack([w0, w1]), w)
-
-    def test_pbe_preserves_parameter_count(self):
-        vmoe = build_model(tiny_spec(variant="vmoe", e=4, k=1), Rng(32))
-        ckpt = checkpoint_from_model(vmoe)
-        adapted = adapt_checkpoint_pbe(ckpt, 2)
-        n = sum(v.size for v in ckpt.params.values())
-        m = sum(v.size for v in adapted.params.values())
-        assert n == m
-        # and the adapted checkpoint actually loads
-        model = model_from_checkpoint(adapted)
-        assert model.spec.variant == "pbe"
-
-    def test_pbe_rejects_wrong_source(self):
-        vit = build_model(tiny_spec(variant="vit"), Rng(33))
-        with pytest.raises(ConfigError):
-            adapt_checkpoint_pbe(checkpoint_from_model(vit), 2)
-
-    def test_mimo_trunk_features_preserved(self):
-        vit = build_model(tiny_spec(variant="vit"), Rng(34))
-        ckpt = checkpoint_from_model(vit)
-        base = model_from_checkpoint(ckpt)
-        mimo = model_from_checkpoint(adapt_checkpoint_mimo(ckpt, 2))
-        gen = np.random.default_rng(35)
-        x = images(gen)
-        fa = forward(base, x, Rng(0), want_features=True).member_features
-        fb = forward(mimo, x, Rng(0), want_features=True).member_features
-        np.testing.assert_allclose(fb[0], fa[0], atol=1e-12)
-        np.testing.assert_allclose(fb[1], fa[0], atol=1e-12)
-
-    def test_mimo_head_shapes(self):
-        vit = build_model(tiny_spec(variant="vit"), Rng(36))
-        adapted = adapt_checkpoint_mimo(checkpoint_from_model(vit), 3)
-        assert adapted.params["head.w"].shape == (32, 12)
-        assert adapted.params["head.b"].shape == (12,)
-        assert adapted.params["embed.w"].shape == (4 * 4 * 9, 32)
-
-    def test_mimo_m1_identity(self):
-        vit = build_model(tiny_spec(variant="vit"), Rng(37))
-        ckpt = checkpoint_from_model(vit)
-        adapted = adapt_checkpoint_mimo(ckpt, 1)
-        gen = np.random.default_rng(38)
-        x = images(gen)
-        a = forward(model_from_checkpoint(ckpt), x, Rng(0))
-        b = forward(model_from_checkpoint(adapted), x, Rng(0))
-        np.testing.assert_allclose(b.member_probs.data[0],
-                                   a.member_probs.data[0], atol=1e-12)
-
-    def test_be_random_sign_entries(self):
-        vit = build_model(tiny_spec(variant="vit"), Rng(39))
-        adapted = adapt_checkpoint_be(checkpoint_from_model(vit), 2,
-                                      "random_sign", Rng(40))
-        fast = [v for k, v in adapted.params.items()
-                if ".be" in k and (".r." in k or ".s." in k)]
-        assert fast
-        for v in fast:
-            assert set(np.unique(v)) <= {-1.0, 1.0}
-
-    def test_be_gaussian_statistics(self):
-        spec = tiny_spec(variant="vit", hidden=64, mlp_dim=256)
-        vit = build_model(spec, Rng(41))
-        adapted = adapt_checkpoint_be(checkpoint_from_model(vit), 8,
-                                      "gaussian", Rng(42))
-        entries = np.concatenate(
-            [v for k, v in adapted.params.items()
-             if ".be" in k and (".r." in k or ".s." in k)])
-        assert entries.size >= 10_000
-        assert abs(entries.mean() - 1.0) < 0.02
-
-    def test_be_m1_unit_fast_weights_match_vit(self):
-        vit = build_model(tiny_spec(variant="vit"), Rng(43))
-        ckpt = checkpoint_from_model(vit)
-        adapted = adapt_checkpoint_be(ckpt, 1, "gaussian", Rng(44))
-        for name in adapted.params:
-            if ".be" in name and (".r." in name or ".s." in name):
-                adapted.params[name] = np.ones_like(adapted.params[name])
-        gen = np.random.default_rng(45)
-        x = images(gen)
-        a = forward(model_from_checkpoint(ckpt), x, Rng(0)).member_probs.data
-        b = forward(model_from_checkpoint(adapted), x,
-                    Rng(0)).member_probs.data
-        np.testing.assert_allclose(b, a, atol=1e-12)
-
-    def test_be_shared_factors_copied(self):
-        vit = build_model(tiny_spec(variant="vit"), Rng(46))
-        ckpt = checkpoint_from_model(vit)
-        adapted = adapt_checkpoint_be(ckpt, 2, "gaussian", Rng(47))
-        np.testing.assert_array_equal(adapted.params["blocks.3.mlp.be1.u"],
-                                      ckpt.params["blocks.3.mlp.w1"])
-        np.testing.assert_array_equal(adapted.params["blocks.3.mlp.be2.u"],
-                                      ckpt.params["blocks.3.mlp.w2"])
-
-    def test_be_rejects_bad_mode(self):
-        vit = build_model(tiny_spec(variant="vit"), Rng(48))
-        with pytest.raises(ConfigError):
-            adapt_checkpoint_be(checkpoint_from_model(vit), 2, "xavier",
-                                Rng(0))
 
 
 class TestFullModelGradient:

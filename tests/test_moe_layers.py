@@ -14,9 +14,7 @@ from moelab.layers import (
     MoELayer,
     be_dense_forward,
     layer_forward,
-    split_members,
     tile,
-    untile,
 )
 from moelab.rng import Rng
 from moelab.routing import (CapacityConfig, RouterParams, capacity_filter,
@@ -71,21 +69,16 @@ class TestTiling:
         x = np.array([[1.0], [2.0]])
         np.testing.assert_array_equal(tile(x, 2), [[1], [2], [1], [2]])
 
-    def test_untile_inverts_tile(self):
+    def test_member_blocks_equal_input(self):
         gen = np.random.default_rng(0)
         for m in (1, 2, 3, 5):
             x = gen.normal(size=(4, 3))
-            np.testing.assert_array_equal(untile(tile(x, m), m), x)
+            for block in tile(x, m).reshape(m, 4, 3):
+                np.testing.assert_array_equal(block, x)
 
-    def test_split_members_shape(self):
-        x = np.arange(12.0).reshape(6, 2)
-        out = split_members(x, 3)
-        assert out.shape == (3, 2, 2)
-        np.testing.assert_array_equal(out[1], x[2:4])
-
-    def test_untile_rejects_bad_m(self):
+    def test_rejects_factor_below_one(self):
         with pytest.raises(ConfigError):
-            untile(np.zeros((5, 2)), 2)
+            tile(np.zeros((5, 2)), 0)
 
 
 class TestMoeForward:

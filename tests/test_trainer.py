@@ -11,8 +11,7 @@ import pytest
 import moelab.model
 import moelab.trainer
 from moelab.checkpoint import (Checkpoint, apply_checkpoint,
-                               checkpoint_from_model, save_checkpoint,
-                               state_dict)
+                               checkpoint_from_model, save_checkpoint)
 from moelab.dataset import DatasetSpec, make_synthetic_dataset
 from moelab.errors import ConfigError, DivergenceError, EvaluationError
 from moelab.losses import LossConfig
@@ -189,7 +188,8 @@ class TestTrainLoop:
     def test_caller_arrays_untouched(self):
         ds = small_dataset(seed=4)
         spec = tiny_model_spec(variant="pbe", m=2)
-        params = state_dict(build_model(spec, Rng(2)))
+        params = {n: t.data.copy()
+                  for n, t in build_model(spec, Rng(2)).named_params()}
         kept = {n: a.copy() for n, a in params.items()}
         model = apply_checkpoint(build_model(spec, Rng(3)),
                                  Checkpoint(spec, params))
