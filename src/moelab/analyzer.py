@@ -7,12 +7,14 @@ credit for hard-won gains, and Pareto frontiers of cost points.
 
 A CSV of published reference results ships with the package (data/
 paper_points.csv: family, variant, nll, gflops) so the analysis pipeline can
-be reproduced without training anything.
+be reproduced without training anything.  read_results is the one reader of
+result CSVs, this one and every file ``moelab analyze`` is given.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -71,11 +73,6 @@ class PhiFit:
     """phi(F) = c0 + c1 u + c2 u^2 + c3 u^3 with u = ln F."""
 
     coeffs: np.ndarray
-
-    def phi(self, giga_flops: float) -> float:
-        u = math.log(giga_flops)
-        c = self.coeffs
-        return float(c[0] + c[1] * u + c[2] * u * u + c[3] * u ** 3)
 
     def phi_prime(self, giga_flops: float) -> float:
         """d(phi)/dF: chain rule through u = ln F divides by F."""
@@ -148,48 +145,81 @@ def pareto_frontier(points: list) -> list:
     return sorted(keep, key=lambda p: (p.giga_flops, p.metric, p.label))
 
 
-def load_reference_points(path=None) -> list:
-    """Rows of the shipped (or given) results CSV as dicts.
+_CELL_RULES = {str: "a non-empty cell", float: "a finite number",
+               int: "an integer"}
 
-    Raises ConfigError for an unreadable file, a missing column or an nll
-    or gflops cell that is not a finite number.
+
+def _cell(text: str, kind):
+    """One cell converted to kind, or None if it breaks _CELL_RULES."""
+    text = text.strip()
+    if kind is str:
+        return text or None
+    try:
+        value = float(text)
+    except ValueError:
+        return None
+    if not math.isfinite(value) or (kind is int and not value.is_integer()):
+        return None
+    return int(value) if kind is int else value
+
+
+def read_results(path, columns: dict) -> list:
+    """Rows of a results CSV, one dict per row.
+
+    columns maps each required column to the type of its cells: str cells
+    must not be empty, float cells must be finite numbers, and int cells
+    whole numbers (2 or 2.0, not 2.5).  Those cells come back converted
+    and stripped; the cells of other columns come back as text.  path None
+    reads the packaged reference points.  Raises ConfigError for an
+    unreadable or non-UTF-8 file, a missing header or column, a bad cell,
+    or no data rows.
     """
     if path is None:
-        ref = resources.files("moelab").joinpath("data/paper_points.csv")
-        text = ref.read_text(encoding="utf-8")
+        name = "packaged reference points"
+        text = resources.files("moelab").joinpath(
+            "data/paper_points.csv").read_text(encoding="utf-8")
     else:
+        name = str(path)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8", newline="") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read {path}: {exc}") from None
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    if reader.fieldnames is None:
+        raise ConfigError(f"{name}: empty CSV, header row required")
+    missing = sorted(set(columns) - set(reader.fieldnames))
+    if missing:
+        raise ConfigError(f"{name}: missing columns {missing}")
     rows = []
-    reader = csv.DictReader(text.splitlines())
-    required = {"family", "variant", "nll", "gflops"}
-    if reader.fieldnames is None or not required <= set(reader.fieldnames):
-        raise ConfigError(f"results CSV needs columns {sorted(required)}")
     for i, row in enumerate(reader, start=1):
-        try:
-            nll, gflops = float(row["nll"]), float(row["gflops"])
-            if not (math.isfinite(nll) and math.isfinite(gflops)):
-                raise ValueError
-        except (TypeError, ValueError):
-            raise ConfigError(f"results CSV row {i}: nll and gflops must be "
-                              f"finite numbers, got {row['nll']!r} and "
-                              f"{row['gflops']!r}") from None
-        rows.append({"family": row["family"], "variant": row["variant"],
-                     "nll": nll, "gflops": gflops})
+        for col, kind in columns.items():
+            value = _cell(row[col] or "", kind)
+            if value is None:
+                raise ConfigError(f"{name}: row {i}: column {col!r} must be "
+                                  f"{_CELL_RULES[kind]}, got {row[col]!r}")
+            row[col] = value
+        rows.append(row)
+    if not rows:
+        raise ConfigError(f"{name}: no data rows")
     return rows
 
 
-def improvement_table(rows: list, variant: str, reference: str = "H/14",
-                      families=None) -> list:
+def load_reference_points(path=None) -> list:
+    """(family, variant, nll, gflops) rows of the packaged or given results
+    CSV, read by read_results."""
+    return read_results(path, {"family": str, "variant": str, "nll": float,
+                               "gflops": float})
+
+
+def improvement_table(rows: list, variant: str,
+                      reference: str = "H/14") -> list:
     """Raw and difficulty-normalized NLL improvements of variant over vit.
 
     Improvement is the relative NLL reduction 100 * (vit - variant) / vit.
     phi is fitted on every vit row present (all sizes), while the table
-    covers `families` (default: the size ladder S/32 ... H/14).  Returns
-    [(family, raw_pct, normalized_pct)] in the given family order.
+    covers the size ladder S/32 ... H/14.  Returns
+    [(family, raw_pct, normalized_pct)] in ladder order.
     """
     by = {}
     for r in rows:
@@ -198,11 +228,9 @@ def improvement_table(rows: list, variant: str, reference: str = "H/14",
                   for f in dict.fromkeys(r["family"] for r in rows)
                   if (f, "vit") in by]
     phi = fit_phi(vit_points)
-    if families is None:
-        families = SIZE_LADDER
     raw = {}
     flops = {}
-    for fam in families:
+    for fam in SIZE_LADDER:
         if (fam, "vit") not in by or (fam, variant) not in by:
             raise ConfigError(f"family {fam!r} lacks vit or {variant} rows")
         vit_nll = by[(fam, "vit")]["nll"]
@@ -210,4 +238,4 @@ def improvement_table(rows: list, variant: str, reference: str = "H/14",
         raw[fam] = 100.0 * (vit_nll - var_nll) / vit_nll
         flops[fam] = by[(fam, "vit")]["gflops"]
     norm = normalized_improvement(raw, phi, flops, reference)
-    return [(fam, raw[fam], norm[fam]) for fam in families]
+    return [(fam, raw[fam], norm[fam]) for fam in SIZE_LADDER]

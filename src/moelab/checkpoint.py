@@ -77,8 +77,8 @@ def apply_checkpoint(model: Model, ckpt: Checkpoint) -> Model:
     return model
 
 
-def model_from_checkpoint(ckpt: Checkpoint, rng: Rng | None = None) -> Model:
-    model = build_model(ckpt.spec, rng or Rng(0))
+def model_from_checkpoint(ckpt: Checkpoint) -> Model:
+    model = build_model(ckpt.spec, Rng(0))
     return apply_checkpoint(model, ckpt)
 
 

@@ -41,6 +41,7 @@ from .analyzer import (
     load_reference_points,
     normalized_gain,
     pareto_frontier,
+    read_results,
 )
 from .checkpoint import checkpoint_from_model, save_checkpoint, write_atomic
 from .config import Record, check_value, field_types
@@ -102,7 +103,7 @@ class ExperimentConfig(Record):
 def load_config(path) -> ExperimentConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         data = json.loads(text)
@@ -287,41 +288,6 @@ def run_sweep(config: ExperimentConfig, out_dir: Path) -> Path:
     return path
 
 
-def _read_csv_rows(path) -> list:
-    import csv
-
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise ConfigError(f"{path}: empty CSV, header row required")
-            rows = list(reader)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise ConfigError(f"{path}: no data rows")
-    return rows
-
-
-def _require_columns(rows: list, path, columns) -> None:
-    for col in columns:
-        for i, row in enumerate(rows):
-            value = (row.get(col) or "").strip()
-            if not value:
-                raise ConfigError(
-                    f"{path}: row {i + 1} missing value for column {col!r}"
-                )
-
-
-def _float_cell(row, col, path) -> float:
-    try:
-        return float(row[col])
-    except (KeyError, TypeError, ValueError):
-        raise ConfigError(
-            f"{path}: column {col!r} must be numeric, got {row.get(col)!r}"
-        ) from None
-
-
 def _scatter_svg(series_points: dict, frontier=None, y_label="NLL") -> bytes:
     from .svg import ScatterPlot, Series
 
@@ -347,19 +313,15 @@ def analyze_normalized_improvement(rows, out_dir: Path, variant: str,
     for row in rows:
         name = row["variant"]
         xs, ys, labels = series.setdefault(name, ([], [], []))
-        xs.append(float(row["gflops"]))
-        ys.append(float(row["nll"]))
+        xs.append(row["gflops"])
+        ys.append(row["nll"])
         labels.append(row["family"])
     write_atomic(out_dir / "improvement.svg", _scatter_svg(series))
 
 
-def analyze_pareto(rows, path, out_dir: Path) -> None:
-    _require_columns(rows, path, ("label", "metric", "gflops"))
-    points = [
-        CostPoint(row["label"], _float_cell(row, "metric", path),
-                  _float_cell(row, "gflops", path))
-        for row in rows
-    ]
+def analyze_pareto(rows, out_dir: Path) -> None:
+    points = [CostPoint(row["label"], row["metric"], row["gflops"])
+              for row in rows]
     frontier = pareto_frontier(points)
     lines = ["label,metric,gflops"]
     for p in frontier:
@@ -375,17 +337,14 @@ def analyze_pareto(rows, path, out_dir: Path) -> None:
 
 
 def analyze_gain_map(rows, path, out_dir: Path, baseline) -> None:
-    _require_columns(rows, path, ("k", "m", "metric", "gflops"))
     points = {}
     for row in rows:
-        key = (int(_float_cell(row, "k", path)),
-               int(_float_cell(row, "m", path)))
+        key = (row["k"], row["m"])
         if key in points:
             raise ConfigError(f"{path}: cell k={key[0]}, m={key[1]} "
                               "appears more than once")
         label = (row.get("label") or "").strip() or f"K={key[0]},M={key[1]}"
-        points[key] = CostPoint(label, _float_cell(row, "metric", path),
-                                _float_cell(row, "gflops", path))
+        points[key] = CostPoint(label, row["metric"], row["gflops"])
     gains = normalized_gain(points, baseline=baseline)
     lines = ["k,m,log_gain_per_cost"]
     for (k, m) in sorted(gains):
@@ -434,12 +393,14 @@ def _cmd_analyze(args) -> int:
     elif args.mode == "pareto":
         if not args.input:
             raise ConfigError("analyze --mode pareto requires --input")
-        rows = _read_csv_rows(args.input)
-        analyze_pareto(rows, args.input, out_dir)
+        rows = read_results(args.input, {"label": str, "metric": float,
+                                         "gflops": float})
+        analyze_pareto(rows, out_dir)
     else:  # gain_map
         if not args.input:
             raise ConfigError("analyze --mode gain_map requires --input")
-        rows = _read_csv_rows(args.input)
+        rows = read_results(args.input, {"k": int, "m": int,
+                                         "metric": float, "gflops": float})
         try:
             parts = [int(x) for x in args.baseline.split(",")]
             if len(parts) != 2:

@@ -129,19 +129,16 @@ def ood_metrics(in_scores, out_scores) -> dict:
             "fpr95": _fpr_at_tpr(ins, outs)}
 
 
-def fewshot_probe(features, labels, shots: int, mode: str = "joint",
-                  ridge_lambda: float | None = None) -> float:
+def fewshot_probe(features, labels, shots: int) -> float:
     """Ridge-regression linear probe on frozen features; returns error %.
 
     features is (M, N, S).  The first `shots` examples of each class (in
-    input order) train the probe; the rest are evaluated.  joint stacks the
-    M member features into one M*S-wide input; disjoint fits one probe per
-    member and averages the predicted scores.  ridge_lambda defaults to
-    1e-3 times the design-matrix width.  A constant bias column is appended
-    and regularized with the rest.
+    input order) train the probe; the rest are evaluated.  The M member
+    features of an example are stacked into one M*S-wide input, so one
+    probe sees every member.  A constant bias column is appended, and the
+    ridge penalty, 1e-3 times the M*S feature width, regularizes it with
+    the rest.
     """
-    if mode not in ("joint", "disjoint"):
-        raise ConfigError(f"unknown probe mode {mode!r}")
     if shots < 1:
         raise ConfigError("shots must be >= 1")
     feats = _as_array(features)
@@ -163,25 +160,14 @@ def fewshot_probe(features, labels, shots: int, mode: str = "joint",
         raise ConfigError("no held-out examples left to evaluate")
     onehot = np.eye(classes)[y[train_idx]]
 
-    def fit_predict(x_train, x_eval):
-        x_train = np.concatenate([x_train, np.ones((len(x_train), 1))], 1)
-        x_eval = np.concatenate([x_eval, np.ones((len(x_eval), 1))], 1)
-        lam = ridge_lambda if ridge_lambda is not None \
-            else 1e-3 * (x_train.shape[1] - 1)
-        gram = x_train.T @ x_train + lam * np.eye(x_train.shape[1])
-        w = np.linalg.solve(gram, x_train.T @ onehot)
-        return x_eval @ w
-
-    if mode == "joint":
-        stacked = feats.transpose(1, 0, 2).reshape(n, m * s)
-        scores = fit_predict(stacked[train_idx], stacked[eval_mask])
-    else:
-        scores = None
-        for mm in range(m):
-            part = fit_predict(feats[mm][train_idx], feats[mm][eval_mask])
-            scores = part if scores is None else scores + part
-        scores = scores / m
-    pred = np.argmax(scores, axis=1)
+    stacked = feats.transpose(1, 0, 2).reshape(n, m * s)
+    x_train = np.concatenate([stacked[train_idx],
+                              np.ones((len(train_idx), 1))], 1)
+    x_eval = np.concatenate([stacked[eval_mask],
+                             np.ones((int(eval_mask.sum()), 1))], 1)
+    gram = x_train.T @ x_train + 1e-3 * (m * s) * np.eye(m * s + 1)
+    w = np.linalg.solve(gram, x_train.T @ onehot)
+    pred = np.argmax(x_eval @ w, axis=1)
     return 100.0 * float(np.mean(pred != y[eval_mask]))
 
 

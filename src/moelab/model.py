@@ -5,12 +5,13 @@ partitioned batch-ensemble family (tiled inputs routed inside per-member
 expert blocks), multi-head routing, batch-ensemble dense layers, MIMO, and
 MC-dropout / deep-ensemble prediction wrappers on top.
 
-Tiling discipline: with the default tiling="deferred", the input batch runs
-untiled through every block before the first MoE/BE block, and is replicated
-M times right before that block's MLP (the attention of that block still sees
-the untiled batch).  tiling="naive" replicates the images up front instead.
-In eval mode the two produce bitwise identical predictions because every op
-is row-independent; deferred just does less work.
+Tiling discipline: the input batch runs untiled through every block before
+the first MoE/BE block, and is replicated M times right before that block's
+MLP (the attention of that block still sees the untiled batch).  In eval
+mode, replicating the images up front instead gives bitwise identical
+predictions, because every op before that MLP is row-independent; deferring
+just does less work.  The tests keep that up-front ("naive") tiling as their
+reference (tests/conftest.py), and flops.py prices both.
 
 What the head reads: one class-token row per image (per member), after the
 last block and the final layernorm.  Attention mixes tokens, so every block
@@ -240,9 +241,6 @@ class Model:
         yield "head.w", self.head_w
         yield "head.b", self.head_b
 
-    def parameters(self):
-        return [t for _, t in self.named_params()]
-
 
 def _mlp_params(prefix, mlp):
     if isinstance(mlp, ExpertMLP):
@@ -427,8 +425,7 @@ def _attention(x: Tensor, blk: Block, heads: int) -> Tensor:
 
 def forward(model: Model, images, rng: Rng, *, train: bool = False,
             step: int = 0, mc_sample: int | None = None,
-            tiling: str = "deferred", want_features: bool = False
-            ) -> PredictionBundle:
+            want_features: bool = False) -> PredictionBundle:
     """Run the full network; see PredictionBundle for what comes back.
 
     train=True turns on routing noise and dropout and builds the tape for
@@ -440,14 +437,11 @@ def forward(model: Model, images, rng: Rng, *, train: bool = False,
     step feeds the per-step noise/dropout key.
     """
     with contextlib.nullcontext() if train else no_grad():
-        return _forward(model, images, rng, train, step, mc_sample, tiling,
+        return _forward(model, images, rng, train, step, mc_sample,
                         want_features)
 
 
-def _forward(model, images, rng, train, step, mc_sample, tiling,
-             want_features):
-    if tiling not in ("deferred", "naive"):
-        raise ConfigError(f"unknown tiling {tiling!r}")
+def _forward(model, images, rng, train, step, mc_sample, want_features):
     spec = model.spec
     x_img = np.asarray(images, dtype=np.float64)
     if x_img.ndim != 4 or x_img.shape[0] == 0:
@@ -464,14 +458,8 @@ def _forward(model, images, rng, train, step, mc_sample, tiling,
     tile_m = spec.tile_factor
     tile_block = None
     if tile_m > 1:
-        tiled_at = moe_block_positions(spec.layers, spec.last_n,
-                                       spec.contiguous_moe)
-        tile_block = tiled_at[0]
-    if tiling == "naive" and tile_m > 1:
-        x_img = np.concatenate([x_img] * tile_m, axis=0)
-        pending_tile = False
-    else:
-        pending_tile = tile_m > 1
+        tile_block = moe_block_positions(spec.layers, spec.last_n,
+                                         spec.contiguous_moe)[0]
 
     b_in = x_img.shape[0]
     patches = patchify(x_img, spec.patch_size)
@@ -490,9 +478,8 @@ def _forward(model, images, rng, train, step, mc_sample, tiling,
     for blk in model.blocks:
         i = blk.index
         x = x + _attention(layernorm(x, blk.ln1_g, blk.ln1_b), blk, spec.heads)
-        if pending_tile and i == tile_block:
+        if i == tile_block:
             x = tile(x, tile_m)
-            pending_tile = False
         bc = x.data.shape[0]
         n = bc * t
         flat = reshape(x, (n, d))
@@ -560,8 +547,8 @@ def _forward(model, images, rng, train, step, mc_sample, tiling,
     return PredictionBundle(member_probs, ensemble_probs, decisions, features)
 
 
-def mc_dropout_predict(model: Model, images, n_samples: int, rng: Rng,
-                       *, step: int = 0) -> PredictionBundle:
+def mc_dropout_predict(model: Model, images, n_samples: int,
+                       rng: Rng) -> PredictionBundle:
     """Eval-time ensemble from n_samples independent dropout masks."""
     if n_samples < 1:
         raise ConfigError("n_samples must be >= 1")
@@ -569,8 +556,7 @@ def mc_dropout_predict(model: Model, images, n_samples: int, rng: Rng,
         warnings.warn("dropout_rate is 0; MC-dropout members are identical")
     stacks = []
     for s in range(n_samples):
-        bundle = forward(model, images, rng, train=False, step=step,
-                         mc_sample=s)
+        bundle = forward(model, images, rng, train=False, mc_sample=s)
         ens = bundle.ensemble_probs.data
         stacks.append(ens[None, :, :])
     member = Tensor(np.concatenate(stacks, axis=0))

@@ -60,6 +60,8 @@ import math
 
 import numpy as np
 
+LAYERNORM_EPS = 1e-6  # added to the variance before the square root
+
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
@@ -554,13 +556,13 @@ def normal_cdf(a: Tensor) -> Tensor:
     return _node(_phi(a.data), (a,), backward)
 
 
-def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
+def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Layer normalization over the last axis with learned gain and bias."""
     # the variance takes numpy's var steps on the centred rows already held
     xhat = x.data - x.data.mean(axis=-1, keepdims=True)
     var = (xhat * xhat).sum(axis=-1, keepdims=True)
     var /= x.data.shape[-1]
-    var += eps
+    var += LAYERNORM_EPS
     inv = np.sqrt(var, out=var)
     np.divide(1.0, inv, out=inv)
     xhat *= inv

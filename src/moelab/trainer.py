@@ -118,8 +118,7 @@ def _mimo_batch(images, labels, spec, rng: Rng, step: int):
     return x, y
 
 
-def train(model: Model, dataset: Dataset, config: TrainConfig,
-          rng: Rng | None = None):
+def train(model: Model, dataset: Dataset, config: TrainConfig):
     """Run the loop; returns (model, history) with one dict per step.
 
     Each parameter's array is copied once on entry, so the in-place updates
@@ -133,7 +132,7 @@ def train(model: Model, dataset: Dataset, config: TrainConfig,
     n = len(dataset.train_y)
     if config.batch_size > n:
         raise ConfigError("batch_size exceeds training set size")
-    rng = rng or Rng(config.seed)
+    rng = Rng(config.seed)
     named = list(model.named_params())
     for _, p in named:
         p.data = p.data.copy()

@@ -256,7 +256,7 @@ def test_criterion_03_be_view_equivalence():
 # 4. structural reductions
 
 
-def test_criterion_04_structural_reductions():
+def test_criterion_04_structural_reductions(naive_forward):
     gen = np.random.default_rng(4)
     images = gen.normal(size=(3, 8, 8, 3))
     checks = {}
@@ -289,15 +289,16 @@ def test_criterion_04_structural_reductions():
         rt = rt and all(np.array_equal(block, x) for block in blocks)
     checks["tile_blocks"] = rt
 
-    # d) pricing-level tiling choice never changes the numbers
+    # d) tiling at the first routed block (what forward does) predicts
+    #    exactly what tiling the images up front does; flops.py prices both
     eq = True
     for variant in ("pbe", "only_tiling", "be"):
         spec = preset("tiny", variant=variant, e=4, k=1, m=2)
         model = build_model(spec, Rng(3))
-        d_out = forward(model, images, Rng(11), train=False,
-                        tiling="deferred").member_probs.data
-        n_out = forward(model, images, Rng(11), train=False,
-                        tiling="naive").member_probs.data
+        d_out = forward(model, images, Rng(11),
+                        train=False).member_probs.data
+        n_out = naive_forward(model, images, Rng(11),
+                              train=False).member_probs.data
         eq = eq and np.array_equal(d_out, n_out)
     checks["deferred_equals_naive"] = eq
 

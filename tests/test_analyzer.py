@@ -154,9 +154,9 @@ class TestImprovementTable:
     def test_s32_hand_ratio(self):
         # (0.907 - 0.818) / 0.907 = 9.81%
         rows = load_reference_points()
-        table = improvement_table(rows, "pbe", reference="S/32",
-                                  families=("S/32",))
-        np.testing.assert_allclose(table[0][1],
+        table = improvement_table(rows, "pbe", reference="S/32")
+        raw = {fam: r for fam, r, _ in table}
+        np.testing.assert_allclose(raw["S/32"],
                                    100.0 * (0.907 - 0.818) / 0.907,
                                    atol=1e-9)
 

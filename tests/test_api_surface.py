@@ -1,13 +1,29 @@
-"""No public name in the package that only the tests use.
+"""No public name, method or parameter default in the package that only
+the tests use.
 
-Every public top-level function or class of a ``src/moelab`` module must be
-referred to from ``src/`` or ``perfbench/`` outside its own definition.  A
-name the tests alone call is surface the package keeps working for no
-program; either something wires it or it goes.  The check parses the
-sources with ``ast`` and resolves imports, so a reference is a use of the
-name through an import of it, through its module, inside its own module,
-or in a ``"moelab.<module>:<name>"`` trace-hook target.  ALLOWED lists the
-exceptions, each with its reason.
+Three checks over ``src/moelab``, each against the program files of
+``src/`` and ``perfbench/``:
+
+* every public top-level function or class is referred to outside its own
+  definition: a use of the name through an import of it, through its
+  module, inside its own module, or in a ``"moelab.<module>:<name>"``
+  trace-hook target;
+* every public method of a public class is referred to as an attribute
+  (``x.<method>``, or a ``"moelab.<module>:<Class>.<method>"`` hook
+  target) outside its own definition;
+* every defaulted parameter of a public function or method is passed by
+  some call outside its own definition: by keyword, by position, or
+  through a ``*`` or ``**`` splat.  A function call is resolved through
+  imports like a name reference; a method call ``x.<method>(...)`` counts
+  for every public method of that name, with ``x`` bound to the first
+  parameter.
+
+A name, method or option the tests alone use is surface the package keeps
+working for no program; either something wires it or it goes.  ALLOWED
+lists the exceptions, each with its reason, as ``module.name``,
+``module.Class.method``, ``module.function.parameter`` or
+``module.Class.method.parameter``; an allowed name covers the methods and
+parameters it defines.
 """
 
 import ast
@@ -18,14 +34,21 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "moelab"
 
 ALLOWED = {
-    ("cli", "main"): "entry point of the moelab console script",
-    ("gradcheck", "finite_difference_check"):
+    "cli.main": "entry point of the moelab console script",
+    "gradcheck.finite_difference_check":
         "the reference the gradient tests compare the tape against",
-    ("layers", "BeMoeView"):
+    "layers.BeMoeView":
         "the reference the batch-ensemble equivalence tests compare against",
+    "metrics.MetricAccumulator.merge":
+        "the eval-sharding test of ROADMAP item 4 merges shard accumulators",
+    "trainer.evaluate.batch_size":
+        "the batch-invariance test of ROADMAP item 4 varies the eval batch",
+    "trainer.evaluate.fewshot_shots":
+        "ROADMAP item 6 wires the few-shot probe into run",
 }
 
-HOOK_TARGET = re.compile(r"moelab\.(\w+):(\w+)")
+HOOK_TARGET = re.compile(r"moelab\.(\w+):(\w+)(?:\.(\w+))?")
+DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _module_of(node: ast.ImportFrom):
@@ -59,34 +82,64 @@ def _bindings(tree) -> dict:
     return out
 
 
-def _references(tree, own_module) -> list:
-    """For each top-level statement of a source file, the (module, name)
-    pairs of package names it refers to."""
-    binds = _bindings(tree)
-    out = []
-    for stmt in tree.body:
-        refs = set()
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                target = binds.get(node.id)
-                if target is not None and target[1] is not None:
-                    refs.add(target)
-                if own_module is not None:
-                    refs.add((own_module, node.id))
-            elif isinstance(node, ast.Attribute):
-                base = node.value
-                if isinstance(base, ast.Name) and base.id in binds \
-                        and binds[base.id][1] is None:
-                    refs.add((binds[base.id][0], node.attr))
-                elif (isinstance(base, ast.Attribute)
-                      and isinstance(base.value, ast.Name)
-                      and base.value.id == "moelab"):
-                    refs.add((base.attr, node.attr))
-            elif isinstance(node, ast.Constant) \
-                    and isinstance(node.value, str):
-                refs.update(HOOK_TARGET.findall(node.value))
-        out.append((stmt, refs))
-    return out
+def _walk(node, scope=()):
+    """(node, the definitions enclosing it) for node and all below it."""
+    yield node, scope
+    if isinstance(node, DEFINITION):
+        scope = scope + (node,)
+    for child in ast.iter_child_nodes(node):
+        yield from _walk(child, scope)
+
+
+def _resolve(expr, binds, own_module):
+    """The (module, name) a function expression names, or None."""
+    if isinstance(expr, ast.Name):
+        target = binds.get(expr.id)
+        if target is not None:
+            return target if target[1] is not None else None
+        return None if own_module is None else (own_module, expr.id)
+    if isinstance(expr, ast.Attribute):
+        base = expr.value
+        if isinstance(base, ast.Name) and base.id in binds \
+                and binds[base.id][1] is None:
+            return binds[base.id][0], expr.attr
+        if (isinstance(base, ast.Attribute)
+                and isinstance(base.value, ast.Name)
+                and base.value.id == "moelab"):
+            return base.attr, expr.attr
+    return None
+
+
+class Uses:
+    """What the program files refer to and call, each with its scope."""
+
+    def __init__(self, sources):
+        self.names = []    # ((module, name), scope)
+        self.attrs = []    # (attribute name, scope)
+        self.calls = []    # ((module, name) or None, ast.Call, scope)
+        for module, tree in sources:
+            binds = _bindings(tree)
+            for node, scope in _walk(tree):
+                self._add(node, scope, binds, module)
+
+    def _add(self, node, scope, binds, module):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            target = _resolve(node, binds, module)
+            if target is not None:
+                self.names.append((target, scope))
+        elif isinstance(node, ast.Attribute):
+            self.attrs.append((node.attr, scope))
+            target = _resolve(node, binds, module)
+            if target is not None:
+                self.names.append((target, scope))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            for mod, name, method in HOOK_TARGET.findall(node.value):
+                self.names.append(((mod, name), scope))
+                if method:
+                    self.attrs.append((method, scope))
+        elif isinstance(node, ast.Call):
+            self.calls.append((_resolve(node.func, binds, module), node,
+                               scope))
 
 
 def _sources():
@@ -99,31 +152,120 @@ def _sources():
 
 
 def _public_definitions(sources):
+    """(module, public top-level function or class node) pairs."""
     for module, tree in sources:
         if module is None:
             continue
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                    and not node.name.startswith("_"):
+            if isinstance(node, DEFINITION) and not node.name.startswith("_"):
                 yield module, node
 
 
-def test_every_public_name_has_a_caller():
-    sources = _sources()
-    statements = [pair for module, tree in sources
-                  for pair in _references(tree, module)]
+def _public_methods(sources):
+    """(module, class node, public method node) triples."""
+    for module, cls in _public_definitions(sources):
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and not node.name.startswith("_"):
+                    yield module, cls, node
+
+
+def _defaulted(fn):
+    """(position or None for keyword-only, name) of every parameter with a
+    default; positions count the bound first parameter of a method."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+    out += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+            if d is not None]
+    return out
+
+
+def _passes(call: ast.Call, position, name, bound: int) -> bool:
+    """Whether call passes the parameter at position (None: keyword-only)
+    called name; bound parameters are filled before the call's own."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    slot = position - bound
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred) and i <= slot:
+            return True
+    return 0 <= slot < len(call.args)
+
+
+def _callables(sources):
+    """(qualified name, function node, how calls are matched) for every
+    public function and method: ("name", (module, name)) for a top-level
+    function, ("attr", method name) for a method."""
+    for module, node in _public_definitions(sources):
+        if not isinstance(node, ast.ClassDef):
+            yield f"{module}.{node.name}", node, ("name", (module, node.name))
+    for module, cls, fn in _public_methods(sources):
+        yield f"{module}.{cls.name}.{fn.name}", fn, ("attr", fn.name)
+
+
+def _unpassed_defaults(sources, uses):
+    out = []
+    for qualname, fn, (kind, key) in _callables(sources):
+        bound = 1 if kind == "attr" else 0
+        calls = []
+        for target, call, scope in uses.calls:
+            if fn in scope:
+                continue
+            if kind == "name" and target == key:
+                calls.append(call)
+            elif kind == "attr" and isinstance(call.func, ast.Attribute) \
+                    and call.func.attr == key:
+                calls.append(call)
+        for position, name in _defaulted(fn):
+            if not any(_passes(c, position, name, bound) for c in calls):
+                out.append(f"{qualname}.{name}")
+    return out
+
+
+def _unused(sources):
+    """Every public name, method and defaulted parameter no program file
+    uses, as the qualified names ALLOWED takes."""
+    uses = Uses(sources)
     unused = []
     for module, node in _public_definitions(sources):
-        if (module, node.name) in ALLOWED:
-            continue
-        if not any((module, node.name) in refs
-                   for stmt, refs in statements if stmt is not node):
-            unused.append(f"moelab.{module}.{node.name}")
-    assert not unused, ("public names no program file uses; delete them or "
-                        f"add them to ALLOWED with a reason: {unused}")
+        if not any(target == (module, node.name) and node not in scope
+                   for target, scope in uses.names):
+            unused.append(f"{module}.{node.name}")
+    for module, cls, fn in _public_methods(sources):
+        if not any(attr == fn.name and fn not in scope
+                   for attr, scope in uses.attrs):
+            unused.append(f"{module}.{cls.name}.{fn.name}")
+    return unused + _unpassed_defaults(sources, uses)
+
+
+def _defined(sources) -> set:
+    """Every qualified name ALLOWED may list."""
+    out = {f"{module}.{node.name}"
+           for module, node in _public_definitions(sources)}
+    for qualname, fn, _ in _callables(sources):
+        out.add(qualname)
+        out.update(f"{qualname}.{name}" for _, name in _defaulted(fn))
+    return out
+
+
+def _allowed(name) -> bool:
+    """Whether ALLOWED lists name or what defines it (the parameters of an
+    allowed function are allowed too)."""
+    return any(name == a or name.startswith(a + ".") for a in ALLOWED)
+
+
+def test_every_public_name_has_a_caller():
+    unused = [name for name in _unused(_sources()) if not _allowed(name)]
+    assert not unused, (
+        "public names, methods or parameter defaults no program file uses; "
+        f"delete them or add them to ALLOWED with a reason: {unused}")
 
 
 def test_allowlist_names_exist():
-    defined = {(module, node.name)
-               for module, node in _public_definitions(_sources())}
-    assert set(ALLOWED) <= defined, sorted(set(ALLOWED) - defined)
+    stale = sorted(set(ALLOWED) - _defined(_sources()))
+    assert not stale, f"ALLOWED names nothing defines: {stale}"

@@ -146,6 +146,9 @@ MALFORMED = [
     ("run", ("train", "base_lr"), math.nan, "train.base_lr"),
     ("run", ("model",), [1], "model"),
     ("run", ("model", "noise_scale"), -1.0, "noise_scale"),
+    # bytes go into the file raw: the config is not UTF-8
+    ("run", ("output_dir",), b"\xff", "utf-8"),
+    ("sweep", ("output_dir",), b"\xff", "utf-8"),
 ]
 
 
@@ -159,8 +162,11 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, where, value,
     section = d
     for key in where[:-1]:
         section = section[key]
-    section[where[-1]] = value
+    raw = isinstance(value, bytes)
+    section[where[-1]] = "@RAW@" if raw else value
     path = write_config(tmp_path, d)
+    if raw:  # json.dumps escapes non-ASCII text
+        path.write_bytes(path.read_bytes().replace(b"@RAW@", value))
     assert main([command, "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
@@ -514,6 +520,36 @@ class TestSweep:
 PAPER_POINTS = resources.files("moelab").joinpath(
     "data/paper_points.csv").read_text(encoding="utf-8")
 
+
+def _paper_points_with(families=None, first_gflops=None) -> bytes:
+    """The packaged points as file bytes: only the rows of the given
+    families, if any are given, and first_gflops, if given, in the first
+    row's gflops cell."""
+    header, *rows = PAPER_POINTS.splitlines()
+    if families is not None:
+        rows = [row for row in rows if row.split(",")[0] in families]
+    if first_gflops is not None:
+        rows[0] = rows[0].rsplit(",", 1)[0] + "," + first_gflops
+    return ("\n".join([header, *rows]) + "\n").encode()
+
+
+# case: (analyze mode, input file bytes, or None for a missing file)
+BAD_INPUTS = {
+    "non_numeric_gflops": ("normalized_improvement",
+                           _paper_points_with(first_gflops="lots")),
+    # phi is a cubic: 3 vit rows cannot fit it
+    "three_families": ("normalized_improvement",
+                       _paper_points_with(("S/32", "B/32", "L/32"))),
+    "missing_file": ("normalized_improvement", None),
+    "pareto_nan_metric": ("pareto", b"label,metric,gflops\nA,nan,2.0\n"),
+    "pareto_inf_gflops": ("pareto", b"label,metric,gflops\nA,1.0,inf\n"),
+    "pareto_not_utf8": ("pareto", b"label,metric,gflops\n\xff,1.0,2.0\n"),
+    "gain_map_nan_k": ("gain_map",
+                       b"k,m,metric,gflops\n1,1,1.0,1.0\nnan,2,0.5,2.0\n"),
+    "gain_map_fractional_k": (
+        "gain_map", b"k,m,metric,gflops\n1,1,1.0,1.0\n1.7,2,0.5,2.0\n"),
+}
+
 EXPECTED_RAW = {"S/32": 9.82, "B/32": 9.53, "L/32": 3.76, "L/16": 5.38,
                 "H/14": 4.27}
 
@@ -558,22 +594,16 @@ class TestAnalyze:
         for name in ("improvement.csv", "improvement.svg"):
             assert (given / name).read_bytes() == (default / name).read_bytes()
 
-    @pytest.mark.parametrize("case", ["non_numeric_gflops", "three_families",
-                                      "missing_file"])
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
     def test_bad_input_exits_2(self, tmp_path, capsys, case):
+        mode, data = BAD_INPUTS[case]
         csv = tmp_path / "points.csv"
-        lines = PAPER_POINTS.splitlines()
-        if case == "non_numeric_gflops":
-            lines[1] = lines[1].rsplit(",", 1)[0] + ",lots"
-        elif case == "three_families":
-            # phi is a cubic: 3 vit rows cannot fit it
-            keep = ("S/32", "B/32", "L/32")
-            lines = lines[:1] + [l for l in lines[1:] if l.startswith(keep)]
-        if case != "missing_file":
-            csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        assert main(["analyze", "--mode", "normalized_improvement",
-                     "--input", str(csv), "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err.startswith("config error:")
+        if data is not None:
+            csv.write_bytes(data)
+        assert main(["analyze", "--mode", mode, "--input", str(csv),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
 
     def test_custom_input_missing_column_exits_2(self, tmp_path, capsys):
         csv = tmp_path / "in.csv"

@@ -318,37 +318,19 @@ class TestFewshotProbe:
         err = fewshot_probe(feats, y, shots=25)
         assert err < 5.0
 
-    def test_single_member_modes_agree(self):
-        gen = np.random.default_rng(9)
-        feats, y = self.gaussian_features(gen, m=1, n_per_class=40, s=6)
-        a = fewshot_probe(feats, y, shots=10, mode="joint")
-        b = fewshot_probe(feats, y, shots=10, mode="disjoint")
-        assert a == b
-
     def test_duplicated_members_match_single(self):
         gen = np.random.default_rng(10)
         feats, y = self.gaussian_features(gen, m=1, n_per_class=60, s=6)
         dup = np.concatenate([feats, feats], axis=0)
-        a = fewshot_probe(feats, y, shots=20, mode="joint")
-        b = fewshot_probe(dup, y, shots=20, mode="joint")
+        a = fewshot_probe(feats, y, shots=20)
+        b = fewshot_probe(dup, y, shots=20)
         assert abs(a - b) < 2.0
-
-    def test_disjoint_averages_members(self):
-        gen = np.random.default_rng(11)
-        feats, y = self.gaussian_features(gen, m=3, n_per_class=60, s=6)
-        err = fewshot_probe(feats, y, shots=20, mode="disjoint")
-        assert err < 10.0
 
     def test_insufficient_shots_rejected(self):
         gen = np.random.default_rng(12)
         feats, y = self.gaussian_features(gen, m=1, n_per_class=5, s=4)
         with pytest.raises(ConfigError):
             fewshot_probe(feats, y, shots=10)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigError):
-            fewshot_probe(np.zeros((1, 10, 2)), np.zeros(10, dtype=int),
-                          shots=2, mode="zero_shot")
 
     @pytest.mark.parametrize("shots", [0, -1])
     def test_nonpositive_shots_rejected(self, shots):

@@ -238,11 +238,6 @@ class TestForwardContracts:
         with pytest.raises(ConfigError, match="B >= 1"):
             forward(model, np.zeros((0, 8, 8, 3)), Rng(0))
 
-    def test_bad_tiling_mode_rejected(self):
-        model = build_model(tiny_spec(), Rng(0))
-        with pytest.raises(ConfigError):
-            forward(model, np.zeros((2, 8, 8, 3)), Rng(0), tiling="eager")
-
     def test_want_features_shape(self):
         gen = np.random.default_rng(3)
         model = build_model(tiny_spec(variant="pbe", m=2), Rng(4))
@@ -272,13 +267,13 @@ class TestForwardContracts:
             loss = member_avg_cross_entropy(bundle.member_probs, labels)
             loss.backward()
             del bundle, loss
-            assert live_tensors() - before == len(model.parameters())
+            assert live_tensors() - before == len(list(model.named_params()))
             # an eval forward builds no tape: nothing it returns has parents
             bundle = forward(model, x, Rng(7))
             assert not any(o._parents for o in gc.get_objects()
                            if isinstance(o, Tensor))
             del bundle
-            assert live_tensors() - before == len(model.parameters())
+            assert live_tensors() - before == len(list(model.named_params()))
         finally:
             gc.enable()
 
@@ -292,7 +287,7 @@ class TestForwardContracts:
         loss = member_avg_cross_entropy(bundle.member_probs, labels)
         with pytest.raises(ValueError, match="no tape"):
             loss.backward()
-        assert all(p.grad is None for p in model.parameters())
+        assert all(p.grad is None for _, p in model.named_params())
         taped = forward(model, x, Rng(7), train=True)
         assert taped.member_probs.requires_grad
 
@@ -370,12 +365,12 @@ class TestStructuralEquivalences:
         ("only_tiling", {"m": 3}),
         ("be", {"m": 2}),
     ])
-    def test_deferred_equals_naive(self, variant, kw):
+    def test_deferred_equals_naive(self, variant, kw, naive_forward):
         gen = np.random.default_rng(15)
         model = build_model(tiny_spec(variant=variant, **kw), Rng(16))
         x = images(gen, n=4)
-        a = forward(model, x, Rng(1), tiling="deferred").member_probs.data
-        b = forward(model, x, Rng(1), tiling="naive").member_probs.data
+        a = forward(model, x, Rng(1)).member_probs.data
+        b = naive_forward(model, x, Rng(1)).member_probs.data
         np.testing.assert_array_equal(a, b)
 
 
@@ -404,20 +399,22 @@ class TestPrunedEvalForward:
         ("mimo", {"m": 2}),
     ])
     @pytest.mark.parametrize("batch", [1, 2, 3, 5, 64])
-    def test_matches_full_row_reference(self, variant, kw, batch):
+    def test_matches_full_row_reference(self, variant, kw, batch,
+                                        naive_forward):
         gen = np.random.default_rng(batch)
         x = images(gen, n=batch)
         noise = {} if variant == "only_tiling" else {"noise_scale": 0.0}
         for rate in (0.0, 0.1):
             model = build_model(tiny_spec(variant=variant, dropout_rate=rate,
                                           **noise, **kw), Rng(batch))
-            for p in model.parameters():  # leave the near-uniform init
+            for _, p in model.named_params():  # leave the near-uniform init
                 p.data += 0.3 * gen.standard_normal(p.data.shape)
-            for tiling in ("deferred", "naive"):
-                ref = forward(model, x, Rng(3), train=True, step=4,
-                              tiling=tiling, want_features=True)
-                got = forward(model, x, Rng(3), step=4, mc_sample=-1,
-                              tiling=tiling, want_features=True)
+            for tiling, run in (("deferred", forward),
+                                ("naive", naive_forward)):
+                ref = run(model, x, Rng(3), train=True, step=4,
+                          want_features=True)
+                got = run(model, x, Rng(3), step=4, mc_sample=-1,
+                          want_features=True)
                 for a, b in ((ref.member_probs.data, got.member_probs.data),
                              (ref.member_features, got.member_features)):
                     assert a.shape == b.shape
@@ -625,5 +622,5 @@ class TestFullModelGradient:
             aux = [AuxLossState.from_decision(d) for d in bundle.decisions]
             return total_loss(data, aux, 0.1)
 
-        err = finite_difference_check(f, model.parameters())
+        err = finite_difference_check(f, [p for _, p in model.named_params()])
         assert err < 1e-4, f"max rel err {err:.3e}"
