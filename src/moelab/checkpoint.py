@@ -62,13 +62,12 @@ def checkpoint_from_model(model: Model) -> Checkpoint:
 
 def apply_checkpoint(model: Model, ckpt: Checkpoint) -> Model:
     """Load values in place; every parameter must match by name and shape."""
-    names = {name: t for name, t in model.named_params()}
-    if set(names) != set(ckpt.params):
-        missing = sorted(set(names) - set(ckpt.params))
-        extra = sorted(set(ckpt.params) - set(names))
+    if set(model.params) != set(ckpt.params):
+        missing = sorted(set(model.params) - set(ckpt.params))
+        extra = sorted(set(ckpt.params) - set(model.params))
         raise ConfigError(f"parameter names differ; missing={missing[:4]} "
                           f"extra={extra[:4]}")
-    for name, t in names.items():
+    for name, t in model.params.items():
         arr = np.asarray(ckpt.params[name], dtype=np.float64)
         if arr.shape != t.data.shape:
             raise ConfigError(f"shape mismatch for {name}: "

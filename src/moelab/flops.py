@@ -5,11 +5,13 @@ expert MLPs, routers, patch embedding, classifier head); elementwise work is
 negligible against these at every preset.  Training cost uses the standard
 3x forward multiplier (forward plus roughly twice for backward).
 
-Tiling convention: with deferred tiling the batch is replicated at the first
-MoE/BE block's MLP input, so that block's attention stays untiled, its MLP
-runs M-fold, and every later block runs M-fold throughout.  Naive tiling
-replicates the whole network, embedding included.  In a multi-head layer the
-K slot outputs become members, so blocks after it (and the head) scale by K.
+The layout comes from the spec: ModelSpec.mlp_kinds prices each block's
+MLP, and ModelSpec.tile_block says where the batch is tiled.  With deferred
+tiling the batch is replicated at that block's MLP input, so its attention
+stays untiled, its MLP runs M-fold, and every later block runs M-fold
+throughout.  Naive tiling replicates the whole network, embedding included.
+In a multi-head layer the K slot outputs become members, so blocks after it
+(and the head) scale by K.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .model import ModelSpec, moe_block_positions
+from .model import ModelSpec
 
 
 @dataclass
@@ -36,56 +38,38 @@ def _attn_flops(t: int, d: int) -> int:
 
 
 def flops_forward(spec: ModelSpec, tiling: str = "deferred") -> FlopsReport:
-    """Exact matmul FLOPs for one example's forward pass."""
+    """Exact matmul FLOPs for one example's forward pass, block by block
+    along spec.mlp_kinds."""
     if tiling not in ("deferred", "naive"):
         raise ConfigError(f"unknown tiling {tiling!r}")
     t, d, f = spec.n_tokens, spec.hidden, spec.mlp_dim
     parts = {"embed": 0, "attention": 0, "mlp": 0, "router": 0, "head": 0}
+    tile_at = spec.tile_block
+    naive = tiling == "naive" and tile_at is not None
+    # copies of the example the current block runs on
+    mult = spec.tile_factor if naive else 1
 
-    moe_at = set()
-    if spec.uses_moe or spec.variant == "be":
-        moe_at = set(moe_block_positions(spec.layers, spec.last_n,
-                                         spec.contiguous_moe))
-    first_moe = min(moe_at) if moe_at else None
-    tile_m = spec.tile_factor
-    naive = tiling == "naive" and tile_m > 1
-    multihead_at = max(moe_at) if spec.variant == "multihead" else None
-
-    def stream_mult(i: int) -> int:
-        """Batch multiplier in effect for block i's attention."""
-        mult = 1
-        if tile_m > 1:
-            if naive or i > first_moe:
-                mult *= tile_m
-        if multihead_at is not None and i > multihead_at:
-            mult *= spec.k
-        return mult
-
-    parts["embed"] = (tile_m if naive else 1) * \
-        2 * (t - 1) * spec.patch_dim * d
-
-    for i in range(spec.layers):
-        att_mult = stream_mult(i)
-        # deferred tiling happens at the MLP input of the first MoE block
-        mlp_mult = att_mult if (naive or i != first_moe) else att_mult * tile_m
-        parts["attention"] += att_mult * _attn_flops(t, d)
-        if i not in moe_at or spec.variant == "be":
+    parts["embed"] = mult * 2 * (t - 1) * spec.patch_dim * d
+    for i, kind in enumerate(spec.mlp_kinds):
+        parts["attention"] += mult * _attn_flops(t, d)
+        if i == tile_at and not naive:
+            mult *= spec.tile_factor
+        if kind in ("dense", "be"):
             # BE dense shares one matmul across members (rank-1 work is
             # elementwise), so its cost matches a plain MLP per stream
-            parts["mlp"] += mlp_mult * 4 * t * d * f
-        elif spec.variant == "only_partitioning":
-            parts["mlp"] += mlp_mult * spec.k * spec.m * 4 * t * d * f
-            parts["router"] += mlp_mult * 2 * t * d * spec.e
+            parts["mlp"] += mult * 4 * t * d * f
+        elif kind == "only_partitioning":
+            parts["mlp"] += mult * spec.k * spec.m * 4 * t * d * f
+            parts["router"] += mult * 2 * t * d * spec.e
         else:
-            parts["mlp"] += mlp_mult * spec.k * 4 * t * d * f
-            per_row = spec.e // spec.m if spec.variant == "pbe" else spec.e
-            parts["router"] += mlp_mult * 2 * t * d * per_row
-        if multihead_at is not None and i == multihead_at:
-            pass  # slot fan-out is free; later blocks pick up the K factor
+            parts["mlp"] += mult * spec.k * 4 * t * d * f
+            per_row = spec.e // spec.m if kind == "pbe" else spec.e
+            parts["router"] += mult * 2 * t * d * per_row
+        if kind == "multihead":
+            mult *= spec.k  # slot fan-out is free; later blocks run K-fold
 
-    head_mult = stream_mult(spec.layers)
     head_out = spec.classes * (spec.m if spec.variant == "mimo" else 1)
-    parts["head"] = head_mult * 2 * d * head_out
+    parts["head"] = mult * 2 * d * head_out
 
     total = sum(parts.values())
     return FlopsReport(total, parts, tiling)

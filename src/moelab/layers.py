@@ -8,8 +8,8 @@ dispatch core:
 * only_partitioning -- untiled rows routed in every block (K*M experts)
 * multihead         -- top-K contributions stacked into K slots, not summed
 
-plus the rank-1 batch-ensemble dense layer and its sparse-MoE equivalence
-view (BeMoeView), and tile, the member-major batch tiling.
+plus the rank-1 batch-ensemble dense layer and tile, the member-major
+batch tiling.
 
 Dispatch is one ``expert_dispatch`` tape node per layer.  The kept (row,
 slot) assignments are gathered once, grouped into one segment per (slot,
@@ -245,39 +245,6 @@ def be_dense_forward(h_tiled: Tensor, be: BatchEnsembleDense,
         h_m = take_rows(h_tiled, np.arange(mm * b, (mm + 1) * b))
         outs.append(matmul(h_m * be.r[mm], be.u, full_b) * be.s[mm])
     return concat(outs, axis=0)
-
-
-class BeMoeView:
-    """Appendix-F reading of a batch-ensemble layer as a sparse MoE.
-
-    E = M experts; expert e's weight is the materialized U * (r_e s_e^T);
-    the gate for tiled row i is binary: 1 on the row's own member, 0
-    elsewhere.  Forward computes the full mixture sum_e g_e * expert_e(h),
-    which the binary gates collapse to the member's expert.
-    """
-
-    def __init__(self, be: BatchEnsembleDense):
-        self.m = be.m
-        self.expert_weights = [
-            be.u.data * np.outer(be.r[mm].data, be.s[mm].data) for mm in range(be.m)
-        ]
-
-    def gates(self, n_rows: int) -> np.ndarray:
-        if n_rows % self.m != 0:
-            raise ConfigError(f"row count {n_rows} not divisible by M={self.m}")
-        b = n_rows // self.m
-        g = np.zeros((n_rows, self.m))
-        for mm in range(self.m):
-            g[mm * b:(mm + 1) * b, mm] = 1.0
-        return g
-
-    def forward(self, h_tiled) -> np.ndarray:
-        h = h_tiled.data if isinstance(h_tiled, Tensor) else np.asarray(h_tiled)
-        g = self.gates(h.shape[0])
-        out = np.zeros((h.shape[0], self.expert_weights[0].shape[1]))
-        for e in range(self.m):
-            out = out + g[:, e:e + 1] * (h @ self.expert_weights[e])
-        return out
 
 
 @dataclass

@@ -5,9 +5,16 @@ partitioned batch-ensemble family (tiled inputs routed inside per-member
 expert blocks), multi-head routing, batch-ensemble dense layers, MIMO, and
 MC-dropout / deep-ensemble prediction wrappers on top.
 
+The variants differ only in which blocks carry which MLP and where the
+rows are tiled.  ModelSpec states that once: mlp_kinds gives each block's
+MLP ("dense", "be", or a MoELayer mode) and tile_block the block whose MLP
+input is tiled.  build_model, forward and flops.flops_forward all read it.
+build_model makes every parameter once, under its dotted name, into
+Model.params; that order is the checkpoint's and the optimizer's.
+
 Tiling discipline: the input batch runs untiled through every block before
-the first MoE/BE block, and is replicated M times right before that block's
-MLP (the attention of that block still sees the untiled batch).  In eval
+tile_block, and is replicated M times right before that block's MLP (the
+attention of that block still sees the untiled batch).  In eval
 mode, replicating the images up front instead gives bitwise identical
 predictions, because every op before that MLP is row-independent; deferring
 just does less work.  The tests keep that up-front ("naive") tiling as their
@@ -43,7 +50,7 @@ from .errors import ConfigError, EvaluationError
 from .layers import (BatchEnsembleDense, BeMLP, ExpertMLP, MoELayer,
                      dropout_mask, layer_forward, tile)
 from .rng import Rng
-from .routing import CapacityConfig, make_router
+from .routing import CapacityConfig, RouterParams
 from .tensor import (Tensor, concat, dense, layernorm, matmul, no_grad,
                      reshape, softmax, take_rows, tmean, transpose)
 
@@ -103,20 +110,17 @@ class ModelSpec(Record):
             raise ConfigError("image_size must be a multiple of patch_size")
         if self.hidden % self.heads != 0:
             raise ConfigError("hidden must be a multiple of heads")
-        if self.uses_moe:
+        if self.uses_moe or self.variant == "be":
             top = self.layers if self.contiguous_moe else (self.layers + 1) // 2
             if not 1 <= self.last_n <= top:
                 raise ConfigError("last_n does not fit in the trunk")
-            if self.variant in ("pbe", "only_partitioning"):
-                if self.e % self.m != 0:
-                    raise ConfigError("e must be divisible by m")
-                if self.k > self.e // self.m:
-                    raise ConfigError("k exceeds experts per member block")
-            else:
-                if self.k > self.e:
-                    raise ConfigError("k exceeds expert count")
-        if self.variant == "be" and not 1 <= self.last_n <= self.layers:
-            raise ConfigError("last_n does not fit in the trunk")
+        if self.variant in ("pbe", "only_partitioning"):
+            if self.e % self.m != 0:
+                raise ConfigError("e must be divisible by m")
+            if self.k > self.e // self.m:
+                raise ConfigError("k exceeds experts per member block")
+        elif self.uses_moe and self.k > self.e:
+            raise ConfigError("k exceeds expert count")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError("dropout_rate must be in [0, 1)")
         if self.noise_scale is not None and self.noise_scale < 0:
@@ -147,6 +151,39 @@ class ModelSpec(Record):
         if self.variant in ("pbe", "only_tiling", "be"):
             return self.m
         return 1
+
+    @property
+    def mlp_kinds(self) -> tuple:
+        """Each block's MLP, in depth order: "dense", "be", or the MoELayer
+        mode of a routed block ("moe", "pbe", "only_partitioning" or
+        "multihead").
+
+        The last_n MoE/BE blocks sit where moe_block_positions puts them.
+        only_tiling routes like vmoe ("moe"); its tiled rows and eval noise
+        are set outside the layer.  multihead routes its top MoE block in
+        multihead mode and the ones below as moe.
+        """
+        kinds = ["dense"] * self.layers
+        if self.uses_moe or self.variant == "be":
+            at = moe_block_positions(self.layers, self.last_n,
+                                     self.contiguous_moe)
+            kind = self.variant
+            if kind in ("vmoe", "only_tiling", "multihead"):
+                kind = "moe"
+            for i in at:
+                kinds[i] = kind
+            if self.variant == "multihead":
+                kinds[at[-1]] = "multihead"
+        return tuple(kinds)
+
+    @property
+    def tile_block(self) -> int | None:
+        """The block whose MLP input is tiled tile_factor times (the first
+        MoE/BE block), or None when nothing is tiled."""
+        if self.tile_factor == 1:
+            return None
+        return min(i for i, kind in enumerate(self.mlp_kinds)
+                   if kind != "dense")
 
     @property
     def n_tokens(self) -> int:
@@ -194,83 +231,28 @@ def moe_block_positions(layers: int, last_n: int, contiguous: bool = False):
     return sorted(pos)
 
 
+@dataclass
 class Block:
     """Pre-norm transformer block: attention then an MLP of some flavor."""
 
-    def __init__(self, index, ln1_g, ln1_b, wq, bq, wk, bk, wv, bv, wo, bo,
-                 ln2_g, ln2_b, mlp):
-        self.index = index
-        self.ln1_g, self.ln1_b = ln1_g, ln1_b
-        self.wq, self.bq = wq, bq
-        self.wk, self.bk = wk, bk
-        self.wv, self.bv = wv, bv
-        self.wo, self.bo = wo, bo
-        self.ln2_g, self.ln2_b = ln2_g, ln2_b
-        self.mlp = mlp
+    ln1: tuple   # (gain, bias)
+    attn: tuple  # (wq, bq, wk, bk, wv, bv, wo, bo)
+    ln2: tuple
+    mlp: object  # ExpertMLP, BeMLP or MoELayer, as spec.mlp_kinds says
 
 
 class Model:
-    def __init__(self, spec: ModelSpec, embed_w, embed_b, cls_token, pos,
-                 blocks, final_g, final_b, head_w, head_b):
+    """A built network: its spec, its blocks, and params, every parameter
+    under its dotted name in the order build_model made them."""
+
+    def __init__(self, spec: ModelSpec, params: dict, blocks: list):
         self.spec = spec
-        self.embed_w, self.embed_b = embed_w, embed_b
-        self.cls_token, self.pos = cls_token, pos
+        self.params = params
         self.blocks = blocks
-        self.final_g, self.final_b = final_g, final_b
-        self.head_w, self.head_b = head_w, head_b
 
     def named_params(self):
-        """Yield (dotted name, Tensor) in a stable order."""
-        yield "embed.w", self.embed_w
-        yield "embed.b", self.embed_b
-        yield "cls", self.cls_token
-        yield "pos", self.pos
-        for i, blk in enumerate(self.blocks):
-            p = f"blocks.{i}"
-            yield f"{p}.ln1.g", blk.ln1_g
-            yield f"{p}.ln1.b", blk.ln1_b
-            for nm, t in (("wq", blk.wq), ("bq", blk.bq), ("wk", blk.wk),
-                          ("bk", blk.bk), ("wv", blk.wv), ("bv", blk.bv),
-                          ("wo", blk.wo), ("bo", blk.bo)):
-                yield f"{p}.attn.{nm}", t
-            yield f"{p}.ln2.g", blk.ln2_g
-            yield f"{p}.ln2.b", blk.ln2_b
-            yield from _mlp_params(f"{p}.mlp", blk.mlp)
-        yield "final_ln.g", self.final_g
-        yield "final_ln.b", self.final_b
-        yield "head.w", self.head_w
-        yield "head.b", self.head_b
-
-
-def _mlp_params(prefix, mlp):
-    if isinstance(mlp, ExpertMLP):
-        yield f"{prefix}.w1", mlp.w1
-        yield f"{prefix}.b1", mlp.b1
-        yield f"{prefix}.w2", mlp.w2
-        yield f"{prefix}.b2", mlp.b2
-    elif isinstance(mlp, MoELayer):
-        for e, ex in enumerate(mlp.experts):
-            yield f"{prefix}.experts.{e}.w1", ex.w1
-            yield f"{prefix}.experts.{e}.b1", ex.b1
-            yield f"{prefix}.experts.{e}.w2", ex.w2
-            yield f"{prefix}.experts.{e}.b2", ex.b2
-        for j, w in enumerate(mlp.router.weights):
-            yield f"{prefix}.router.{j}.w", w
-    elif isinstance(mlp, BeMLP):
-        yield f"{prefix}.be1.u", mlp.be1.u
-        for j, r in enumerate(mlp.be1.r):
-            yield f"{prefix}.be1.r.{j}", r
-        for j, s in enumerate(mlp.be1.s):
-            yield f"{prefix}.be1.s.{j}", s
-        yield f"{prefix}.b1", mlp.b1
-        yield f"{prefix}.be2.u", mlp.be2.u
-        for j, r in enumerate(mlp.be2.r):
-            yield f"{prefix}.be2.r.{j}", r
-        for j, s in enumerate(mlp.be2.s):
-            yield f"{prefix}.be2.s.{j}", s
-        yield f"{prefix}.b2", mlp.b2
-    else:
-        raise TypeError(f"unknown mlp type {type(mlp)!r}")
+        """(dotted name, Tensor) pairs in a stable order."""
+        return self.params.items()
 
 
 def _trunc_normal(gen, shape, std=0.02):
@@ -285,101 +267,82 @@ def _trunc_normal(gen, shape, std=0.02):
 
 
 def build_model(spec: ModelSpec, rng: Rng) -> Model:
-    """Initialize every parameter from a stream keyed by its dotted name."""
+    """Initialize every parameter from a stream keyed by its dotted name.
 
-    def tn(name, shape, std=0.02):
-        return Tensor(_trunc_normal(rng.stream("init", name), shape, std),
-                      requires_grad=True)
+    Each parameter is made once, into Model.params under that name, in the
+    order the checkpoint table and the optimizer list them: the embedding,
+    then per block ln1, attention, ln2 and the MLP, then the final
+    layernorm and the head.
+    """
+    params = {}
+
+    def new(name, value):
+        params[name] = Tensor(value, requires_grad=True)
+        return params[name]
+
+    def draw(name, shape):
+        return rng.stream("init", name).standard_normal(shape)
+
+    def tn(name, shape):
+        return new(name, _trunc_normal(rng.stream("init", name), shape))
 
     def zeros(name, shape):
-        return Tensor(np.zeros(shape), requires_grad=True)
+        return new(name, np.zeros(shape))
 
     def ones(name, shape):
-        return Tensor(np.ones(shape), requires_grad=True)
+        return new(name, np.ones(shape))
 
-    d, f = spec.hidden, spec.mlp_dim
-    embed_w = tn("embed.w", (spec.patch_dim, d))
-    embed_b = zeros("embed.b", (d,))
-    cls_token = tn("cls", (d,))
-    pos = tn("pos", (spec.n_tokens, d))
+    def norm(p):
+        return ones(f"{p}.g", (d,)), zeros(f"{p}.b", (d,))
 
-    moe_at = set()
-    if spec.uses_moe or spec.variant == "be":
-        moe_at = set(moe_block_positions(spec.layers, spec.last_n,
-                                         spec.contiguous_moe))
-
-    def plain_mlp(p):
+    def expert(p):
         return ExpertMLP(tn(f"{p}.w1", (d, f)), zeros(f"{p}.b1", (f,)),
                          tn(f"{p}.w2", (f, d)), zeros(f"{p}.b2", (d,)))
 
-    def moe_mlp(p, mode):
-        experts = [ExpertMLP(tn(f"{p}.experts.{e}.w1", (d, f)),
-                             zeros(f"{p}.experts.{e}.b1", (f,)),
-                             tn(f"{p}.experts.{e}.w2", (f, d)),
-                             zeros(f"{p}.experts.{e}.b2", (d,)))
-                   for e in range(spec.e)]
-        if mode in ("pbe", "only_partitioning"):
-            blocks = spec.m
-            per = spec.e // spec.m
-        else:
-            blocks, per = 1, spec.e
-        weights = [Tensor(rng.stream("init", f"{p}.router.{j}.w")
-                          .standard_normal((per, d)) * 0.02,
-                          requires_grad=True) for j in range(blocks)]
-        router = make_router(weights,
-                             noise_scale=spec.resolved_noise_scale(),
-                             noise_multiplier=spec.noise_multiplier,
-                             eval_noise_enabled=spec.resolved_eval_noise())
-        return MoELayer(experts, router, spec.k, mode=mode,
+    def be_dense(p, n_in, n_out):
+        u = tn(f"{p}.u", (n_in, n_out))
+        r = [new(n, 1.0 + 0.5 * draw(n, (n_in,)))
+             for n in (f"{p}.r.{j}" for j in range(spec.m))]
+        s = [new(n, 1.0 + 0.5 * draw(n, (n_out,)))
+             for n in (f"{p}.s.{j}" for j in range(spec.m))]
+        return BatchEnsembleDense(u, r, s)
+
+    def mlp(p, kind):
+        if kind == "dense":
+            return expert(p)
+        if kind == "be":
+            return BeMLP(be_dense(f"{p}.be1", d, f), zeros(f"{p}.b1", (f,)),
+                         be_dense(f"{p}.be2", f, d), zeros(f"{p}.b2", (d,)))
+        experts = [expert(f"{p}.experts.{e}") for e in range(spec.e)]
+        routers = spec.m if kind in ("pbe", "only_partitioning") else 1
+        router = RouterParams(
+            [new(n, draw(n, (spec.e // routers, d)) * 0.02)
+             for n in (f"{p}.router.{j}.w" for j in range(routers))],
+            noise_scale=spec.resolved_noise_scale(),
+            noise_multiplier=spec.noise_multiplier,
+            eval_noise_enabled=spec.resolved_eval_noise())
+        return MoELayer(experts, router, spec.k, mode=kind,
                         capacity=CapacityConfig(spec.capacity_ratio),
                         dropout_rate=spec.dropout_rate)
 
-    def be_dense(p, n_in, n_out):
-        u = tn(f"{p}.u", (n_in, n_out))
-        r = [Tensor(1.0 + 0.5 * rng.stream("init", f"{p}.r.{j}")
-                    .standard_normal((n_in,)), requires_grad=True)
-             for j in range(spec.m)]
-        s = [Tensor(1.0 + 0.5 * rng.stream("init", f"{p}.s.{j}")
-                    .standard_normal((n_out,)), requires_grad=True)
-             for j in range(spec.m)]
-        return BatchEnsembleDense(u, r, s)
-
-    def be_mlp(p):
-        return BeMLP(be_dense(f"{p}.be1", d, f), zeros(f"{p}.b1", (f,)),
-                     be_dense(f"{p}.be2", f, d), zeros(f"{p}.b2", (d,)))
-
+    d, f = spec.hidden, spec.mlp_dim
+    tn("embed.w", (spec.patch_dim, d))
+    zeros("embed.b", (d,))
+    tn("cls", (d,))
+    tn("pos", (spec.n_tokens, d))
     blocks = []
-    multihead_at = max(moe_at) if (spec.variant == "multihead" and moe_at) else None
-    for i in range(spec.layers):
+    for i, kind in enumerate(spec.mlp_kinds):
         p = f"blocks.{i}"
-        if i in moe_at and spec.variant == "be":
-            mlp = be_mlp(f"{p}.mlp")
-        elif i in moe_at and spec.uses_moe:
-            # only_tiling differs from vmoe only in its tiled input and eval
-            # noise, both set outside the layer
-            if spec.variant == "multihead":
-                mode = "multihead" if i == multihead_at else "moe"
-            elif spec.variant in ("vmoe", "only_tiling"):
-                mode = "moe"
-            else:
-                mode = spec.variant
-            mlp = moe_mlp(f"{p}.mlp", mode)
-        else:
-            mlp = plain_mlp(f"{p}.mlp")
-        blocks.append(Block(
-            i,
-            ones(f"{p}.ln1.g", (d,)), zeros(f"{p}.ln1.b", (d,)),
-            tn(f"{p}.attn.wq", (d, d)), zeros(f"{p}.attn.bq", (d,)),
-            tn(f"{p}.attn.wk", (d, d)), zeros(f"{p}.attn.bk", (d,)),
-            tn(f"{p}.attn.wv", (d, d)), zeros(f"{p}.attn.bv", (d,)),
-            tn(f"{p}.attn.wo", (d, d)), zeros(f"{p}.attn.bo", (d,)),
-            ones(f"{p}.ln2.g", (d,)), zeros(f"{p}.ln2.b", (d,)),
-            mlp))
-
+        ln1 = norm(f"{p}.ln1")
+        attn = tuple(t for c in "qkvo" for t in (
+            tn(f"{p}.attn.w{c}", (d, d)), zeros(f"{p}.attn.b{c}", (d,))))
+        ln2 = norm(f"{p}.ln2")
+        blocks.append(Block(ln1, attn, ln2, mlp(f"{p}.mlp", kind)))
+    norm("final_ln")
     head_out = spec.classes * (spec.m if spec.variant == "mimo" else 1)
-    return Model(spec, embed_w, embed_b, cls_token, pos, blocks,
-                 ones("final_ln.g", (d,)), zeros("final_ln.b", (d,)),
-                 tn("head.w", (d, head_out)), zeros("head.b", (head_out,)))
+    tn("head.w", (d, head_out))
+    zeros("head.b", (head_out,))
+    return Model(spec, params, blocks)
 
 
 @dataclass
@@ -407,12 +370,13 @@ def patchify(images: np.ndarray, patch: int) -> np.ndarray:
     return x.reshape(b, nh * nw, patch * patch * c)
 
 
-def _attention(x: Tensor, blk: Block, heads: int) -> Tensor:
+def _attention(x: Tensor, params: tuple, heads: int) -> Tensor:
+    wq, bq, wk, bk, wv, bv, wo, bo = params
     bc, t, d = x.data.shape
     dh = d // heads
-    q = dense(x, blk.wq, blk.bq)
-    k = dense(x, blk.wk, blk.bk)
-    v = dense(x, blk.wv, blk.bv)
+    q = dense(x, wq, bq)
+    k = dense(x, wk, bk)
+    v = dense(x, wv, bv)
     q = transpose(reshape(q, (bc, t, heads, dh)), (0, 2, 1, 3))
     k = transpose(reshape(k, (bc, t, heads, dh)), (0, 2, 1, 3))
     v = transpose(reshape(v, (bc, t, heads, dh)), (0, 2, 1, 3))
@@ -420,7 +384,7 @@ def _attention(x: Tensor, blk: Block, heads: int) -> Tensor:
     attn = softmax(scores, axis=-1)
     ctx = matmul(attn, v)
     ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (bc, t, d))
-    return dense(ctx, blk.wo, blk.bo)
+    return dense(ctx, wo, bo)
 
 
 def forward(model: Model, images, rng: Rng, *, train: bool = False,
@@ -455,56 +419,52 @@ def _forward(model, images, rng, train, step, mc_sample, want_features):
         raise ConfigError("channel count mismatch")
 
     n_members = spec.ensemble_size
-    tile_m = spec.tile_factor
-    tile_block = None
-    if tile_m > 1:
-        tile_block = moe_block_positions(spec.layers, spec.last_n,
-                                         spec.contiguous_moe)[0]
+    tile_block = spec.tile_block
+    p = model.params
 
     b_in = x_img.shape[0]
     patches = patchify(x_img, spec.patch_size)
-    x = dense(Tensor(patches), model.embed_w, model.embed_b)
+    x = dense(Tensor(patches), p["embed.w"], p["embed.b"])
     t = spec.n_tokens
     d = spec.hidden
-    cls_row = reshape(model.cls_token, (1, 1, d))
+    cls_row = reshape(p["cls"], (1, 1, d))
     x = concat([Tensor(np.zeros((b_in, 1, d))) + cls_row, x], axis=1)
-    x = x + reshape(model.pos, (1, t, d))
+    x = x + reshape(p["pos"], (1, t, d))
 
     dropout_on = train or (mc_sample is not None)
     sample = -1 if mc_sample is None else int(mc_sample)
     decisions = []
 
-    last = model.blocks[-1]
-    for blk in model.blocks:
-        i = blk.index
-        x = x + _attention(layernorm(x, blk.ln1_g, blk.ln1_b), blk, spec.heads)
+    last = spec.layers - 1
+    for i, (blk, kind) in enumerate(zip(model.blocks, spec.mlp_kinds)):
+        x = x + _attention(layernorm(x, *blk.ln1), blk.attn, spec.heads)
         if i == tile_block:
-            x = tile(x, tile_m)
+            x = tile(x, spec.tile_factor)
         bc = x.data.shape[0]
         n = bc * t
         flat = reshape(x, (n, d))
         # the rows the MLP runs on: all of them, except in the last block of
         # an eval forward, where only the head reads the output
-        rows = np.arange(bc) * t if blk is last and not train else None
+        rows = np.arange(bc) * t if i == last and not train else None
         res = flat if rows is None else take_rows(flat, rows)
         noise_key = ("route", i, step)
         drop_key = ("drop", i, step, sample)
-        if isinstance(blk.mlp, (ExpertMLP, BeMLP)):
+        if kind in ("dense", "be"):
             mask = None
             if dropout_on and spec.dropout_rate > 0.0:
                 mask = dropout_mask(rng, spec.dropout_rate,
                                     blk.mlp.hidden_dim,
                                     [(n, (*drop_key, -1, 0))])
                 mask = mask if rows is None else mask[rows]
-            res = res + blk.mlp.forward(layernorm(res, blk.ln2_g, blk.ln2_b),
-                                        mask, full_rows=n)
+            res = res + blk.mlp.forward(layernorm(res, *blk.ln2), mask,
+                                        full_rows=n)
         else:
             out, decision = layer_forward(
-                layernorm(flat, blk.ln2_g, blk.ln2_b), blk.mlp, rng,
+                layernorm(flat, *blk.ln2), blk.mlp, rng,
                 train=train, dropout_on=dropout_on, noise_key=noise_key,
                 dropout_key=drop_key, rows=rows)
             decisions.append(decision)
-            if blk.mlp.mode == "multihead":
+            if kind == "multihead":
                 # slot outputs become ensemble members: broadcast the
                 # residual over K slots, then fold slots into the rows
                 # (member-major)
@@ -514,15 +474,15 @@ def _forward(model, images, rng, train, step, mc_sample, want_features):
                 bc *= spec.k
             else:
                 res = res + out
-        if blk is not last:
+        if i != last:
             x = reshape(res, (bc, t, d))
 
     # the head reads the class rows, all that an eval forward's last block
     # kept
     cls_tokens = res if rows is not None else take_rows(res,
                                                         np.arange(bc) * t)
-    feats = layernorm(cls_tokens, model.final_g, model.final_b)
-    logits = dense(feats, model.head_w, model.head_b)
+    feats = layernorm(cls_tokens, p["final_ln.g"], p["final_ln.b"])
+    logits = dense(feats, p["head.w"], p["head.b"])
 
     if spec.variant == "mimo":
         b = bc

@@ -25,9 +25,10 @@ from .tensor import Tensor, concat, matmul, softmax, take_cols, take_rows, trans
 class RouterParams:
     """One router weight matrix per member; a single router is a length-1 list.
 
-    noise_scale defaults to 1/E when constructed through `make_router`.
-    noise_multiplier is the only-tiling ablation knob (sigma x {1,2,4}).
-    eval_noise_enabled re-enables the noise draw outside training.
+    noise_scale is the gate noise's sigma (ModelSpec.resolved_noise_scale:
+    1/E unless the spec sets it).  noise_multiplier is the only-tiling
+    ablation knob (sigma x {1,2,4}).  eval_noise_enabled re-enables the
+    noise draw outside training.
     """
 
     weights: list  # list[Tensor], each (E_m, D)
@@ -55,15 +56,6 @@ class RouterParams:
         if train or self.eval_noise_enabled:
             return self.noise_scale * self.noise_multiplier
         return 0.0
-
-
-def make_router(weights, noise_scale: float | None = None, **kw) -> RouterParams:
-    """Build RouterParams with the paper default sigma = 1/E."""
-    weights = list(weights)
-    e = sum(w.data.shape[0] for w in weights)
-    if noise_scale is None:
-        noise_scale = 1.0 / e
-    return RouterParams(weights=weights, noise_scale=noise_scale, **kw)
 
 
 @dataclass

@@ -30,14 +30,16 @@ PALETTE = (
 
 MARKERS = ("circle", "square", "diamond", "triangle")
 
+WIDTH, HEIGHT = 640, 440
+
 
 @dataclass
 class Series:
     """One named group of points.
 
-    x values are compute costs (must be positive when the x axis is
-    logarithmic), y values are the metric.  ``labels`` optionally tags
-    individual points; tagged points get a small text annotation.
+    x values are compute costs (positive: the x axis is logarithmic), y
+    values are the metric.  ``labels`` optionally tags individual points;
+    tagged points get a small text annotation.
     """
 
     name: str
@@ -102,12 +104,15 @@ def _log_ticks(lo, hi):
     return ticks
 
 
-def _tick_label(v, logx):
-    if logx:
-        p = int(round(v))
-        if -3 <= p <= 4:
-            return _fmt(10.0 ** p)
-        return f"1e{p}"
+def _log_tick_label(v):
+    """Label of the decade tick at log10 value v."""
+    p = int(round(v))
+    if -3 <= p <= 4:
+        return _fmt(10.0 ** p)
+    return f"1e{p}"
+
+
+def _tick_label(v):
     if v == int(v) and abs(v) < 1e15:
         return str(int(v))
     return f"{v:g}"
@@ -137,14 +142,11 @@ def _marker(kind, x, y, color, r=4.0):
 
 @dataclass
 class ScatterPlot:
-    """Scatter chart description; call :meth:`render` for the SVG text."""
+    """Log-x scatter chart description; call :meth:`render` for the SVG
+    text."""
 
-    title: str = ""
     x_label: str = "GFLOPs"
     y_label: str = "NLL"
-    width: int = 640
-    height: int = 440
-    logx: bool = True
     series: list = field(default_factory=list)
     frontier: list = field(default_factory=list)
 
@@ -157,15 +159,12 @@ class ScatterPlot:
         pts.extend(self.frontier)
         if not pts:
             raise ConfigError("cannot render a plot with no points")
-        if self.logx:
-            for x, _ in pts:
-                if x <= 0:
-                    raise ConfigError(
-                        f"log-scale x axis requires positive costs, got {x}"
-                    )
-            xs = [math.log10(x) for x, _ in pts]
-        else:
-            xs = [x for x, _ in pts]
+        for x, _ in pts:
+            if x <= 0:
+                raise ConfigError(
+                    f"log-scale x axis requires positive costs, got {x}"
+                )
+        xs = [math.log10(x) for x, _ in pts]
         ys = [y for _, y in pts]
 
         x_lo, x_hi = min(xs), max(xs)
@@ -181,12 +180,11 @@ class ScatterPlot:
         y_lo, y_hi = y_lo - ypad, y_hi + ypad
 
         m_left, m_right, m_top, m_bot = 64, 16, 36, 48
-        pw = self.width - m_left - m_right
-        ph = self.height - m_top - m_bot
+        pw = WIDTH - m_left - m_right
+        ph = HEIGHT - m_top - m_bot
 
         def px(x):
-            v = math.log10(x) if self.logx else x
-            return m_left + (v - x_lo) / (x_hi - x_lo) * pw
+            return m_left + (math.log10(x) - x_lo) / (x_hi - x_lo) * pw
 
         def py(y):
             return m_top + (y_hi - y) / (y_hi - y_lo) * ph
@@ -194,19 +192,14 @@ class ScatterPlot:
         out = []
         out.append(
             f'<svg xmlns="http://www.w3.org/2000/svg" '
-            f'width="{self.width}" height="{self.height}" '
-            f'viewBox="0 0 {self.width} {self.height}" '
+            f'width="{WIDTH}" height="{HEIGHT}" '
+            f'viewBox="0 0 {WIDTH} {HEIGHT}" '
             f'font-family="sans-serif" font-size="12">'
         )
         out.append(
-            f'<rect x="0" y="0" width="{self.width}" height="{self.height}" '
+            f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" '
             f'fill="white" />'
         )
-        if self.title:
-            out.append(
-                f'<text x="{self.width // 2}" y="20" text-anchor="middle" '
-                f'font-size="14" font-weight="bold">{_esc(self.title)}</text>'
-            )
 
         # plot box
         out.append(
@@ -214,8 +207,7 @@ class ScatterPlot:
             f'fill="none" stroke="#333" />'
         )
 
-        xticks = _log_ticks(x_lo, x_hi) if self.logx else _nice_ticks(x_lo, x_hi)
-        for t in xticks:
+        for t in _log_ticks(x_lo, x_hi):
             if t < x_lo or t > x_hi:
                 continue
             tx = m_left + (t - x_lo) / (x_hi - x_lo) * pw
@@ -225,7 +217,7 @@ class ScatterPlot:
             )
             out.append(
                 f'<text x="{_fmt(tx)}" y="{m_top + ph + 16}" '
-                f'text-anchor="middle">{_esc(_tick_label(t, self.logx))}</text>'
+                f'text-anchor="middle">{_esc(_log_tick_label(t))}</text>'
             )
         for t in _nice_ticks(y_lo, y_hi):
             if t < y_lo or t > y_hi:
@@ -237,11 +229,11 @@ class ScatterPlot:
             )
             out.append(
                 f'<text x="{m_left - 6}" y="{_fmt(ty + 4)}" '
-                f'text-anchor="end">{_esc(_tick_label(t, False))}</text>'
+                f'text-anchor="end">{_esc(_tick_label(t))}</text>'
             )
 
         out.append(
-            f'<text x="{m_left + pw // 2}" y="{self.height - 10}" '
+            f'<text x="{m_left + pw // 2}" y="{HEIGHT - 10}" '
             f'text-anchor="middle">{_esc(self.x_label)}</text>'
         )
         out.append(

@@ -133,8 +133,8 @@ def train(model: Model, dataset: Dataset, config: TrainConfig):
     if config.batch_size > n:
         raise ConfigError("batch_size exceeds training set size")
     rng = Rng(config.seed)
-    named = list(model.named_params())
-    for _, p in named:
+    params = model.params
+    for p in params.values():
         p.data = p.data.copy()
     state: dict = {}
     history = []
@@ -163,12 +163,12 @@ def train(model: Model, dataset: Dataset, config: TrainConfig):
                 raise DivergenceError(s, loss_val)
             loss.backward()
             grads = {}
-            for name, p in named:
+            for name, p in params.items():
                 grads[name] = p.grad if p.grad is not None \
                     else np.zeros_like(p.data)
             lr = lr_at(config, s)
-            sgd_step(named, grads, state, config, lr)
-            for _, p in named:
+            sgd_step(params.items(), grads, state, config, lr)
+            for p in params.values():
                 p.grad = None
             row = {"step": s, "loss": loss_val,
                    "aux": loss_val - data.item(), "lr": lr,

@@ -21,11 +21,9 @@ from moelab.checkpoint import (
 )
 from moelab.cli import EVAL_SEED_OFFSET, MEMBER_SEED_STRIDE, main
 from moelab.dataset import DatasetSpec, make_synthetic_dataset
-from moelab.gradcheck import finite_difference_check
 from moelab.layers import (
     BatchEnsembleDense,
     BeMLP,
-    BeMoeView,
     ExpertMLP,
     MoELayer,
     be_dense_forward,
@@ -40,6 +38,8 @@ from moelab.rng import Rng
 from moelab.routing import RouterParams, partitioned_gate
 from moelab.tensor import Tensor, dense, matmul, reshape, softmax, transpose, tsum
 from moelab.trainer import TrainConfig, evaluate, train
+
+from oracles import BeMoeView, finite_difference_check
 
 
 def report(n, ok, detail):

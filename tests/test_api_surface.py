@@ -16,14 +16,17 @@ Three checks over ``src/moelab``, each against the program files of
   through a ``*`` or ``**`` splat.  A function call is resolved through
   imports like a name reference; a method call ``x.<method>(...)`` counts
   for every public method of that name, with ``x`` bound to the first
-  parameter.
+  parameter.  The fields of a public dataclass that have a plain default
+  (not a ``field(...)``) count as parameters of its constructor, except
+  in a ``config.Record`` subclass, whose fields are config keys.
 
 A name, method or option the tests alone use is surface the package keeps
 working for no program; either something wires it or it goes.  ALLOWED
 lists the exceptions, each with its reason, as ``module.name``,
-``module.Class.method``, ``module.function.parameter`` or
-``module.Class.method.parameter``; an allowed name covers the methods and
-parameters it defines.
+``module.Class.method``, ``module.function.parameter``,
+``module.Class.method.parameter`` or ``module.Class.field``; an allowed
+name covers the methods and parameters it defines.  An entry must name
+something the scan reports, so one that is no longer needed fails too.
 """
 
 import ast
@@ -34,11 +37,6 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "moelab"
 
 ALLOWED = {
-    "cli.main": "entry point of the moelab console script",
-    "gradcheck.finite_difference_check":
-        "the reference the gradient tests compare the tape against",
-    "layers.BeMoeView":
-        "the reference the batch-ensemble equivalence tests compare against",
     "metrics.MetricAccumulator.merge":
         "the eval-sharding test of ROADMAP item 4 merges shard accumulators",
     "trainer.evaluate.batch_size":
@@ -197,31 +195,58 @@ def _passes(call: ast.Call, position, name, bound: int) -> bool:
     return 0 <= slot < len(call.args)
 
 
+def _called_name(expr):
+    """The last name of a Name or Attribute expression, else None."""
+    if isinstance(expr, ast.Name):
+        return expr.id
+    return expr.attr if isinstance(expr, ast.Attribute) else None
+
+
+def _plain_fields(cls):
+    """(position, name) of every field of a dataclass that has a plain
+    default, or [] for a class that is not a dataclass or is a config
+    Record."""
+    decorators = [_called_name(d.func if isinstance(d, ast.Call) else d)
+                  for d in cls.decorator_list]
+    if "dataclass" not in decorators or \
+            "Record" in [_called_name(b) for b in cls.bases]:
+        return []
+    fields = [n for n in cls.body if isinstance(n, ast.AnnAssign)
+              and isinstance(n.target, ast.Name)]
+    return [(i, f.target.id) for i, f in enumerate(fields)
+            if f.value is not None
+            and not (isinstance(f.value, ast.Call)
+                     and _called_name(f.value.func) == "field")]
+
+
 def _callables(sources):
-    """(qualified name, function node, how calls are matched) for every
-    public function and method: ("name", (module, name)) for a top-level
-    function, ("attr", method name) for a method."""
+    """(qualified name, definition node, how calls are matched, bound
+    parameters, defaulted parameters) for every public function, method
+    and dataclass constructor: ("name", (module, name)) for a top-level
+    function or class, ("attr", method name) for a method."""
     for module, node in _public_definitions(sources):
-        if not isinstance(node, ast.ClassDef):
-            yield f"{module}.{node.name}", node, ("name", (module, node.name))
+        defaulted = _plain_fields(node) if isinstance(node, ast.ClassDef) \
+            else _defaulted(node)
+        yield (f"{module}.{node.name}", node, ("name", (module, node.name)),
+               0, defaulted)
     for module, cls, fn in _public_methods(sources):
-        yield f"{module}.{cls.name}.{fn.name}", fn, ("attr", fn.name)
+        yield (f"{module}.{cls.name}.{fn.name}", fn, ("attr", fn.name), 1,
+               _defaulted(fn))
 
 
 def _unpassed_defaults(sources, uses):
     out = []
-    for qualname, fn, (kind, key) in _callables(sources):
-        bound = 1 if kind == "attr" else 0
+    for qualname, node, (kind, key), bound, defaulted in _callables(sources):
         calls = []
         for target, call, scope in uses.calls:
-            if fn in scope:
+            if node in scope:
                 continue
             if kind == "name" and target == key:
                 calls.append(call)
             elif kind == "attr" and isinstance(call.func, ast.Attribute) \
                     and call.func.attr == key:
                 calls.append(call)
-        for position, name in _defaulted(fn):
+        for position, name in defaulted:
             if not any(_passes(c, position, name, bound) for c in calls):
                 out.append(f"{qualname}.{name}")
     return out
@@ -243,29 +268,23 @@ def _unused(sources):
     return unused + _unpassed_defaults(sources, uses)
 
 
-def _defined(sources) -> set:
-    """Every qualified name ALLOWED may list."""
-    out = {f"{module}.{node.name}"
-           for module, node in _public_definitions(sources)}
-    for qualname, fn, _ in _callables(sources):
-        out.add(qualname)
-        out.update(f"{qualname}.{name}" for _, name in _defaulted(fn))
-    return out
-
-
-def _allowed(name) -> bool:
-    """Whether ALLOWED lists name or what defines it (the parameters of an
-    allowed function are allowed too)."""
-    return any(name == a or name.startswith(a + ".") for a in ALLOWED)
+def _covers(entry, name) -> bool:
+    """Whether an ALLOWED entry covers name: it is name or defines it (the
+    parameters of an allowed function are allowed too)."""
+    return name == entry or name.startswith(entry + ".")
 
 
 def test_every_public_name_has_a_caller():
-    unused = [name for name in _unused(_sources()) if not _allowed(name)]
+    unused = [name for name in _unused(_sources())
+              if not any(_covers(a, name) for a in ALLOWED)]
     assert not unused, (
         "public names, methods or parameter defaults no program file uses; "
         f"delete them or add them to ALLOWED with a reason: {unused}")
 
 
 def test_allowlist_names_exist():
-    stale = sorted(set(ALLOWED) - _defined(_sources()))
-    assert not stale, f"ALLOWED names nothing defines: {stale}"
+    unused = _unused(_sources())
+    stale = sorted(a for a in ALLOWED
+                   if not any(_covers(a, name) for name in unused))
+    assert not stale, ("ALLOWED entries that name nothing the scan reports "
+                       f"unused; delete them: {stale}")

@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from moelab.gradcheck import finite_difference_check
 from moelab.losses import (
     AuxLossState,
     LossConfig,
@@ -17,6 +16,8 @@ from moelab.losses import (
     total_loss,
 )
 from moelab.tensor import Tensor, matmul, reshape, softmax, transpose
+
+from oracles import finite_difference_check
 
 
 class TestMemberAvgCrossEntropy:

@@ -17,7 +17,6 @@ from moelab.checkpoint import (
     save_checkpoint,
 )
 from moelab.errors import ConfigError
-from moelab.gradcheck import finite_difference_check
 from moelab.layers import BeMLP, ExpertMLP, MoELayer
 from moelab.losses import AuxLossState, member_avg_cross_entropy, total_loss
 from moelab.metrics import MetricAccumulator
@@ -34,6 +33,8 @@ from moelab.model import (
 )
 from moelab.rng import Rng
 from moelab.tensor import Tensor
+
+from oracles import finite_difference_check
 
 
 def tiny_spec(**kw):
@@ -82,6 +83,14 @@ class TestModelSpec:
         spec = tiny_spec(variant="vmoe", layers=4, last_n=3,
                          contiguous_moe=True)
         assert spec.last_n == 3
+
+    def test_be_last_n_must_fit_the_placement(self):
+        # alternating placement from the top of 4 blocks has room for 2;
+        # a third BE block would sit at index -1
+        with pytest.raises(ConfigError, match="last_n"):
+            tiny_spec(variant="be", m=2, last_n=3)
+        spec = tiny_spec(variant="be", m=2, last_n=3, contiguous_moe=True)
+        assert spec.mlp_kinds == ("dense", "be", "be", "be")
 
     def test_rejects_bad_dropout(self):
         with pytest.raises(ConfigError):
@@ -155,6 +164,45 @@ class TestBlockPlacement:
     def test_contiguous(self):
         assert moe_block_positions(12, 2, contiguous=True) == [10, 11]
 
+    @pytest.mark.parametrize("variant,kw,kinds,tile_block", [
+        ("vit", {}, ("dense",) * 4, None),
+        ("mimo", {"m": 2}, ("dense",) * 4, None),
+        ("vmoe", {}, ("dense", "moe", "dense", "moe"), None),
+        ("only_tiling", {"m": 2}, ("dense", "moe", "dense", "moe"), 1),
+        ("pbe", {"m": 2}, ("dense", "pbe", "dense", "pbe"), 1),
+        ("pbe", {"m": 1}, ("dense", "pbe", "dense", "pbe"), None),
+        ("only_partitioning", {"m": 2},
+         ("dense", "only_partitioning", "dense", "only_partitioning"), None),
+        ("multihead", {"k": 2}, ("dense", "moe", "dense", "multihead"), None),
+        ("multihead", {"k": 2, "last_n": 1}, ("dense",) * 3 + ("multihead",),
+         None),
+        ("be", {"m": 2, "contiguous_moe": True},
+         ("dense", "dense", "be", "be"), 2),
+    ])
+    def test_layout(self, variant, kw, kinds, tile_block):
+        spec = tiny_spec(variant=variant, **kw)
+        assert spec.mlp_kinds == kinds
+        assert spec.tile_block == tile_block
+        model = build_model(spec, Rng(0))
+        modes = [getattr(b.mlp, "mode", None) for b in model.blocks]
+        assert modes == [k if k not in ("dense", "be") else None
+                         for k in kinds]
+
+    def test_params_table_order(self):
+        model = build_model(tiny_spec(variant="pbe", m=2, last_n=1), Rng(0))
+        names = list(model.params)
+        attn = [f"attn.{w}{c}" for c in "qkvo" for w in "wb"]
+        block = ["ln1.g", "ln1.b", *attn, "ln2.g", "ln2.b"]
+        mlp = ["mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2"]
+        moe = [f"mlp.experts.{e}.{w}" for e in range(4)
+               for w in ("w1", "b1", "w2", "b2")] + \
+            ["mlp.router.0.w", "mlp.router.1.w"]
+        assert names == ["embed.w", "embed.b", "cls", "pos"] + [
+            f"blocks.{i}.{n}" for i in range(4)
+            for n in block + (moe if i == 3 else mlp)] + \
+            ["final_ln.g", "final_ln.b", "head.w", "head.b"]
+        assert [n for n, _ in model.named_params()] == names
+
     def test_built_model_mlp_types(self):
         model = build_model(tiny_spec(variant="vmoe"), Rng(0))
         kinds = [type(b.mlp) for b in model.blocks]
@@ -214,8 +262,8 @@ class TestForwardContracts:
     def test_zero_head_gives_uniform(self):
         gen = np.random.default_rng(1)
         model = build_model(tiny_spec(), Rng(0))
-        model.head_w.data[:] = 0.0
-        model.head_b.data[:] = 0.0
+        model.params["head.w"].data[:] = 0.0
+        model.params["head.b"].data[:] = 0.0
         bundle = forward(model, images(gen), Rng(0))
         np.testing.assert_array_equal(bundle.ensemble_probs.data, 0.25)
 
@@ -505,7 +553,7 @@ class TestMimo:
 
     def test_head_width(self):
         model = build_model(tiny_spec(variant="mimo", m=3), Rng(24))
-        assert model.head_w.data.shape == (32, 12)
+        assert model.params["head.w"].data.shape == (32, 12)
 
     def test_rejects_wrong_channel_count(self):
         model = build_model(tiny_spec(variant="mimo", m=2), Rng(25))

@@ -14,7 +14,6 @@ from scipy import special
 
 import moelab
 from moelab.errors import ConfigError
-from moelab.gradcheck import finite_difference_check
 from moelab.layers import tile
 from moelab.rng import Rng
 from moelab.tensor import (
@@ -43,6 +42,8 @@ from moelab.tensor import (
     tsum,
 )
 from moelab.tensor import _ERF_CHUNK, _erf, _phi
+
+from oracles import finite_difference_check
 
 
 def test_dense_hand_example():

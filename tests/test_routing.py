@@ -12,7 +12,6 @@ from moelab.routing import (
     CapacityConfig,
     RouterParams,
     capacity_filter,
-    make_router,
     partitioned_gate,
 )
 from moelab.tensor import Tensor
@@ -102,7 +101,8 @@ def test_no_renormalization_after_topk():
 def test_noise_deterministic_per_key():
     gen = np.random.default_rng(3)
     h = Tensor(gen.normal(size=(4, 3)))
-    router = make_router([Tensor(gen.normal(size=(5, 3)))])
+    router = RouterParams([Tensor(gen.normal(size=(5, 3)))],
+                          noise_scale=1 / 5)
     a = partitioned_gate(h, router, 2, Rng(8), train=True,
                          noise_key=("route", 1, 7))
     b = partitioned_gate(h, router, 2, Rng(8), train=True,
@@ -116,7 +116,8 @@ def test_noise_deterministic_per_key():
 def test_eval_noise_off_by_default():
     gen = np.random.default_rng(4)
     h = Tensor(gen.normal(size=(4, 3)))
-    router = make_router([Tensor(gen.normal(size=(5, 3)))])
+    router = RouterParams([Tensor(gen.normal(size=(5, 3)))],
+                          noise_scale=1 / 5)
     a = partitioned_gate(h, router, 2, Rng(0))
     idx, wts = brute_force_topk(h.data @ router.weights[0].data.T, 2)
     np.testing.assert_array_equal(a.indices, idx)
