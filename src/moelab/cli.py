@@ -10,14 +10,19 @@ Subcommands:
     Expand a grid over variant, E, K and M, run each cell, and write one
     CSV row per cell with metrics and training FLOPs.  Besides the model
     variants the grid accepts two ensembling protocols: ``deep_ensemble``
-    (M independently trained routed models averaged at test time) and
-    ``mc_dropout`` (one dense model, M eval-time dropout draws).
+    (M independently trained vmoe models averaged at test time) and
+    ``mc_dropout`` (one vit model, M eval-time dropout draws).  A cell is
+    (spec, models trained, dropout draws): a variant is (spec, 1, 0),
+    deep_ensemble is (vmoe spec, M, 0) and mc_dropout is (vit spec, 1, M).
 
 ``analyze --mode {gain_map,normalized_improvement,pareto}``
     Turn result CSVs into tables and SVG scatter plots.
 
 ``flops --preset <name>``
     Print the analytic cost report for a model configuration.
+
+``run`` and every sweep cell train and evaluate their repetitions through
+one loop, ``_repetitions``.
 
 Exit codes: 0 success, 2 configuration error, 3 training divergence or
 evaluation failure.
@@ -155,35 +160,53 @@ def _summary_csv(flat_reports: list) -> bytes:
     return _csv_bytes(lines)
 
 
-def _train_one(spec: ModelSpec, dataset, tcfg: TrainConfig, seed: int):
-    model = build_model(spec, Rng(seed))
-    model, history = train(model, dataset, replace(tcfg, seed=seed))
-    return model, history
-
-
 def _write_config(config: ExperimentConfig, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     text = json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n"
     write_atomic(out_dir / "config.json", text.encode())
 
 
+def _repetitions(config: ExperimentConfig, spec: ModelSpec, n_models: int,
+                 mc_samples: int, datasets):
+    """Train and evaluate every repetition, repetition i on the i-th dataset.
+
+    Repetition i trains n_models models of spec at seeds seed + j *
+    MEMBER_SEED_STRIDE and evaluates them once: a lone model with
+    mc_samples dropout draws (0: its own members), or the n_models models
+    pooled as a deep ensemble.  Yields ([(model, history), ...], report).
+    """
+    tcfg = config.train
+    # deep_ensemble_flops(spec, n_models, ...) is this same product, and
+    # for one model 1 * x == x exactly
+    flops_giga = n_models * flops_estimate(spec, tcfg.steps,
+                                           tcfg.batch_size)
+    for i, dataset in enumerate(datasets):
+        seed = tcfg.seed + i
+        seeds = [seed + MEMBER_SEED_STRIDE * j for j in range(n_models)]
+        trained = [train(build_model(spec, Rng(s)), dataset,
+                         replace(tcfg, seed=s)) for s in seeds]
+        models = [model for model, _ in trained]
+        # one model is evaluated as itself, also as a deep ensemble of one:
+        # its vmoe spec has one member, and the mean over one member is exact
+        report = evaluate(
+            models[0] if n_models == 1 else None, dataset,
+            Rng(seed + EVAL_SEED_OFFSET),
+            models=None if n_models == 1 else models, mc_samples=mc_samples,
+            flops_giga=flops_giga)
+        yield trained, report
+
+
 def run_experiment(config: ExperimentConfig, out_dir: Path) -> list:
     """Train and evaluate every repetition; returns the EvalReports."""
     _write_config(config, out_dir)
-    flops_giga = flops_estimate(
-        config.model, config.train.steps, config.train.batch_size
-    )
+    # made one at a time as the loop reaches them, so one repetition's
+    # data is held at a time
+    datasets = (make_dataset(replace(config.dataset,
+                                     seed=config.dataset.seed + i))
+                for i in range(config.repetitions))
     reports = []
-    for i in range(config.repetitions):
-        seed = config.train.seed + i
-        dataset = make_dataset(
-            replace(config.dataset, seed=config.dataset.seed + i)
-        )
-        model, history = _train_one(config.model, dataset, config.train, seed)
-        report = evaluate(
-            model, dataset, Rng(seed + EVAL_SEED_OFFSET),
-            flops_giga=flops_giga,
-        )
+    for i, ([(model, history)], report) in enumerate(
+            _repetitions(config, config.model, 1, 0, datasets)):
         seed_dir = out_dir / f"seed_{i:03d}"
         seed_dir.mkdir(parents=True, exist_ok=True)
         write_atomic(seed_dir / "report.json",
@@ -196,57 +219,19 @@ def run_experiment(config: ExperimentConfig, out_dir: Path) -> list:
     return reports
 
 
-def _cell_spec(base: ModelSpec, variant: str, e: int, k: int, m: int):
-    """Resolve one sweep cell to (model spec, protocol, ensemble size)."""
+def _cell(base: ModelSpec, variant: str, e: int, k: int, m: int):
+    """Resolve one sweep cell to (model spec, n_models, mc_samples)."""
     if variant == "deep_ensemble":
-        spec = replace(base, variant="vmoe", e=e, k=k, m=1)
-        return spec, "deep_ensemble", m
+        return replace(base, variant="vmoe", e=e, k=k, m=1), m, 0
     if variant == "mc_dropout":
-        spec = replace(base, variant="vit", m=1)
-        return spec, "mc_dropout", m
+        # one dense model; the M draws cost only at eval
+        return replace(base, variant="vit", m=1), 1, m
     if variant not in VARIANTS:
         raise ConfigError(
             f"unknown sweep variant {variant!r}; allowed "
             f"{sorted(VARIANTS + SWEEP_PROTOCOLS)}"
         )
-    return replace(base, variant=variant, e=e, k=k, m=m), "single", m
-
-
-def _cell_flops(spec: ModelSpec, protocol: str, m: int,
-                tcfg: TrainConfig) -> float:
-    if protocol == "deep_ensemble":
-        return deep_ensemble_flops(spec, m, tcfg.steps, tcfg.batch_size)
-    # mc_dropout trains one dense model; the M draws only cost at eval
-    return flops_estimate(spec, tcfg.steps, tcfg.batch_size)
-
-
-def _run_cell(config: ExperimentConfig, spec: ModelSpec, protocol: str,
-              m: int, datasets: list) -> list:
-    """All repetitions of one sweep cell, repetition i on datasets[i];
-    returns flattened reports."""
-    flops_giga = _cell_flops(spec, protocol, m, config.train)
-    flat = []
-    for i, dataset in enumerate(datasets):
-        seed = config.train.seed + i
-        eval_rng = Rng(seed + EVAL_SEED_OFFSET)
-        if protocol == "deep_ensemble":
-            models = [
-                _train_one(spec, dataset, config.train,
-                           seed + MEMBER_SEED_STRIDE * j)[0]
-                for j in range(m)
-            ]
-            report = evaluate(None, dataset, eval_rng, models=models,
-                              flops_giga=flops_giga)
-        elif protocol == "mc_dropout":
-            model, _ = _train_one(spec, dataset, config.train, seed)
-            report = evaluate(model, dataset, eval_rng, mc_samples=m,
-                              flops_giga=flops_giga)
-        else:
-            model, _ = _train_one(spec, dataset, config.train, seed)
-            report = evaluate(model, dataset, eval_rng,
-                              flops_giga=flops_giga)
-        flat.append(_flatten_report(report))
-    return flat
+    return replace(base, variant=variant, e=e, k=k, m=m), 1, 0
 
 
 SWEEP_METRICS = ("nll", "error_pct", "ece", "kl_diversity")
@@ -271,8 +256,9 @@ def run_sweep(config: ExperimentConfig, out_dir: Path) -> Path:
                                      seed=config.dataset.seed + i))
                 for i in range(config.repetitions)]
     for variant, e, k, m in itertools.product(variants, es, ks, ms):
-        spec, protocol, m_eff = _cell_spec(config.model, variant, e, k, m)
-        flat = _run_cell(config, spec, protocol, m_eff, datasets)
+        flat = [_flatten_report(report) for _, report in
+                _repetitions(config, *_cell(config.model, variant, e, k, m),
+                             datasets)]
         row = [variant, str(e), str(k), str(m)]
         for name in SWEEP_METRICS:
             values = [fr.get(name) for fr in flat]

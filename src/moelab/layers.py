@@ -37,14 +37,13 @@ for a one-image batch or member block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .rng import Rng
-from .routing import (CapacityConfig, RouterParams, capacity_filter,
-                      partitioned_gate)
+from .routing import RouterParams, capacity_filter, partitioned_gate
 from .tensor import (Tensor, concat, expert_dispatch, gelu, matmul, mlp,
                      take_rows)
 
@@ -93,7 +92,7 @@ class MoELayer:
     router: RouterParams
     k: int
     mode: str = "moe"
-    capacity: CapacityConfig = field(default_factory=CapacityConfig)
+    capacity_ratio: float | None = None  # None: no per-expert budget
     dropout_rate: float = 0.1
 
     def __post_init__(self):
@@ -140,7 +139,7 @@ def layer_forward(h: Tensor, layer: MoELayer, rng: Rng, *, train: bool = False,
     decision = partitioned_gate(h, layer.router, layer.k, rng,
                                 tiled=layer.mode != "only_partitioning",
                                 train=train, noise_key=noise_key)
-    decision = capacity_filter(decision, layer.capacity, layer.e)
+    decision = capacity_filter(decision, layer.capacity_ratio, layer.e)
     if dropout_on is None:
         dropout_on = train
     # kept assignments, slot-major; a stable sort on (slot, expert) groups

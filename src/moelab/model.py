@@ -2,8 +2,9 @@
 
 One Model class covers all variants: a plain ViT, a sparse-MoE ViT, the
 partitioned batch-ensemble family (tiled inputs routed inside per-member
-expert blocks), multi-head routing, batch-ensemble dense layers, MIMO, and
-MC-dropout / deep-ensemble prediction wrappers on top.
+expert blocks), multi-head routing, batch-ensemble dense layers and MIMO.
+ensemble_predict pools eval forwards on top: the members of a deep
+ensemble, or the dropout draws of MC dropout.
 
 The variants differ only in which blocks carry which MLP and where the
 rows are tiled.  ModelSpec states that once: mlp_kinds gives each block's
@@ -50,7 +51,7 @@ from .errors import ConfigError, EvaluationError
 from .layers import (BatchEnsembleDense, BeMLP, ExpertMLP, MoELayer,
                      dropout_mask, layer_forward, tile)
 from .rng import Rng
-from .routing import CapacityConfig, RouterParams
+from .routing import RouterParams
 from .tensor import (Tensor, concat, dense, layernorm, matmul, no_grad,
                      reshape, softmax, take_rows, tmean, transpose)
 
@@ -322,7 +323,7 @@ def build_model(spec: ModelSpec, rng: Rng) -> Model:
             noise_multiplier=spec.noise_multiplier,
             eval_noise_enabled=spec.resolved_eval_noise())
         return MoELayer(experts, router, spec.k, mode=kind,
-                        capacity=CapacityConfig(spec.capacity_ratio),
+                        capacity_ratio=spec.capacity_ratio,
                         dropout_rate=spec.dropout_rate)
 
     d, f = spec.hidden, spec.mlp_dim
@@ -507,34 +508,23 @@ def _forward(model, images, rng, train, step, mc_sample, want_features):
     return PredictionBundle(member_probs, ensemble_probs, decisions, features)
 
 
-def mc_dropout_predict(model: Model, images, n_samples: int,
-                       rng: Rng) -> PredictionBundle:
-    """Eval-time ensemble from n_samples independent dropout masks."""
-    if n_samples < 1:
-        raise ConfigError("n_samples must be >= 1")
-    if model.spec.dropout_rate == 0.0:
-        warnings.warn("dropout_rate is 0; MC-dropout members are identical")
-    stacks = []
-    for s in range(n_samples):
-        bundle = forward(model, images, rng, train=False, mc_sample=s)
-        ens = bundle.ensemble_probs.data
-        stacks.append(ens[None, :, :])
-    member = Tensor(np.concatenate(stacks, axis=0))
-    return PredictionBundle(member, Tensor(member.data.mean(axis=0)))
+def ensemble_predict(passes, images, rng: Rng, *,
+                     want_features: bool = False) -> PredictionBundle:
+    """Pool eval forwards; each (model, mc_sample) pass is one member.
 
-
-def deep_ensemble_predict(models, images, rng: Rng | None = None, *,
-                          want_features: bool = False) -> PredictionBundle:
-    """Pool independently trained models; each contributes one member.
-
-    With want_features, member_features stacks every model's
-    member_features along the member axis, in model order.
+    A deep ensemble passes (model, None) per trained model; MC dropout
+    passes (model, s) per dropout draw s of one model.  A member's
+    probabilities are its pass's ensemble_probs, and ensemble_probs is
+    their mean.  With want_features, member_features stacks every pass's
+    member_features along the member axis, in pass order.
     """
-    if not models:
-        raise ConfigError("need at least one model")
-    rng = rng or Rng(0)
-    bundles = [forward(mdl, images, rng, train=False,
-                       want_features=want_features) for mdl in models]
+    if not passes:
+        raise ConfigError("need at least one (model, mc_sample) pass")
+    if any(s is not None and mdl.spec.dropout_rate == 0.0
+           for mdl, s in passes):
+        warnings.warn("dropout_rate is 0; MC-dropout members are identical")
+    bundles = [forward(mdl, images, rng, train=False, mc_sample=s,
+                       want_features=want_features) for mdl, s in passes]
     member = Tensor(np.concatenate(
         [b.ensemble_probs.data[None, :, :] for b in bundles], axis=0))
     features = None

@@ -59,21 +59,6 @@ class RouterParams:
 
 
 @dataclass
-class CapacityConfig:
-    """Per-expert token budget; ratio None means unbounded (desk-scale default)."""
-
-    ratio: float | None = None
-
-    def __post_init__(self):
-        if self.ratio is not None and self.ratio <= 0:
-            raise ConfigError("capacity ratio must be positive or None")
-
-    @property
-    def bounded(self) -> bool:
-        return self.ratio is not None
-
-
-@dataclass
 class RoutingDecision:
     """Per-token expert selection.
 
@@ -168,17 +153,18 @@ def partitioned_gate(h: Tensor, router: RouterParams, k: int, rng: Rng, *,
     )
 
 
-def capacity_filter(decision: RoutingDecision, cap: CapacityConfig,
+def capacity_filter(decision: RoutingDecision, ratio: float | None,
                     e_total: int) -> RoutingDecision:
     """Drop assignments beyond ceil(C*N*K/E) per expert, in row-major fill order.
 
-    Dropped slots keep their weight value but are masked; dispatch treats
-    them as zero contribution.  Unbounded capacity returns the input as-is.
+    C is the capacity ratio.  Dropped slots keep their weight value but are
+    masked; dispatch treats them as zero contribution.  ratio None means no
+    per-expert budget (the desk-scale default) and returns the input as-is.
     """
-    if not cap.bounded:
+    if ratio is None:
         return decision
     n, slots = decision.indices.shape
-    capacity = math.ceil(cap.ratio * n * decision.k / e_total)
+    capacity = math.ceil(ratio * n * decision.k / e_total)
     flat_ids = decision.indices.reshape(-1)
     dropped = decision.dropped_mask.reshape(-1).copy()
     for e in range(e_total):

@@ -24,7 +24,7 @@ from .losses import AuxLossState, LossConfig, member_avg_cross_entropy, \
     total_loss
 from .metrics import EvalReport, MetricAccumulator, fewshot_probe, \
     ood_metrics, ood_scores
-from .model import Model, deep_ensemble_predict, forward, mc_dropout_predict
+from .model import Model, ensemble_predict, forward
 from .rng import Rng
 
 SCHEDULES = ("constant", "cosine", "warmup_cosine")
@@ -75,14 +75,12 @@ def lr_at(config: TrainConfig, step: int) -> float:
 
 
 def sgd_step(named_params, grads: dict, state: dict, config: TrainConfig,
-             lr: float | None = None) -> dict:
+             lr: float) -> dict:
     """Global-norm clip, then v <- beta v + g and p <- p - lr v.
 
     Both updates write in place: the velocity arrays in `state` and every
     parameter's data array.
     """
-    if lr is None:
-        lr = config.base_lr
     sq = 0.0
     for name, _ in named_params:
         g = grads[name]
@@ -231,12 +229,15 @@ def evaluate(model: Model | None, dataset: Dataset, rng: Rng, *,
     if any(int(shots) < 1 for shots in fewshot_shots):
         raise ConfigError("fewshot_shots must all be >= 1")
 
+    # models pool one member per model, mc_samples one per dropout draw;
+    # a lone model reports its own members
+    passes = [(mdl, None) for mdl in models or ()] + \
+        [(model, s) for s in range(mc_samples)]
+
     def predict(images, want_features=False):
-        if models is not None:
-            return deep_ensemble_predict(models, images, rng,
-                                         want_features=want_features)
-        if mc_samples > 0:
-            return mc_dropout_predict(model, images, mc_samples, rng)
+        if model is None or mc_samples:
+            return ensemble_predict(passes, images, rng,
+                                    want_features=want_features)
         return forward(model, images, rng, train=False,
                        want_features=want_features)
 

@@ -6,7 +6,10 @@ norm (1.3 to 3.2 here), so the order in which the clip norm sums the
 parameters reaches the trained numbers.  Each entry hashes every trained
 model's checkpoint and history.csv bytes, its named_params() name
 sequence and the report.json bytes; the "analyze" entry hashes what the
-three ``moelab analyze`` modes write.  The digests must equal GOLDEN,
+three ``moelab analyze`` modes write, and the "cli_run" and "cli_sweep"
+entries hash every file a toy ``moelab run`` (2 repetitions) and ``moelab
+sweep`` (pbe, deep_ensemble and mc_dropout at M 1 and 2, 2 repetitions)
+write.  The digests must equal GOLDEN,
 which was made by the code before a refactor, so a change that claims no
 numeric change is judged against the bytes of its parent and not only
 against a second run of itself.
@@ -61,6 +64,13 @@ ENTRIES = {
     "mimo": ("mimo", {"m": 2}, "single", 1),
     "deep_ensemble": ("vmoe", {}, "deep_ensemble", 2),
     "mc_dropout": ("vit", {}, "mc_dropout", 1),
+}
+
+# entry: (command, config overrides) of a CLI call on the pbe spec
+CLI_TREES = {
+    "cli_run": ("run", {"repetitions": 2}),
+    "cli_sweep": ("sweep", {"repetitions": 2, "grid": {
+        "variant": ["pbe", "deep_ensemble", "mc_dropout"], "m": [1, 2]}}),
 }
 
 GAIN_MAP_CSV = b"k,m,metric,gflops\n1,1,0.8,1.0\n1,2,0.7,2.0\n" \
@@ -133,12 +143,30 @@ def _analyze_digests(reports: dict, work: Path) -> dict:
     return {p.name: _digest(p.read_bytes()) for p in sorted(out.iterdir())}
 
 
+def _cli_tree_digests(name, work: Path) -> dict:
+    """Every file one CLI call writes, by path under its output dir."""
+    command, overrides = CLI_TREES[name]
+    config = work / f"{name}.json"
+    config.write_text(json.dumps({
+        "model": ModelSpec(variant="pbe", m=2).to_dict(),
+        "train": TRAIN.to_dict(), "dataset": DATA.to_dict(), **overrides}),
+        encoding="utf-8")
+    out = work / name
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([command, "--config", str(config),
+                     "--output-dir", str(out)]) == 0
+    return {p.relative_to(out).as_posix(): _digest(p.read_bytes())
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
 def compute(work: Path) -> dict:
     dataset = make_dataset(DATA)
     digests, reports = {}, {}
     for name in ENTRIES:
         digests[name], reports[name] = _entry_digests(name, dataset, work)
     digests["analyze"] = _analyze_digests(reports, work)
+    for name in CLI_TREES:
+        digests[name] = _cli_tree_digests(name, work)
     return digests
 
 
@@ -170,7 +198,7 @@ def digests(tmp_path_factory):
     return compute(tmp_path_factory.mktemp("golden"))
 
 
-@pytest.mark.parametrize("entry", [*ENTRIES, "analyze"])
+@pytest.mark.parametrize("entry", [*ENTRIES, "analyze", *CLI_TREES])
 def test_bytes_match_golden_table(digests, entry):
     want = _load_table()["digests"][entry]
     moved = sorted(k for k in set(want) | set(digests[entry])
@@ -179,7 +207,8 @@ def test_bytes_match_golden_table(digests, entry):
 
 
 def test_table_covers_every_entry():
-    assert sorted(_load_table()["digests"]) == sorted([*ENTRIES, "analyze"])
+    assert sorted(_load_table()["digests"]) == sorted(
+        [*ENTRIES, "analyze", *CLI_TREES])
 
 
 if __name__ == "__main__":

@@ -23,9 +23,8 @@ from moelab.metrics import MetricAccumulator
 from moelab.model import (
     ModelSpec,
     build_model,
-    deep_ensemble_predict,
+    ensemble_predict,
     forward,
-    mc_dropout_predict,
     moe_block_positions,
     patchify,
     preset,
@@ -479,7 +478,8 @@ class TestMcDropout:
         gen = np.random.default_rng(16)
         model = build_model(tiny_spec(dropout_rate=0.0), Rng(17))
         with pytest.warns(UserWarning):
-            bundle = mc_dropout_predict(model, images(gen), 3, Rng(0))
+            bundle = ensemble_predict([(model, s) for s in range(3)],
+                                      images(gen), Rng(0))
         np.testing.assert_array_equal(bundle.member_probs.data[0],
                                       bundle.member_probs.data[1])
         np.testing.assert_array_equal(bundle.member_probs.data[0],
@@ -489,7 +489,7 @@ class TestMcDropout:
         gen = np.random.default_rng(17)
         model = build_model(tiny_spec(dropout_rate=0.2), Rng(18))
         x = images(gen)
-        bundle = mc_dropout_predict(model, x, 1, Rng(5))
+        bundle = ensemble_predict([(model, 0)], x, Rng(5))
         single = forward(model, x, Rng(5), mc_sample=0)
         np.testing.assert_array_equal(bundle.member_probs.data[0],
                                       single.ensemble_probs.data)
@@ -498,15 +498,11 @@ class TestMcDropout:
         gen = np.random.default_rng(18)
         model = build_model(tiny_spec(dropout_rate=0.3), Rng(19))
         x = images(gen)
-        a = mc_dropout_predict(model, x, 4, Rng(7)).member_probs.data
-        b = mc_dropout_predict(model, x, 4, Rng(7)).member_probs.data
+        passes = [(model, s) for s in range(4)]
+        a = ensemble_predict(passes, x, Rng(7)).member_probs.data
+        b = ensemble_predict(passes, x, Rng(7)).member_probs.data
         np.testing.assert_array_equal(a, b)
         assert np.abs(a[0] - a[1]).max() > 0
-
-    def test_rejects_zero_samples(self):
-        model = build_model(tiny_spec(dropout_rate=0.1), Rng(0))
-        with pytest.raises(ConfigError):
-            mc_dropout_predict(model, np.zeros((1, 8, 8, 3)), 0, Rng(0))
 
 
 class TestDeepEnsemble:
@@ -514,7 +510,7 @@ class TestDeepEnsemble:
         gen = np.random.default_rng(19)
         model = build_model(tiny_spec(), Rng(20))
         x = images(gen)
-        bundle = deep_ensemble_predict([model, model], x)
+        bundle = ensemble_predict([(model, None)] * 2, x, Rng(0))
         single = forward(model, x, Rng(0))
         np.testing.assert_array_equal(bundle.ensemble_probs.data,
                                       single.ensemble_probs.data)
@@ -523,7 +519,8 @@ class TestDeepEnsemble:
         gen = np.random.default_rng(20)
         models = [build_model(tiny_spec(), Rng(21 + j)) for j in range(3)]
         x = images(gen)
-        bundle = deep_ensemble_predict(models, x)
+        bundle = ensemble_predict([(mm, None) for mm in models], x,
+                                  Rng(0))
         singles = [forward(mm, x, Rng(0)).ensemble_probs.data for mm in models]
         np.testing.assert_allclose(bundle.ensemble_probs.data,
                                    np.mean(singles, axis=0), atol=1e-15)
@@ -533,13 +530,15 @@ class TestDeepEnsemble:
         models = [build_model(tiny_spec(), Rng(30 + j)) for j in range(3)]
         x = images(gen, n=16)
         labels = gen.integers(0, 4, size=16)
-        bundle = deep_ensemble_predict(models, x)
+        bundle = ensemble_predict([(mm, None) for mm in models], x,
+                                  Rng(0))
         out = metrics_of(bundle.member_probs, labels)
         assert out["nll"] <= out["member_nll"] + 1e-12
 
     def test_rejects_empty_list(self):
+        # no models, and zero MC-dropout draws of a model, are both no passes
         with pytest.raises(ConfigError):
-            deep_ensemble_predict([], np.zeros((1, 8, 8, 3)))
+            ensemble_predict([], np.zeros((1, 8, 8, 3)), Rng(0))
 
 
 class TestMimo:

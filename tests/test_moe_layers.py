@@ -15,8 +15,7 @@ from moelab.layers import (
     tile,
 )
 from moelab.rng import Rng
-from moelab.routing import (CapacityConfig, RouterParams, capacity_filter,
-                            partitioned_gate)
+from moelab.routing import RouterParams, capacity_filter, partitioned_gate
 from moelab.tensor import (Tensor, _node, expert_dispatch, mlp, mul, reshape,
                            take_rows, tsum)
 
@@ -113,7 +112,7 @@ class TestMoeForward:
     def test_dropped_slots_contribute_zero(self):
         gen = np.random.default_rng(4)
         layer = make_layer(gen, e=2, k=1)
-        layer.capacity = CapacityConfig(0.5)
+        layer.capacity_ratio = 0.5
         # all tokens route to one expert; over-capacity tokens output zero
         layer.router.weights[0].data[:] = np.array([[5.0, 5.0, 5.0],
                                                     [-5.0, -5.0, -5.0]])
@@ -471,7 +470,7 @@ def per_pair_layer_forward(h, layer, rng, *, train=False, dropout_on=None,
     decision = partitioned_gate(h, layer.router, layer.k, rng,
                                 tiled=layer.mode != "only_partitioning",
                                 train=train, noise_key=noise_key)
-    decision = capacity_filter(decision, layer.capacity, layer.e)
+    decision = capacity_filter(decision, layer.capacity_ratio, layer.e)
     if dropout_on is None:
         dropout_on = train
     values, rows, slots = [], [], []
@@ -576,7 +575,7 @@ class TestExpertDispatchBitwise:
             gen = np.random.default_rng(33)
             layer = make_layer(gen, e=e, k=k, d=3, f=5, mode=mode, m=m,
                                noise=0.3)
-            layer.capacity = CapacityConfig(capacity)
+            layer.capacity_ratio = capacity
             layer.dropout_rate = 0.4
             leaf = Tensor(gen.normal(size=(4, 4, 3)), requires_grad=True)
             h = reshape(leaf * 2.0, (16, 3))

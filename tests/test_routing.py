@@ -9,7 +9,6 @@ import pytest
 from moelab.errors import ConfigError
 from moelab.rng import Rng
 from moelab.routing import (
-    CapacityConfig,
     RouterParams,
     capacity_filter,
     partitioned_gate,
@@ -304,21 +303,17 @@ class TestCapacity:
 
     def test_unbounded_is_identity(self):
         dec = self._one_expert_decision(4)
-        out = capacity_filter(dec, CapacityConfig(None), 2)
+        out = capacity_filter(dec, None, 2)
         assert out is dec
 
     def test_hand_fill_order(self):
         # capacity = ceil(0.5 * 4 * 1 / 2) = 1: only the first token stays
         dec = self._one_expert_decision(4)
-        out = capacity_filter(dec, CapacityConfig(0.5), 2)
+        out = capacity_filter(dec, 0.5, 2)
         np.testing.assert_array_equal(out.dropped_mask[:, 0],
                                       [False, True, True, True])
 
     def test_eval_slack_never_drops(self):
         dec = self._one_expert_decision(4)
-        out = capacity_filter(dec, CapacityConfig(8.0), 2)
+        out = capacity_filter(dec, 8.0, 2)
         assert not out.dropped_mask.any()
-
-    def test_invalid_ratio_rejected(self):
-        with pytest.raises(ConfigError):
-            CapacityConfig(0.0)

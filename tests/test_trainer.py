@@ -115,21 +115,21 @@ class TestSgdStep:
         named = self.params([[1.0, 2.0]])
         grads = {"p0": np.array([0.5, -0.5])}
         cfg = TrainConfig(momentum=0.0, base_lr=1.0, clip_norm=10.0)
-        sgd_step(named, grads, {}, cfg)
+        sgd_step(named, grads, {}, cfg, cfg.base_lr)
         np.testing.assert_array_equal(named[0][1].data, [0.5, 2.5])
 
     def test_clip_scales_exactly_half(self):
         named = self.params([[0.0] * 4])
         g = np.full(4, 10.0)  # norm 20
         cfg = TrainConfig(momentum=0.0, base_lr=1.0, clip_norm=10.0)
-        sgd_step(named, {"p0": g}, {}, cfg)
+        sgd_step(named, {"p0": g}, {}, cfg, cfg.base_lr)
         np.testing.assert_array_equal(named[0][1].data, -5.0 * np.ones(4))
 
     def test_zero_grads_decay_velocity(self):
         named = self.params([[1.0]])
         state = {"p0": np.array([2.0])}
         cfg = TrainConfig(momentum=0.9, base_lr=0.0, clip_norm=10.0)
-        sgd_step(named, {"p0": np.zeros(1)}, state, cfg)
+        sgd_step(named, {"p0": np.zeros(1)}, state, cfg, cfg.base_lr)
         np.testing.assert_allclose(state["p0"], [1.8], atol=1e-15)
         np.testing.assert_array_equal(named[0][1].data, [1.0])
 
@@ -144,7 +144,7 @@ class TestSgdStep:
             before = {k: v.copy() for k, v in grads.items()}
             sq = sum(float(np.sum(g * g)) for g in before.values())
             scale = min(1.0, 5.0 / math.sqrt(sq))
-            state = sgd_step(named, grads, {}, cfg)
+            state = sgd_step(named, grads, {}, cfg, cfg.base_lr)
             eff = math.sqrt(sum(float(np.sum(v * v))
                                 for v in state.values()))
             assert eff <= 5.0 + 1e-9
@@ -155,8 +155,8 @@ class TestSgdStep:
         named = self.params([[0.0]])
         cfg = TrainConfig(momentum=0.5, base_lr=1.0, clip_norm=100.0)
         state = {}
-        sgd_step(named, {"p0": np.array([1.0])}, state, cfg)
-        sgd_step(named, {"p0": np.array([1.0])}, state, cfg)
+        sgd_step(named, {"p0": np.array([1.0])}, state, cfg, cfg.base_lr)
+        sgd_step(named, {"p0": np.array([1.0])}, state, cfg, cfg.base_lr)
         # v1 = 1, v2 = 0.5 + 1 = 1.5; p = -(1 + 1.5)
         np.testing.assert_allclose(named[0][1].data, [-2.5], atol=1e-15)
 
@@ -171,7 +171,7 @@ class TestSgdStep:
         for step in range(5):
             grads = {n: gen.normal(size=p.data.shape) * 3 for n, p in named}
             arrays = [p.data for _, p in named]
-            sgd_step(named, grads, state, cfg, lr=0.1 / (step + 1))
+            sgd_step(named, grads, state, cfg, 0.1 / (step + 1))
             assert all(p.data is a for (_, p), a in zip(named, arrays))
             gnorm = math.sqrt(sum(float(np.sum(g * g))
                                   for g in grads.values()))
