@@ -410,6 +410,9 @@ def _spec_from_flags(args) -> ModelSpec:
 
 
 def _cmd_flops(args) -> int:
+    for name in ("steps", "batch_size", "ensemble"):
+        if getattr(args, name) < 1:
+            raise ConfigError(f"--{name.replace('_', '-')} must be >= 1")
     spec = _spec_from_flags(args)
     tiling = "naive" if args.naive else "deferred"
     report = flops_forward(spec, tiling=tiling)

@@ -121,16 +121,22 @@ def make_synthetic_dataset(spec: DatasetSpec) -> Dataset:
 def load_csv_split(path, image_size: int, channels: int):
     """One row per example: integer label, then row-major float pixels."""
     want = image_size * image_size * channels
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = [(i, row) for i, row in enumerate(csv.reader(fh)) if row]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"cannot read csv split {path}: {exc}") from None
     labels, pixels = [], []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for i, row in enumerate(csv.reader(fh)):
-            if not row:
-                continue
-            if len(row) != want + 1:
-                raise ConfigError(f"{path}: row {i} has {len(row)} columns, "
-                                  f"expected {want + 1}")
+    for i, row in rows:
+        if len(row) != want + 1:
+            raise ConfigError(f"{path}: row {i} has {len(row)} columns, "
+                              f"expected {want + 1}")
+        try:
             labels.append(int(row[0]))
             pixels.append([float(v) for v in row[1:]])
+        except ValueError:
+            raise ConfigError(f"{path}: row {i} is not an integer label "
+                              "followed by numeric pixels") from None
     if not labels:
         raise ConfigError(f"{path}: no rows")
     x = np.asarray(pixels).reshape(len(labels), image_size, image_size,

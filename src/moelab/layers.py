@@ -8,21 +8,24 @@ dispatch core:
 * only_partitioning -- untiled rows routed in every block (K*M experts)
 * multihead         -- top-K contributions stacked into K slots, not summed
 
-plus the rank-1 batch-ensemble dense layer and tile, the member-major
-batch tiling.
+plus the rank-1 batch-ensemble MLP and tile, the member-major batch
+tiling.
+
+Every MLP here is one tape node on tensor.py's MLP kernel: ExpertMLP and
+BeMLP through ``mlp``, a MoE layer through ``expert_dispatch``.
 
 Dispatch is one ``expert_dispatch`` tape node per layer.  The kept (row,
 slot) assignments are gathered once, grouped into one segment per (slot,
 expert) pair, slot-major with experts ascending; each segment runs its
-expert's GEMMs, and the node scales every output by its gate weight, writes
-it into an N x S x Q slot buffer and sums the slots left to right (moe) or
-returns the buffer (multihead).  Summing slot by slot makes "sum of
-multihead slots == moe output" hold bitwise, not just approximately.  Pairs
-are never grouped across slots, and the GEMMs are never batched across
-segments: either would change roundings (a 1-row segment runs as a
-matrix-vector product) or reorder the accumulation of the expert-weight
-gradients, and move trained numbers.  Each segment's dropout mask is drawn
-from its own (slot, expert) stream.
+expert's GEMMs as one span of the kernel, and the node scales every output
+by its gate weight, writes it into an N x S x Q slot buffer and sums the
+slots left to right (moe) or returns the buffer (multihead).  Summing slot
+by slot makes "sum of multihead slots == moe output" hold bitwise, not
+just approximately.  Pairs are never grouped across slots, and the GEMMs
+are never batched across segments: either would change roundings (a 1-row
+segment runs as a matrix-vector product) or reorder the accumulation of
+the expert-weight gradients, and move trained numbers.  Each segment's
+dropout mask is drawn from its own (slot, expert) stream.
 
 An eval forward wants only some rows of its last MoE layer (layer_forward's
 rows), and a segment then keeps only their assignments.  A row of a GEMM
@@ -31,8 +34,9 @@ kept rows' outputs do not change, with one exception, the 2-row rule: a
 segment left with one row of a longer segment would drop to the
 matrix-vector path, so it runs that row twice and keeps the first result
 (tensor.matmul_rows).  A segment that had one row to begin with stays on
-the vector path.  The dense and batch-ensemble MLPs follow the same rule
-for a one-image batch or member block.
+the vector path.  The kernel applies this rule to every span by its full
+row count, so the dense and batch-ensemble MLPs keep it too, for a
+one-image batch or member block.
 """
 
 from __future__ import annotations
@@ -44,8 +48,7 @@ import numpy as np
 from .errors import ConfigError
 from .rng import Rng
 from .routing import RouterParams, capacity_filter, partitioned_gate
-from .tensor import (Tensor, concat, expert_dispatch, gelu, matmul, mlp,
-                     take_rows)
+from .tensor import Tensor, concat, expert_dispatch, mlp, take_rows
 
 # ----------------------------------------------------------------------
 # experts
@@ -227,28 +230,13 @@ class BatchEnsembleDense:
         return len(self.r)
 
 
-def be_dense_forward(h_tiled: Tensor, be: BatchEnsembleDense,
-                     full_rows: int | None = None) -> Tensor:
-    """Member-m rows -> ((h * r_m) U) * s_m, on the member-major tiled layout.
-
-    full_rows, when the rows were cut from a longer tiled input, keeps each
-    member block's bits as in tensor.matmul_rows.
-    """
-    n = h_tiled.data.shape[0]
-    if n % be.m != 0:
-        raise ConfigError(f"tiled row count {n} not divisible by M={be.m}")
-    b = n // be.m
-    full_b = None if full_rows is None else full_rows // be.m
-    outs = []
-    for mm in range(be.m):
-        h_m = take_rows(h_tiled, np.arange(mm * b, (mm + 1) * b))
-        outs.append(matmul(h_m * be.r[mm], be.u, full_b) * be.s[mm])
-    return concat(outs, axis=0)
-
-
 @dataclass
 class BeMLP:
-    """Transformer MLP with both dense layers batch-ensembled; biases shared."""
+    """Transformer MLP with both dense layers batch-ensembled; biases shared.
+
+    One tensor.mlp node: each member's block of the member-major tiled rows
+    runs ((h * r_m) U) * s_m + b in both layers.
+    """
 
     be1: BatchEnsembleDense
     b1: Tensor
@@ -257,10 +245,13 @@ class BeMLP:
 
     def forward(self, x_tiled: Tensor, dropout_mask_: np.ndarray | None = None,
                 full_rows: int | None = None) -> Tensor:
-        hidden = gelu(be_dense_forward(x_tiled, self.be1, full_rows) + self.b1)
-        if dropout_mask_ is not None:
-            hidden = hidden * Tensor(dropout_mask_)
-        return be_dense_forward(hidden, self.be2, full_rows) + self.b2
+        n = x_tiled.data.shape[0]
+        if n % self.m != 0:
+            raise ConfigError(
+                f"tiled row count {n} not divisible by M={self.m}")
+        members = list(zip(self.be1.r, self.be1.s, self.be2.r, self.be2.s))
+        return mlp(x_tiled, self.be1.u, self.b1, self.be2.u, self.b2,
+                   dropout_mask_, full_rows, members)
 
     @property
     def m(self) -> int:

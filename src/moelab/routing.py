@@ -76,10 +76,6 @@ class RoutingDecision:
     sigma: float = 0.0
     k: int = 1
 
-    @property
-    def n_tokens(self) -> int:
-        return self.indices.shape[0]
-
 
 def _topk_desc(p: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest entries per row, descending, ties to lower index."""
@@ -155,16 +151,18 @@ def partitioned_gate(h: Tensor, router: RouterParams, k: int, rng: Rng, *,
 
 def capacity_filter(decision: RoutingDecision, ratio: float | None,
                     e_total: int) -> RoutingDecision:
-    """Drop assignments beyond ceil(C*N*K/E) per expert, in row-major fill order.
+    """Drop assignments beyond ceil(C*N*S/E) per expert, in row-major fill order.
 
-    C is the capacity ratio.  Dropped slots keep their weight value but are
-    masked; dispatch treats them as zero contribution.  ratio None means no
-    per-expert budget (the desk-scale default) and returns the input as-is.
+    C is the capacity ratio and S the slots per row: K, or K*M for
+    only_partitioning, which routes every row in each of its M blocks.
+    Dropped slots keep their weight value but are masked; dispatch treats
+    them as zero contribution.  ratio None means no per-expert budget (the
+    desk-scale default) and returns the input as-is.
     """
     if ratio is None:
         return decision
     n, slots = decision.indices.shape
-    capacity = math.ceil(ratio * n * decision.k / e_total)
+    capacity = math.ceil(ratio * n * slots / e_total)
     flat_ids = decision.indices.reshape(-1)
     dropped = decision.dropped_mask.reshape(-1).copy()
     for e in range(e_total):

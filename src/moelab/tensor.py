@@ -10,16 +10,23 @@ soon as the loss (or an eval forward's outputs) is dropped, without waiting
 for the cyclic garbage collector.
 
 The op set is exactly what the transformer and its losses need: dense/matmul,
-softmax, layernorm, GELU, the normal CDF, elementwise arithmetic,
-reductions, reshapes, concatenation, and row and column gathers.  Two fused
-ops keep the MLPs short, each one node whose values and gradients are
-bitwise those of the composition it replaces: ``mlp`` (dense -> GELU ->
-dropout -> dense) and ``expert_dispatch``, which runs every expert of a MoE
-layer on the rows routed to it and gate-weights and sums their outputs.
-A MoE layer therefore adds one expert node to the tape, whatever its
-number of experts and slots.  Their GEMMs, and ``matmul``'s, go through
-``matmul_rows``, so that rows cut from a longer operand keep the bits they
-have in the full product (a lone row would otherwise run through gemv).
+softmax, layernorm, the normal CDF, elementwise arithmetic, reductions,
+reshapes, concatenation, row and column gathers, and the fused MLPs.
+
+Every MLP of the model is one node on one kernel, ``_mlp_core``: GEMM and
+bias, exact GELU, the optional dropout mask, GEMM and bias, over row spans
+that each have their own weights, and its matching backward.  ``mlp`` runs
+it on one span (a dense MLP) or on M member spans that share the weights
+and scale them by each member's rank-1 factors (a batch-ensemble MLP);
+``expert_dispatch`` runs one span per (slot, expert) segment of a MoE layer
+and gate-weights and sums the outputs.  A MoE layer therefore adds one node
+to the tape, whatever its number of experts and slots, and so does a
+batch-ensemble MLP, whatever its M.  Values and gradients are bitwise those
+of the compositions of smaller ops the fused nodes replace (the tests keep
+those as oracles).  The kernel's forward GEMMs go through ``matmul_rows``
+with each span's full row count, so that rows cut from a longer span keep
+the bits they have in the full product (a lone row would otherwise run
+through gemv).
 
 Inside a ``no_grad()`` block no tape is built: every op returns a bare
 result with no parents and no backward closure, so the intermediates an op
@@ -137,14 +144,6 @@ class Tensor:
     # ------------------------------------------------------------------
     # plumbing
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -193,14 +192,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, _ensure(other))
 
-    def __radd__(self, other):
-        return add(_ensure(other), self)
-
     def __sub__(self, other):
         return sub(self, _ensure(other))
-
-    def __rsub__(self, other):
-        return sub(_ensure(other), self)
 
     def __mul__(self, other):
         return mul(self, _ensure(other))
@@ -211,23 +204,8 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, _ensure(other))
 
-    def __rtruediv__(self, other):
-        return div(_ensure(other), self)
-
     def __neg__(self):
         return mul(self, Tensor(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, _ensure(other))
-
-    def __pow__(self, p):
-        return power(self, p)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -300,16 +278,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     return _node(out_data, (a, b), backward)
 
 
-def power(a: Tensor, p: float) -> Tensor:
-    p = float(p)
-    out_data = a.data ** p
-
-    def backward(grad):
-        a._accum(grad * p * a.data ** (p - 1.0))
-
-    return _node(out_data, (a,), backward)
-
-
 def log(a: Tensor) -> Tensor:
     out_data = np.log(a.data)
 
@@ -353,13 +321,9 @@ def matmul_rows(a: np.ndarray, w: np.ndarray, full_rows: int | None = None,
     return np.matmul(a, w, out=out)
 
 
-def matmul(a: Tensor, b: Tensor, full_rows: int | None = None) -> Tensor:
-    """np.matmul semantics; batch dims broadcast, grads reduced back.
-
-    full_rows, for a 2-D a cut from a longer operand, keeps the rows' bits
-    as in matmul_rows.
-    """
-    out_data = matmul_rows(a.data, b.data, full_rows)
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """np.matmul semantics; batch dims broadcast, grads reduced back."""
+    out_data = np.matmul(a.data, b.data)
 
     def backward(g):
         a._accum(np.matmul(g, np.swapaxes(b.data, -1, -2)))
@@ -393,29 +357,27 @@ def dense(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 # reductions
 
 
-def _unreduce(g: np.ndarray, shape: tuple, axis, keepdims: bool) -> np.ndarray:
-    if axis is None:
-        return np.broadcast_to(g, shape)
-    if not keepdims:
+def _unreduce(g: np.ndarray, shape: tuple, axis) -> np.ndarray:
+    if axis is not None:
         g = np.expand_dims(g, axis)
     return np.broadcast_to(g, shape)
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
+def tsum(a: Tensor, axis=None) -> Tensor:
+    out_data = a.data.sum(axis=axis)
 
     def backward(grad):
-        a._accum(_unreduce(grad, a.data.shape, axis, keepdims))
+        a._accum(_unreduce(grad, a.data.shape, axis))
 
     return _node(out_data, (a,), backward)
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out_data = a.data.mean(axis=axis, keepdims=keepdims)
+def tmean(a: Tensor, axis=None) -> Tensor:
+    out_data = a.data.mean(axis=axis)
     count = a.data.size / out_data.size
 
     def backward(grad):
-        a._accum(_unreduce(grad, a.data.shape, axis, keepdims) / count)
+        a._accum(_unreduce(grad, a.data.shape, axis) / count)
 
     return _node(out_data, (a,), backward)
 
@@ -536,17 +498,6 @@ def _pdf(x: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * x * x) * _INV_SQRT_2PI
 
 
-def gelu(a: Tensor) -> Tensor:
-    """Exact GELU: x * Phi(x), with Phi the standard normal CDF."""
-    cdf = _phi(a.data)
-    out_data = a.data * cdf
-
-    def backward(grad):
-        a._accum(grad * (cdf + a.data * _pdf(a.data)))
-
-    return _node(out_data, (a,), backward)
-
-
 def normal_cdf(a: Tensor) -> Tensor:
     """Standard normal CDF, used by the load-balancing loss."""
 
@@ -653,48 +604,118 @@ def take_cols(x: Tensor, idx: np.ndarray) -> Tensor:
 
 
 # ----------------------------------------------------------------------
-# fused MLP ops: one node each, bitwise equal to the ops they replace
+# the MLP kernel: dense, batch-ensemble and expert MLPs are one node each
 
 
-def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
-        mask: np.ndarray | None = None, full_rows: int | None = None
-        ) -> Tensor:
-    """dense -> exact GELU -> optional dropout mask -> dense, as one node.
+def _layer_forward(a: np.ndarray, spans: list, j: int):
+    """Layer j (0 or 1) of every span on the rows a; returns the output and
+    per span the GEMM input and a member's product before its s scaling."""
+    out = np.empty((a.shape[0], spans[0][3][2 * j].data.shape[1]))
+    saved = []
+    for lo, hi, full, params, fast in spans:
+        w, b = params[2 * j:2 * j + 2]
+        if fast is None:
+            a_in, z = a[lo:hi], None
+            matmul_rows(a_in, w.data, full, out=out[lo:hi])
+        else:
+            r, s = fast[2 * j:2 * j + 2]
+            a_in = a[lo:hi] * r.data
+            z = matmul_rows(a_in, w.data, full)
+            np.multiply(z, s.data, out=out[lo:hi])
+        out[lo:hi] += b.data
+        saved.append((a_in, z))
+    return out, saved
 
-    Forward and backward use the expressions of dense, gelu and mul, so the
-    output and all five gradients equal those of the composition bitwise.
-    mask, if given, has the hidden shape (..., F).  full_rows, when x's rows
-    were cut from a longer input, keeps their bits as in matmul_rows.
+
+def _layer_backward(g: np.ndarray, a: np.ndarray, spans: list, j: int,
+                    saved: list) -> np.ndarray:
+    """Accumulate layer j's parameter gradients from its output gradient g;
+    returns the gradient of its input rows a."""
+    g_in = np.empty(a.shape)
+    members = spans[0][4] is not None
+    if members:  # one bias, added after the member blocks are joined
+        spans[0][3][2 * j + 1]._accum(g.sum(axis=0))
+    for (lo, hi, _, params, fast), (a_in, z) in zip(spans, saved):
+        w, b = params[2 * j:2 * j + 2]
+        g_out = g[lo:hi]
+        if fast is not None:
+            r, s = fast[2 * j:2 * j + 2]
+            s._accum((g_out * z).sum(axis=0))
+            g_out = g_out * s.data
+        np.matmul(g_out, w.data.T, out=g_in[lo:hi])
+        w._accum(a_in.T @ g_out)
+        if fast is None:
+            b._accum(g_out.sum(axis=0))
+        else:
+            r._accum((g_in[lo:hi] * a[lo:hi]).sum(axis=0))
+            g_in[lo:hi] *= r.data
+    if members:  # as take_rows' np.add.at into zeros: -0.0 lands as 0.0
+        g_in += 0.0
+    return g_in
+
+
+def _mlp_core(xs: np.ndarray, spans: list, mask: np.ndarray | None):
+    """The segmented MLP all fused MLP ops run: GEMM and bias, exact GELU,
+    the optional (R, F) mask, GEMM and bias.  Returns the (R, Q) output and
+    backward(g), which accumulates every parameter's gradient from the
+    output gradient g and returns the (R, D) input gradient.
+
+    Span (lo, hi, full, (w1, b1, w2, b2), fast) runs rows lo:hi of xs; full
+    is the row count of the span they were cut from, whose bits the forward
+    GEMMs keep (matmul_rows).  A layer maps rows a to a @ w + b, or, for a
+    batch-ensemble member with fast = (r1, s1, r2, s2), to
+    ((a * r) @ w) * s + b.  Members share w and b, and the bias gradient is
+    summed over all rows at once, as the composition adds b after joining
+    the member blocks.  backward visits the spans in order, and a member's
+    s, w and r in that order, as the composition's tape does: that order
+    fixes how a weight serving several spans accumulates.
     """
-    d_in, d_hid = w1.data.shape
-    d_out = w2.data.shape[1]
-    lead = x.data.shape[:-1]
-    x2 = x.data.reshape(-1, d_in)
-    if mask is not None:
-        mask = mask.reshape(-1, d_hid)
-    pre = matmul_rows(x2, w1.data, full_rows)
-    pre += b1.data
+    pre, saved1 = _layer_forward(xs, spans, 0)
     cdf = _phi(pre)
     hid = pre * cdf
     if mask is not None:
         hid *= mask
-    out_data = matmul_rows(hid, w2.data, full_rows)
-    out_data += b2.data
-    out_data = out_data.reshape(*lead, d_out)
+    out, saved2 = _layer_forward(hid, spans, 1)
+
+    def backward(g):
+        g_hid = _layer_backward(g, hid, spans, 1, saved2)
+        if mask is not None:
+            g_hid *= mask
+        g_pre = g_hid * (cdf + pre * _pdf(pre))
+        return _layer_backward(g_pre, xs, spans, 0, saved1)
+
+    return out, backward
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+        mask: np.ndarray | None = None, full_rows: int | None = None,
+        members: list | None = None) -> Tensor:
+    """dense -> exact GELU -> optional dropout mask -> dense, as one node.
+
+    members, for a batch-ensemble MLP, lists each member's rank-1 factors
+    (r1, s1, r2, s2); x's rows are then M member-major blocks, block m
+    running ((a * r) @ w) * s + b with its own factors in both layers.
+    mask, if given, has the hidden shape (..., F).  full_rows, when x's rows
+    were cut from a longer input, keeps each block's bits (matmul_rows).
+    """
+    d_out = w2.data.shape[1]
+    x2 = x.data.reshape(-1, w1.data.shape[0])
+    fasts = members or [None]
+    n = x2.shape[0] // len(fasts)
+    full = n if full_rows is None else full_rows // len(fasts)
+    spans = [(j * n, (j + 1) * n, full, (w1, b1, w2, b2), fast)
+             for j, fast in enumerate(fasts)]
+    if mask is not None:
+        mask = mask.reshape(-1, w1.data.shape[1])
+    out_data, core_backward = _mlp_core(x2, spans, mask)
 
     def backward(grad):
-        g2 = grad.reshape(-1, d_out)
-        g_hid = g2 @ w2.data.T
-        w2._accum(hid.T @ g2)
-        b2._accum(g2.sum(axis=0))
-        if mask is not None:
-            g_hid = g_hid * mask
-        g_pre = g_hid * (cdf + pre * _pdf(pre))
-        x._accum((g_pre @ w1.data.T).reshape(x.data.shape))
-        w1._accum(x2.T @ g_pre)
-        b1._accum(g_pre.sum(axis=0))
+        g_x = core_backward(grad.reshape(-1, d_out))
+        x._accum(g_x.reshape(x.data.shape))
 
-    return _node(out_data, (x, w1, b1, w2, b2), backward)
+    fast_params = [t for fast in members or () for t in fast]
+    return _node(out_data.reshape(*x.data.shape[:-1], d_out),
+                 (x, w1, b1, w2, b2, *fast_params), backward)
 
 
 def expert_dispatch(x: Tensor, weights: Tensor, experts: list,
@@ -707,41 +728,26 @@ def expert_dispatch(x: Tensor, weights: Tensor, experts: list,
     x is the (N, D) layer input, weights the (N, S) gate weights and experts
     the layer's (w1, b1, w2, b2) tuples.  The R kept (row, slot) assignments
     are rows[a] and slots[a]; a (row, slot) pair appears at most once.  Each
-    segment (e, lo, hi) runs assignments lo:hi through experts[e].  mask, if
-    given, is the (R, F) dropout mask of the hidden units.  full_rows, if
-    given, holds per segment the assignment count of the segment it was cut
-    from, whose bits its GEMMs keep (see matmul_rows).
+    segment (e, lo, hi) runs assignments lo:hi through experts[e], as one
+    span of the MLP kernel.  mask, if given, is the (R, F) dropout mask of
+    the hidden units.  full_rows, if given, holds per segment the assignment
+    count of the segment it was cut from.
 
-    Every segment computes mlp(x[rows], ...) with its own GEMMs; GELU, the
-    mask and the combine run once over all R assignments.  Slot s of row r is
-    the expert output times weights[r, s], or 0 where no assignment holds it
-    (a dropped assignment or an empty slot).  The (N, S, Q) slot buffer is
-    returned as is when stack is set, else its slots are summed left to
-    right into (N, Q).
-
-    Values and gradients equal bitwise those of one take_rows and one mlp
-    per segment followed by a per-segment gate-and-combine, with backward
-    visiting the segments in the order given: that order fixes how an expert
-    serving several segments, and a row in several slots, accumulate their
-    gradients.
+    Slot s of row r is the expert output times weights[r, s], or 0 where no
+    assignment holds it (a dropped assignment or an empty slot).  The (N, S,
+    Q) slot buffer is returned as is when stack is set, else its slots are
+    summed left to right into (N, Q).  Values and gradients equal bitwise
+    those of one take_rows and one mlp per segment followed by a per-segment
+    gate-and-combine, with backward visiting the segments in the order
+    given: that order fixes how an expert serving several segments, and a
+    row in several slots, accumulate their gradients.
     """
-    spans = [(experts[e], lo, hi) for e, lo, hi in segments]
     if full_rows is None:
         full_rows = [hi - lo for _, lo, hi in segments]
+    spans = [(lo, hi, full, experts[e], None)
+             for (e, lo, hi), full in zip(segments, full_rows)]
     gate = weights.data[rows, slots][:, None]
-    xs = x.data[rows]
-    pre = np.empty((rows.size, experts[0][0].data.shape[1]))
-    for ((w1, b1, _, _), lo, hi), full in zip(spans, full_rows):
-        matmul_rows(xs[lo:hi], w1.data, full, out=pre[lo:hi])
-        pre[lo:hi] += b1.data
-    cdf = _phi(pre)
-    hid = pre * cdf
-    if mask is not None:
-        hid *= mask
-    ys = np.empty((rows.size, experts[0][2].data.shape[1]))
-    for ((_, _, w2, b2), lo, hi), full in zip(spans, full_rows):
-        matmul_rows(hid[lo:hi], w2.data, full, out=ys[lo:hi])
-        ys[lo:hi] += b2.data
+    ys, core_backward = _mlp_core(x.data[rows], spans, mask)
     buf = np.zeros(weights.data.shape + ys.shape[1:])
     buf[rows, slots] += ys * gate  # +=, not =: a -0.0 product lands as 0.0
     if stack:
@@ -757,21 +763,8 @@ def expert_dispatch(x: Tensor, weights: Tensor, experts: list,
         g_w[rows, slots] += (g * ys).sum(axis=1)
         weights._accum(g_w)
         g *= gate
-        g_hid = np.empty_like(hid)
-        for (_, _, w2, b2), lo, hi in spans:
-            np.matmul(g[lo:hi], w2.data.T, out=g_hid[lo:hi])
-            w2._accum(hid[lo:hi].T @ g[lo:hi])
-            b2._accum(g[lo:hi].sum(axis=0))
-        if mask is not None:
-            g_hid *= mask
-        g_pre = g_hid * (cdf + pre * _pdf(pre))
-        g_xs = np.empty_like(xs)
-        for (w1, b1, _, _), lo, hi in spans:
-            np.matmul(g_pre[lo:hi], w1.data.T, out=g_xs[lo:hi])
-            w1._accum(xs[lo:hi].T @ g_pre[lo:hi])
-            b1._accum(g_pre[lo:hi].sum(axis=0))
         g_x = np.zeros_like(x.data)
-        np.add.at(g_x, rows, g_xs)
+        np.add.at(g_x, rows, core_backward(g))
         x._accum(g_x)
 
     params = [t for ex in experts for t in ex]

@@ -2,14 +2,20 @@
 
 finite_difference_check checks tape gradients against central
 differences; BeMoeView reads a batch-ensemble layer as a sparse MoE
-(Appendix F), the other side of the BE/MoE equivalence.
+(Appendix F), the other side of the BE/MoE equivalence.  gelu and
+be_dense_forward are the tape compositions the fused tensor.mlp replaces:
+the batch-ensemble MLP is gelu(be_dense_forward(x, be1) + b1), times the
+dropout mask, then be_dense_forward(., be2) + b2, and the fused node must
+equal it bitwise.
 """
 
 import numpy as np
 
 from moelab.errors import ConfigError, EvaluationError
 from moelab.layers import BatchEnsembleDense
-from moelab.tensor import Tensor, no_grad
+from moelab.tensor import (Tensor, _node, _pdf, _phi, concat, matmul_rows,
+                           no_grad, take_rows)
+from moelab.tensor import matmul as _matmul
 
 
 def finite_difference_check(fn, params, eps: float = 1e-5) -> float:
@@ -84,3 +90,41 @@ class BeMoeView:
         for e in range(self.m):
             out = out + g[:, e:e + 1] * (h @ self.expert_weights[e])
         return out
+
+
+def gelu(a: Tensor) -> Tensor:
+    """Exact GELU: x * Phi(x), with Phi the standard normal CDF."""
+    cdf = _phi(a.data)
+    out_data = a.data * cdf
+
+    def backward(grad):
+        a._accum(grad * (cdf + a.data * _pdf(a.data)))
+
+    return _node(out_data, (a,), backward)
+
+
+def matmul(a: Tensor, b: Tensor, full_rows: int | None = None) -> Tensor:
+    """tensor.matmul whose values keep the bits of rows cut from an operand
+    of full_rows rows, as in matmul_rows; its backward is tensor.matmul's."""
+    out = _matmul(a, b)
+    out.data = matmul_rows(a.data, b.data, full_rows)
+    return out
+
+
+def be_dense_forward(h_tiled: Tensor, be: BatchEnsembleDense,
+                     full_rows: int | None = None) -> Tensor:
+    """Member-m rows -> ((h * r_m) U) * s_m, on the member-major tiled layout.
+
+    full_rows, when the rows were cut from a longer tiled input, keeps each
+    member block's bits as in tensor.matmul_rows.
+    """
+    n = h_tiled.data.shape[0]
+    if n % be.m != 0:
+        raise ConfigError(f"tiled row count {n} not divisible by M={be.m}")
+    b = n // be.m
+    full_b = None if full_rows is None else full_rows // be.m
+    outs = []
+    for mm in range(be.m):
+        h_m = take_rows(h_tiled, np.arange(mm * b, (mm + 1) * b))
+        outs.append(matmul(h_m * be.r[mm], be.u, full_b) * be.s[mm])
+    return concat(outs, axis=0)

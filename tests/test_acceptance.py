@@ -26,7 +26,6 @@ from moelab.layers import (
     BeMLP,
     ExpertMLP,
     MoELayer,
-    be_dense_forward,
     layer_forward,
     tile,
 )
@@ -39,7 +38,7 @@ from moelab.routing import RouterParams, partitioned_gate
 from moelab.tensor import Tensor, dense, matmul, reshape, softmax, transpose, tsum
 from moelab.trainer import TrainConfig, evaluate, train
 
-from oracles import BeMoeView, finite_difference_check
+from oracles import BeMoeView, be_dense_forward, finite_difference_check
 
 
 def report(n, ok, detail):

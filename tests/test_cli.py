@@ -175,6 +175,39 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, where, value,
     assert not (tmp_path / "out" / "config.json").exists()
 
 
+def _csv_row(label, pixels=192):
+    return ",".join([label] + ["0.5"] * pixels) + "\n"
+
+
+# a broken train split of a csv dataset: (case, file bytes or None for a
+# missing file)
+BAD_CSV = [
+    ("missing_file", None),
+    ("not_utf8", _csv_row("1").encode() + b"\xff,\xfe\n"),
+    ("fractional_label", _csv_row("1.5").encode()),
+    ("non_numeric_pixel", _csv_row("1", 191).replace("\n", ",dark\n")
+     .encode()),
+]
+
+
+@pytest.mark.parametrize("data", [c[1] for c in BAD_CSV],
+                         ids=[c[0] for c in BAD_CSV])
+def test_bad_csv_dataset_exits_2(tmp_path, capsys, data):
+    paths = {}
+    for name in ("train", "val", "test"):
+        paths[name] = str(tmp_path / f"{name}.csv")
+        if name != "train" or data is not None:
+            Path(paths[name]).write_bytes(
+                data if name == "train" else _csv_row("0").encode() * 4)
+    d = tiny_config_dict(tmp_path / "out",
+                         dataset={"kind": "csv", "paths": paths})
+    path = write_config(tmp_path, d)
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "train.csv" in err and "Traceback" not in err
+
+
 # What config.to_dict serializes to; checkpoint headers and config.json
 # files written by earlier versions must keep matching these bytes.
 PINNED_PBE_SPEC = (
@@ -780,6 +813,15 @@ class TestFlops:
         parts = [float(v) for k, v in kv.items()
                  if k.startswith("forward_mflops.")]
         assert sum(parts) == pytest.approx(total, rel=1e-4)
+
+    @pytest.mark.parametrize("flag", ["--steps", "--batch-size",
+                                      "--ensemble"])
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_count_below_one_exits_2(self, capsys, flag, value):
+        assert main(["flops", "--preset", "tiny", flag, value]) == 2
+        out, err = capsys.readouterr()
+        assert not out
+        assert err.startswith("config error:") and flag in err
 
     def test_bad_preset_exits_2(self, capsys):
         with pytest.raises(SystemExit) as info:

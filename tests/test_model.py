@@ -29,6 +29,7 @@ from moelab.model import (
     patchify,
     preset,
     PRESET_NAMES,
+    VARIANTS,
 )
 from moelab.rng import Rng
 from moelab.tensor import Tensor
@@ -337,6 +338,27 @@ class TestForwardContracts:
         assert all(p.grad is None for _, p in model.named_params())
         taped = forward(model, x, Rng(7), train=True)
         assert taped.member_probs.requires_grad
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_each_mlp_is_one_tape_node(self, variant):
+        # every MLP kind runs as one fused node: its first weight is a
+        # parent of exactly one node of a training forward's tape
+        model = build_model(tiny_spec(variant=variant, e=4, m=2), Rng(6))
+        bundle = forward(model, images(np.random.default_rng(5), n=4),
+                         Rng(7), train=True)
+        seen, stack, nodes = set(), [bundle.ensemble_probs], []
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                nodes.append(node)
+                stack.extend(node._parents)
+        first = {"dense": "w1", "be": "be1.u"}
+        for i, kind in enumerate(model.spec.mlp_kinds):
+            name = f"blocks.{i}.mlp.{first.get(kind, 'experts.0.w1')}"
+            w = model.params[name]
+            users = [n for n in nodes if any(p is w for p in n._parents)]
+            assert len(users) == 1, (name, len(users))
 
 
 class TestStructuralEquivalences:

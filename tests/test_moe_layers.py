@@ -10,7 +10,6 @@ from moelab.layers import (
     BeMLP,
     ExpertMLP,
     MoELayer,
-    be_dense_forward,
     layer_forward,
     tile,
 )
@@ -19,7 +18,7 @@ from moelab.routing import RouterParams, capacity_filter, partitioned_gate
 from moelab.tensor import (Tensor, _node, expert_dispatch, mlp, mul, reshape,
                            take_rows, tsum)
 
-from oracles import BeMoeView, finite_difference_check
+from oracles import BeMoeView, be_dense_forward, finite_difference_check, gelu
 
 
 def make_expert(gen, d, f, q=None):
@@ -344,6 +343,50 @@ class TestBatchEnsemble:
         with pytest.raises(ConfigError):
             BatchEnsembleDense(u=Tensor(np.ones((2, 2))),
                                r=[Tensor(np.ones(2))], s=[])
+
+    def test_fused_mlp_bitwise_equals_composition(self):
+        # BeMLP.forward is one node; the tape composition it replaces is
+        # gelu(be_dense_forward(x, be1) + b1) * mask -> be_dense_forward + b2.
+        # Zero rows in the output multiplier give exact zero gradients, so
+        # the sign of zero is compared too (tobytes).
+        gen = np.random.default_rng(25)
+        cases = [(m, b, masked, pruned) for m in (1, 2, 3) for b in (1, 2, 4)
+                 for masked in (False, True) for pruned in (False, True)]
+        for m, b, masked, pruned in cases:
+            d, f = int(gen.integers(1, 5)), int(gen.integers(1, 6))
+            x0 = gen.normal(size=(m * b, d))
+            mask = (gen.random((m * b, f)) >= 0.4) / 0.6 if masked else None
+            full_rows = m * (b + 2) if pruned else None
+            mult = gen.normal(size=(m * b, d))
+            mult[gen.random(m * b) < 0.3] = 0.0
+            seed = int(gen.integers(2**32))
+            results = []
+            for fused in (True, False):
+                g = np.random.default_rng(seed)
+                be1, be2 = self.make_be(g, d, f, m), self.make_be(g, f, d, m)
+                mlp_ = BeMLP(be1, Tensor(g.normal(size=f), requires_grad=True),
+                             be2, Tensor(g.normal(size=d), requires_grad=True))
+                x = Tensor(x0, requires_grad=True)
+                if fused:
+                    y = mlp_.forward(x, mask, full_rows)
+                else:
+                    hidden = gelu(be_dense_forward(x, be1, full_rows) + mlp_.b1)
+                    if mask is not None:
+                        hidden = hidden * Tensor(mask)
+                    y = be_dense_forward(hidden, be2, full_rows) + mlp_.b2
+                tsum(mul(y, Tensor(mult))).backward()
+                params = [x, be1.u, mlp_.b1, be2.u, mlp_.b2,
+                          *be1.r, *be1.s, *be2.r, *be2.s]
+                results.append([y.data] + [p.grad for p in params])
+            for i, (got, want) in enumerate(zip(*results)):
+                assert got.tobytes() == want.tobytes(), (m, b, masked, pruned, i)
+
+    def test_fused_mlp_rejects_indivisible_rows(self):
+        gen = np.random.default_rng(27)
+        mlp_ = BeMLP(self.make_be(gen, 3, 4, 2), Tensor(np.zeros(4)),
+                     self.make_be(gen, 4, 3, 2), Tensor(np.zeros(3)))
+        with pytest.raises(ConfigError, match="divisible"):
+            mlp_.forward(Tensor(gen.normal(size=(3, 3))))
 
 
 class TestLayerGradients:

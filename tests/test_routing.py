@@ -317,3 +317,19 @@ class TestCapacity:
         dec = self._one_expert_decision(4)
         out = capacity_filter(dec, 8.0, 2)
         assert not out.dropped_mask.any()
+
+    def test_budget_counts_every_slot_of_a_row(self):
+        # only_partitioning routes each row in both blocks (K*M = 2 slots);
+        # the 8 assignments fill the 4 experts evenly, 2 each, so ratio 1.0
+        # keeps all of them: capacity = ceil(1.0 * 4 * 2 / 4) = 2
+        h = Tensor(np.array([[1.0], [1.0], [-1.0], [-1.0]]))
+        w = [[[1.0], [-1.0]], [[1.0], [-1.0]]]
+        dec = partitioned_gate(h, quiet_router(w), 1, Rng(0), tiled=False)
+        np.testing.assert_array_equal(dec.indices,
+                                      [[0, 2], [0, 2], [1, 3], [1, 3]])
+        out = capacity_filter(dec, 1.0, 4)
+        assert not out.dropped_mask.any()
+        out = capacity_filter(dec, 0.5, 4)  # capacity 1: one row per expert
+        np.testing.assert_array_equal(out.dropped_mask,
+                                      [[False, False], [True, True],
+                                       [False, False], [True, True]])
