@@ -119,7 +119,8 @@ def make_synthetic_dataset(spec: DatasetSpec) -> Dataset:
 
 
 def load_csv_split(path, image_size: int, channels: int):
-    """One row per example: integer label, then row-major float pixels."""
+    """One row per example: integer label, then row-major float pixels,
+    all finite."""
     want = image_size * image_size * channels
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -139,8 +140,12 @@ def load_csv_split(path, image_size: int, channels: int):
                               "followed by numeric pixels") from None
     if not labels:
         raise ConfigError(f"{path}: no rows")
-    x = np.asarray(pixels).reshape(len(labels), image_size, image_size,
-                                   channels)
+    x = np.asarray(pixels)
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise ConfigError(f"{path}: row {rows[bad[0]][0]} has a non-finite "
+                          "pixel")
+    x = x.reshape(len(labels), image_size, image_size, channels)
     return x, np.asarray(labels)
 
 

@@ -41,6 +41,7 @@ one-image batch or member block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,17 +75,23 @@ class ExpertMLP:
 
 
 def dropout_mask(rng: Rng, rate: float, width: int, blocks) -> np.ndarray:
-    """Inverted-dropout mask: keep with prob 1-rate, scale kept by 1/(1-rate).
+    """Inverted-dropout keep mask: True with prob 1-rate.  Callers scale it
+    by 1/(1-rate), as keep * (1 / (1 - rate)).
 
     blocks lists (rows, tags) pairs: the mask stacks one rows x width block
     per entry, in order, each drawn from the stream addressed by its tags.
+    A unit is kept where stream(*tags).random() >= rate would be: random()
+    is (raw >> 11) * 2**-53 and rate * 2**53 is exact, so that is the
+    integer compare raw >= ceil(rate * 2**53) << 11.
     """
-    u = np.empty((sum(n for n, _ in blocks), width))
+    floor = np.uint64(math.ceil(rate * 2.0 ** 53) << 11)
+    keep = np.empty((sum(n for n, _ in blocks), width), dtype=bool)
     lo = 0
     for n, tags in blocks:
-        rng.uniform_into(u[lo:lo + n], *tags)
+        np.greater_equal(rng.raw((n, width), *tags), floor,
+                         out=keep[lo:lo + n])
         lo += n
-    return (u >= rate).astype(np.float64) / (1.0 - rate)
+    return keep
 
 
 @dataclass
@@ -157,9 +164,9 @@ def layer_forward(h: Tensor, layer: MoELayer, rng: Rng, *, train: bool = False,
     bounds = starts.tolist() + [key.size]
     segs = [(*divmod(int(k), layer.e), lo, hi)  # (slot, expert, lo, hi)
             for k, lo, hi in zip(keys, bounds[:-1], bounds[1:])]
-    mask = None
+    keep = None
     if dropout_on and layer.dropout_rate > 0.0:
-        mask = dropout_mask(rng, layer.dropout_rate,
+        keep = dropout_mask(rng, layer.dropout_rate,
                             layer.experts[0].hidden_dim,
                             [(hi - lo, (*dropout_key, e, j))
                              for j, e, lo, hi in segs])
@@ -176,8 +183,9 @@ def layer_forward(h: Tensor, layer: MoELayer, rng: Rng, *, train: bool = False,
         spans = [(e, ends[lo], ends[hi], full) for e, lo, hi, full in spans
                  if ends[hi] > ends[lo]]
         assigned, slots = pos[sel], slots[sel]
-        mask = None if mask is None else mask[sel]
+        keep = None if keep is None else keep[sel]
         x, weights = take_rows(h, rows), take_rows(decision.weights, rows)
+    mask = None if keep is None else keep * (1.0 / (1.0 - layer.dropout_rate))
     experts = [(ex.w1, ex.b1, ex.w2, ex.b2) for ex in layer.experts]
     out = expert_dispatch(x, weights, experts, assigned, slots,
                           [(e, lo, hi) for e, lo, hi, _ in spans], mask,

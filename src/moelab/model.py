@@ -453,10 +453,11 @@ def _forward(model, images, rng, train, step, mc_sample, want_features):
         if kind in ("dense", "be"):
             mask = None
             if dropout_on and spec.dropout_rate > 0.0:
-                mask = dropout_mask(rng, spec.dropout_rate,
+                keep = dropout_mask(rng, spec.dropout_rate,
                                     blk.mlp.hidden_dim,
                                     [(n, (*drop_key, -1, 0))])
-                mask = mask if rows is None else mask[rows]
+                keep = keep if rows is None else keep[rows]
+                mask = keep * (1.0 / (1.0 - spec.dropout_rate))
             res = res + blk.mlp.forward(layernorm(res, *blk.ln2), mask,
                                         full_rows=n)
         else:

@@ -8,11 +8,12 @@ makes deferred tiling bitwise-equal to naive tiling, lets gradient checks
 freeze the routing noise, and gives byte-identical reruns.
 
 Building a Philox generator costs more than the small draws most callers
-make, so the hot draws (``normal`` and ``uniform_into``) re-key one Philox
-that the ``Rng`` owns instead: they reset its key and counter to the start
-of the addressed stream and draw at once, with bitwise the values a fresh
-``stream(*tags)`` gives.  An ``Rng`` is therefore not for sharing between
-threads.
+make, so the hot draws (``normal`` and ``raw``) re-key one Philox that the
+``Rng`` owns instead: they reset its key and counter to the start of the
+addressed stream and draw at once, with bitwise the values a fresh
+``stream(*tags)`` gives.  A key is the blake2b digest of the seed and the
+tags; the ``Rng`` hashes the seed once and copies that hasher per key.  An
+``Rng`` is therefore not for sharing between threads.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ import hashlib
 import numpy as np
 
 
-def _key_words(seed: int, tags: tuple) -> np.ndarray:
-    """Hash (seed, tags) into a 128-bit Philox key."""
-    h = hashlib.blake2b(digest_size=16)
-    h.update(str(int(seed)).encode())
+def _key_words(prefix, tags: tuple) -> np.ndarray:
+    """Hash (seed, tags) into a 128-bit Philox key, from prefix, the
+    blake2b hasher that has taken the seed (left as it is)."""
+    h = prefix.copy()
     for t in tags:
         h.update(b"|")
         if isinstance(t, (bool,)):
@@ -44,6 +45,8 @@ class Rng:
 
     def __init__(self, seed: int):
         self.seed = int(seed)
+        self._prefix = hashlib.blake2b(str(self.seed).encode(),
+                                       digest_size=16)
         self._bits = np.random.Philox(0)
         self._gen = np.random.Generator(self._bits)
 
@@ -57,7 +60,8 @@ class Rng:
         identical sequences; distinct tags give statistically independent
         streams.
         """
-        return np.random.Generator(np.random.Philox(key=_key_words(self.seed, tags)))
+        return np.random.Generator(
+            np.random.Philox(key=_key_words(self._prefix, tags)))
 
     def _keyed(self, tags: tuple) -> np.random.Generator:
         """The owned generator, reset to the start of the (seed, tags)
@@ -66,7 +70,7 @@ class Rng:
         self._bits.state = {
             "bit_generator": "Philox",
             "state": {"counter": np.zeros(4, dtype=np.uint64),
-                      "key": _key_words(self.seed, tags)},
+                      "key": _key_words(self._prefix, tags)},
             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
             "has_uint32": 0, "uinteger": 0}
         return self._gen
@@ -75,7 +79,8 @@ class Rng:
         """Standard normal draw of `shape`, addressed by tags."""
         return self._keyed(tags).standard_normal(shape, dtype=np.float64)
 
-    def uniform_into(self, out: np.ndarray, *tags) -> None:
-        """Fill the float64 array `out` with the uniform [0, 1) draws of
-        stream(*tags).random(out.shape), in C order."""
-        self._keyed(tags).random(out=out)
+    def raw(self, shape, *tags) -> np.ndarray:
+        """The uint64 words of stream(*tags) in C order, as `shape`: those
+        its random() maps to (raw >> 11) * 2**-53, one word per draw."""
+        self._keyed(tags)
+        return self._bits.random_raw(shape)

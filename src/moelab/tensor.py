@@ -9,6 +9,11 @@ so the tape has no reference cycles: it is freed by reference counting as
 soon as the loss (or an eval forward's outputs) is dropped, without waiting
 for the cyclic garbage collector.
 
+A tape is used once.  backward releases each non-leaf node's gradient as
+soon as that node's closure has run, so intermediate gradients die during
+the backward pass and a node's .grad reads None after it; the leaves keep
+theirs.
+
 The op set is exactly what the transformer and its losses need: dense/matmul,
 softmax, layernorm, the normal CDF, elementwise arithmetic, reductions,
 reshapes, concatenation, row and column gathers, and the fused MLPs.
@@ -38,9 +43,11 @@ adds, the normal CDF, the dropout mask product, normalisation), in both
 modes, with the same roundings as the out-of-place expressions; they never
 write an input's array.  A first gradient is stored as given, not copied,
 and later ones are added out of place, so an array handed to several
-``_accum`` calls is never written.  A gradient that already is a float64
-ndarray of the tensor's shape skips the conversion and the broadcast
-reduction.
+``_accum`` calls is never written.  A leaf bound to a buffer of its own
+(``accumulate_into``, as the trainer binds every parameter to a slice of one
+zeroed gradient buffer) adds every gradient into it in place instead.  A
+gradient that already is a float64 ndarray of the tensor's shape skips the
+conversion and the broadcast reduction.
 
 The normal CDF that GELU and the load loss share is 0.5 (1 + erf(x / sqrt 2))
 with an in-house erf: the cephes rational approximations (ndtr.c) that
@@ -49,11 +56,13 @@ x T(x^2) / U(x^2); above, 1 - erfc(|x|) with the sign of x, where erfc(a)
 is exp(-a^2) P(a) / Q(a) below 8, exp(-a^2) R(a) / S(a) from 8, and 0 once
 -a^2 < -MAXLOG; NaN stays NaN.  Exactness rests on two rules.  Each Horner
 step is a separate numpy multiply and add, so no step is fused into an FMA.
-exp(-a^2) comes from libm through ``math.exp``, one call per element,
-because numpy's SIMD exp rounds differently from libm on a few percent of
-inputs.  The kernel works in place over fixed-size chunks and gathers only
-the |x| > 1 elements, so the per-element ``math.exp`` cost falls only on
-them (the load loss's inputs, rarely a GELU's).
+exp(-a^2) comes from libm, because numpy's SIMD exp rounds differently from
+libm on a few percent of inputs: it is the real part of numpy's complex
+exp, which calls libm's cexp, and glibc's cexp(x + 0i) is exp(x) times
+cos 0 = 1 (checked equal to ``math.exp`` on 10^7 inputs of the tail).  The
+kernel works in place over fixed-size chunks and gathers only the |x| > 1
+elements, so the exp cost falls only on them (the load loss's inputs,
+rarely a GELU's).
 
 Everything is 64-bit.  At desk scale the cost is per-node Python work, not
 FLOPs, and the extra precision keeps finite-difference gradient checks and the
@@ -63,7 +72,6 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import math
 
 import numpy as np
 
@@ -132,7 +140,8 @@ def _sum_to_shape(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     """Array node on the autodiff tape."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents",
+                 "_owns_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
@@ -140,6 +149,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._backward = None
         self._parents = ()
+        self._owns_grad = False
 
     # ------------------------------------------------------------------
     # plumbing
@@ -156,7 +166,19 @@ class Tensor:
         if not (type(g) is np.ndarray and g.dtype == np.float64
                 and g.shape == self.data.shape):
             g = _sum_to_shape(_as_array(g), self.data.shape)
-        self.grad = g if self.grad is None else self.grad + g
+        if self.grad is None:
+            self.grad = g
+        elif self._owns_grad:
+            self.grad += g
+        else:
+            self.grad = self.grad + g
+
+    def accumulate_into(self, buf: np.ndarray | None) -> None:
+        """Add this tensor's gradients in place into buf from now on: a
+        zeroed, C-contiguous float64 array of its shape that it holds as its
+        grad.  None restores the default, no gradient held."""
+        self.grad = buf
+        self._owns_grad = buf is not None
 
     def backward(self) -> None:
         """Run reverse-mode accumulation from a scalar output."""
@@ -185,6 +207,7 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     # ------------------------------------------------------------------
     # operator sugar
@@ -441,8 +464,10 @@ def _erf_tail(x: np.ndarray, a: np.ndarray) -> np.ndarray:
         b = a[idx]
         z = b * b
         np.negative(z, out=z)
-        # libm's exp, as cephes calls it: numpy's SIMD exp rounds differently
-        e = np.fromiter(map(math.exp, z.tolist()), np.float64, z.size)
+        # libm's exp, as cephes calls it: numpy's SIMD exp rounds
+        # differently, but its complex exp runs libm's cexp, which for a
+        # zero imaginary part is libm's exp times cos 0 = 1
+        e = np.exp(z.astype(np.complex128)).real
         e *= _polevl(b, num, z)
         e /= _p1evl(b, den, np.empty_like(b))
         y[idx] = e
@@ -494,8 +519,13 @@ def _phi(x: np.ndarray) -> np.ndarray:
 
 
 def _pdf(x: np.ndarray) -> np.ndarray:
-    """Standard normal density exp(-x^2 / 2) / sqrt(2 pi)."""
-    return np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+    """Standard normal density exp(-x^2 / 2) / sqrt(2 pi) as a new array,
+    computed in place."""
+    out = np.multiply(x, -0.5)
+    out *= x
+    np.exp(out, out=out)
+    out *= _INV_SQRT_2PI
+    return out
 
 
 def normal_cdf(a: Tensor) -> Tensor:
@@ -608,40 +638,40 @@ def take_cols(x: Tensor, idx: np.ndarray) -> Tensor:
 
 
 def _layer_forward(a: np.ndarray, spans: list, j: int):
-    """Layer j (0 or 1) of every span on the rows a; returns the output and
-    per span the GEMM input and a member's product before its s scaling."""
+    """Layer j (0 or 1) of every span on the rows a; returns the output and,
+    per member span, its product before the s scaling."""
     out = np.empty((a.shape[0], spans[0][3][2 * j].data.shape[1]))
-    saved = []
+    zs = []
     for lo, hi, full, params, fast in spans:
         w, b = params[2 * j:2 * j + 2]
         if fast is None:
-            a_in, z = a[lo:hi], None
-            matmul_rows(a_in, w.data, full, out=out[lo:hi])
+            matmul_rows(a[lo:hi], w.data, full, out=out[lo:hi])
         else:
             r, s = fast[2 * j:2 * j + 2]
-            a_in = a[lo:hi] * r.data
-            z = matmul_rows(a_in, w.data, full)
+            z = matmul_rows(a[lo:hi] * r.data, w.data, full)
             np.multiply(z, s.data, out=out[lo:hi])
+            zs.append(z)
         out[lo:hi] += b.data
-        saved.append((a_in, z))
-    return out, saved
+    return out, zs
 
 
 def _layer_backward(g: np.ndarray, a: np.ndarray, spans: list, j: int,
-                    saved: list) -> np.ndarray:
+                    zs: list) -> np.ndarray:
     """Accumulate layer j's parameter gradients from its output gradient g;
     returns the gradient of its input rows a."""
     g_in = np.empty(a.shape)
     members = spans[0][4] is not None
     if members:  # one bias, added after the member blocks are joined
         spans[0][3][2 * j + 1]._accum(g.sum(axis=0))
-    for (lo, hi, _, params, fast), (a_in, z) in zip(spans, saved):
+    zs = iter(zs)
+    for lo, hi, _, params, fast in spans:
         w, b = params[2 * j:2 * j + 2]
-        g_out = g[lo:hi]
+        g_out, a_in = g[lo:hi], a[lo:hi]
         if fast is not None:
             r, s = fast[2 * j:2 * j + 2]
-            s._accum((g_out * z).sum(axis=0))
+            s._accum((g_out * next(zs)).sum(axis=0))
             g_out = g_out * s.data
+            a_in = a_in * r.data
         np.matmul(g_out, w.data.T, out=g_in[lo:hi])
         w._accum(a_in.T @ g_out)
         if fast is None:
@@ -654,11 +684,17 @@ def _layer_backward(g: np.ndarray, a: np.ndarray, spans: list, j: int,
     return g_in
 
 
-def _mlp_core(xs: np.ndarray, spans: list, mask: np.ndarray | None):
+def _taped(parents: tuple) -> bool:
+    """Whether _node will wire an op with these parents into the tape."""
+    return _grad_enabled.get() and any(p.requires_grad for p in parents)
+
+
+def _mlp_core(xs: np.ndarray, spans: list, mask: np.ndarray | None,
+              taped: bool):
     """The segmented MLP all fused MLP ops run: GEMM and bias, exact GELU,
-    the optional (R, F) mask, GEMM and bias.  Returns the (R, Q) output and
-    backward(g), which accumulates every parameter's gradient from the
-    output gradient g and returns the (R, D) input gradient.
+    the optional (R, F) mask, GEMM and bias.  Returns the (R, Q) output and,
+    if taped, backward(g), which accumulates every parameter's gradient
+    from the output gradient g and returns the (R, D) input gradient.
 
     Span (lo, hi, full, (w1, b1, w2, b2), fast) runs rows lo:hi of xs; full
     is the row count of the span they were cut from, whose bits the forward
@@ -669,20 +705,32 @@ def _mlp_core(xs: np.ndarray, spans: list, mask: np.ndarray | None):
     the member blocks.  backward visits the spans in order, and a member's
     s, w and r in that order, as the composition's tape does: that order
     fixes how a weight serving several spans accumulates.
+
+    backward keeps xs, the GELU output hid, the GELU derivative (computed
+    here), the mask and each member's products before s; it recomputes a
+    member's a * r.  Untaped, the forward keeps nothing and skips the
+    derivative.
     """
-    pre, saved1 = _layer_forward(xs, spans, 0)
-    cdf = _phi(pre)
-    hid = pre * cdf
+    pre, z1 = _layer_forward(xs, spans, 0)
+    hid = _phi(pre)
+    if taped:
+        deriv = _pdf(pre)
+        deriv *= pre
+        deriv += hid
+    hid *= pre
+    del pre
     if mask is not None:
         hid *= mask
-    out, saved2 = _layer_forward(hid, spans, 1)
+    out, z2 = _layer_forward(hid, spans, 1)
+    if not taped:
+        return out, None
 
     def backward(g):
-        g_hid = _layer_backward(g, hid, spans, 1, saved2)
+        g_hid = _layer_backward(g, hid, spans, 1, z2)
         if mask is not None:
             g_hid *= mask
-        g_pre = g_hid * (cdf + pre * _pdf(pre))
-        return _layer_backward(g_pre, xs, spans, 0, saved1)
+        g_hid *= deriv
+        return _layer_backward(g_hid, xs, spans, 0, z1)
 
     return out, backward
 
@@ -707,15 +755,16 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
              for j, fast in enumerate(fasts)]
     if mask is not None:
         mask = mask.reshape(-1, w1.data.shape[1])
-    out_data, core_backward = _mlp_core(x2, spans, mask)
+    fast_params = [t for fast in members or () for t in fast]
+    parents = (x, w1, b1, w2, b2, *fast_params)
+    out_data, core_backward = _mlp_core(x2, spans, mask, _taped(parents))
 
     def backward(grad):
         g_x = core_backward(grad.reshape(-1, d_out))
         x._accum(g_x.reshape(x.data.shape))
 
-    fast_params = [t for fast in members or () for t in fast]
-    return _node(out_data.reshape(*x.data.shape[:-1], d_out),
-                 (x, w1, b1, w2, b2, *fast_params), backward)
+    return _node(out_data.reshape(*x.data.shape[:-1], d_out), parents,
+                 backward)
 
 
 def expert_dispatch(x: Tensor, weights: Tensor, experts: list,
@@ -746,8 +795,11 @@ def expert_dispatch(x: Tensor, weights: Tensor, experts: list,
         full_rows = [hi - lo for _, lo, hi in segments]
     spans = [(lo, hi, full, experts[e], None)
              for (e, lo, hi), full in zip(segments, full_rows)]
+    params = [t for ex in experts for t in ex]
+    parents = (x, *params, weights)
     gate = weights.data[rows, slots][:, None]
-    ys, core_backward = _mlp_core(x.data[rows], spans, mask)
+    ys, core_backward = _mlp_core(x.data[rows], spans, mask,
+                                  _taped(parents))
     buf = np.zeros(weights.data.shape + ys.shape[1:])
     buf[rows, slots] += ys * gate  # +=, not =: a -0.0 product lands as 0.0
     if stack:
@@ -767,5 +819,4 @@ def expert_dispatch(x: Tensor, weights: Tensor, experts: list,
         np.add.at(g_x, rows, core_backward(g))
         x._accum(g_x)
 
-    params = [t for ex in experts for t in ex]
-    return _node(out_data, (x, *params, weights), backward)
+    return _node(out_data, parents, backward)

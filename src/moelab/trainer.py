@@ -4,11 +4,32 @@ Determinism contract: given (config, seed, single thread) every run draws
 identical batches, noise, and dropout masks because all randomness is
 addressed by (seed, purpose tags) rather than by call order.  Training twice
 with the same config yields bitwise-identical parameters.
+
+Memory: ``train`` allocates its state once.  Three float64 buffers
+(``FlatBuffers``) hold the entry copy of the parameters, their gradients and
+the momentum, one slice per parameter in ``Model.params`` order; each
+parameter's .data and .grad are views into them, backward adds into the
+zeroed gradient buffer in place, and ``sgd_step`` updates whole buffers in
+place with no scratch.  A step drops its tape (the forward's outputs, the
+losses and, through them, every node and intermediate gradient) right after
+``loss.backward()``, so the next step's forward starts with only the
+parameters and the momentum alive.
+
+The step's arrays are then freed and allocated again every step.  glibc's
+malloc by default serves blocks of 128 KiB and more by mmap and returns
+free heap top memory past 128 KiB to the system, so each step would fault
+its pages in again (thousands of minor faults per training run).  Its
+thresholds are dynamic: in malloc.c, free() of an mmapped chunk of at most
+32 MiB raises the mmap threshold to that chunk's size and the trim
+threshold to twice that.  ``train`` and ``evaluate`` do this once per
+process by allocating and freeing one untouched 31 MiB array, which costs
+no page and leaves other allocators unaffected.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import gc
 import io
 import math
@@ -74,27 +95,60 @@ def lr_at(config: TrainConfig, step: int) -> float:
     return config.base_lr * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
-def sgd_step(named_params, grads: dict, state: dict, config: TrainConfig,
-             lr: float) -> dict:
-    """Global-norm clip, then v <- beta v + g and p <- p - lr v.
+@dataclass
+class FlatBuffers:
+    """Training state in three float64 buffers, one slice per parameter in
+    the order given: the parameters, their gradients and the momentum.  A
+    bound tensor's .data is a view into params and its .grad a view into
+    grads, into which backward adds in place."""
 
-    Both updates write in place: the velocity arrays in `state` and every
-    parameter's data array.
+    params: np.ndarray
+    grads: np.ndarray
+    velocity: np.ndarray
+    ends: list  # where each tensor's slice ends, in the bound order
+
+    @classmethod
+    def bind(cls, tensors) -> "FlatBuffers":
+        """Copy the tensors' values into new buffers and rebind their data
+        and grad to views of them; velocity and gradients start at 0."""
+        tensors = list(tensors)
+        total = sum(t.data.size for t in tensors)
+        flat = cls(np.empty(total), np.zeros(total), np.zeros(total), [])
+        lo = 0
+        for t in tensors:
+            hi = lo + t.data.size
+            shape = t.data.shape
+            flat.params[lo:hi] = t.data.reshape(-1)
+            t.data = flat.params[lo:hi].reshape(shape)
+            t.accumulate_into(flat.grads[lo:hi].reshape(shape))
+            flat.ends.append(hi)
+            lo = hi
+        return flat
+
+
+def sgd_step(flat: FlatBuffers, config: TrainConfig, lr: float) -> None:
+    """Global-norm clip, then v <- beta v + g and p <- p - lr v, in place
+    over the whole buffers.  The gradient buffer is the scratch of the
+    update: it holds lr v after.
+
+    The squared norm is summed per parameter, in order, each slice of g * g
+    by np.add.reduce: the bits np.sum(g * g) has on the parameter's own
+    array, as a contiguous array reduces as one flat run.
     """
-    sq = 0.0
-    for name, _ in named_params:
-        g = grads[name]
-        sq += float(np.sum(g * g))
+    g, v = flat.grads, flat.velocity
+    squares = g * g
+    sq, lo = 0.0, 0
+    for hi in flat.ends:
+        sq += float(np.add.reduce(squares[lo:hi]))
+        lo = hi
+    del squares
     gnorm = math.sqrt(sq)
-    scale = 1.0 if gnorm <= config.clip_norm else config.clip_norm / gnorm
-    for name, p in named_params:
-        v = state.get(name)
-        if v is None:
-            v = state[name] = np.zeros_like(p.data)
-        v *= config.momentum
-        v += grads[name] * scale
-        p.data -= lr * v
-    return state
+    if gnorm > config.clip_norm:
+        g *= config.clip_norm / gnorm
+    v *= config.momentum
+    v += g
+    np.multiply(v, lr, out=g)
+    flat.params -= g
 
 
 def _mimo_batch(images, labels, spec, rng: Rng, step: int):
@@ -119,10 +173,13 @@ def _mimo_batch(images, labels, spec, rng: Rng, step: int):
 def train(model: Model, dataset: Dataset, config: TrainConfig):
     """Run the loop; returns (model, history) with one dict per step.
 
-    Each parameter's array is copied once on entry, so the in-place updates
-    never write an array the caller holds.  The cyclic garbage collector is
-    off during the step loop, since the tape has no reference cycles for it
-    to find; the caller's setting is restored on exit, also on error.
+    The parameters are copied once on entry into FlatBuffers, so the
+    in-place updates never write an array the caller holds.  Each step's
+    tape is dropped right after its backward, before the optimizer runs,
+    so at most one tape is alive.  The cyclic garbage collector is off
+    during the step loop, since the tape has no reference cycles for it to
+    find; the caller's setting is restored on exit, also on error, and the
+    parameters hold no gradient after.
     """
     spec = model.spec
     if dataset.spec.classes != spec.classes:
@@ -130,11 +187,10 @@ def train(model: Model, dataset: Dataset, config: TrainConfig):
     n = len(dataset.train_y)
     if config.batch_size > n:
         raise ConfigError("batch_size exceeds training set size")
+    _keep_freed_memory()
     rng = Rng(config.seed)
-    params = model.params
-    for p in params.values():
-        p.data = p.data.copy()
-    state: dict = {}
+    params = model.params.values()
+    flat = FlatBuffers.bind(params)
     history = []
     gc_was_enabled = gc.isenabled()
     gc.disable()
@@ -156,35 +212,44 @@ def train(model: Model, dataset: Dataset, config: TrainConfig):
             aux_states = [AuxLossState.from_decision(d)
                           for d in out.decisions]
             loss = total_loss(data, aux_states, config.loss.aux_weight)
-            loss_val = loss.item()
+            loss_val, data_val = loss.item(), data.item()
             if not math.isfinite(loss_val):
                 raise DivergenceError(s, loss_val)
+            flat.grads.fill(0.0)
             loss.backward()
-            grads = {}
-            for name, p in params.items():
-                grads[name] = p.grad if p.grad is not None \
-                    else np.zeros_like(p.data)
+            del out, data, aux_states, loss
             lr = lr_at(config, s)
-            sgd_step(params.items(), grads, state, config, lr)
-            for p in params.values():
-                p.grad = None
-            row = {"step": s, "loss": loss_val,
-                   "aux": loss_val - data.item(), "lr": lr,
-                   "nll": None, "error": None, "ece": None, "kl": None}
-            last = s == config.steps - 1
-            if last or (config.eval_every
-                        and (s + 1) % config.eval_every == 0):
-                acc = MetricAccumulator()
-                val = forward(model, dataset.val_x, rng, train=False, step=s)
-                acc.add_batch(val.member_probs, dataset.val_y)
-                r = acc.result()
-                row.update(nll=r["nll"], error=r["error_pct"], ece=r["ece"],
-                           kl=r["kl_diversity"])
+            sgd_step(flat, config, lr)
+            row = {"step": s, "loss": loss_val, "aux": loss_val - data_val,
+                   "lr": lr, "nll": None, "error": None, "ece": None,
+                   "kl": None}
+            if s == config.steps - 1 or (config.eval_every and
+                                         (s + 1) % config.eval_every == 0):
+                row.update(_validate(model, dataset, rng, s))
             history.append(row)
     finally:
+        for p in params:
+            p.accumulate_into(None)
         if gc_was_enabled:
             gc.enable()
     return model, history
+
+
+def _validate(model: Model, dataset: Dataset, rng: Rng, step: int) -> dict:
+    """The mid-training metrics of the validation split."""
+    acc = MetricAccumulator()
+    acc.add_batch(forward(model, dataset.val_x, rng, train=False,
+                          step=step).member_probs, dataset.val_y)
+    r = acc.result()
+    return {"nll": r["nll"], "error": r["error_pct"], "ece": r["ece"],
+            "kl": r["kl_diversity"]}
+
+
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Raise glibc malloc's mmap and trim thresholds to 31 and 62 MiB, once
+    per process (see the module docstring)."""
+    np.empty(31 << 20, dtype=np.uint8)
 
 
 HISTORY_COLUMNS = ("step", "loss", "aux", "nll", "error", "ece", "kl")
@@ -228,6 +293,7 @@ def evaluate(model: Model | None, dataset: Dataset, rng: Rng, *,
         raise ConfigError("mc_samples needs a single model, not models")
     if any(int(shots) < 1 for shots in fewshot_shots):
         raise ConfigError("fewshot_shots must all be >= 1")
+    _keep_freed_memory()
 
     # models pool one member per model, mc_samples one per dropout draw;
     # a lone model reports its own members

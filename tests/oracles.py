@@ -6,8 +6,11 @@ differences; BeMoeView reads a batch-ensemble layer as a sparse MoE
 be_dense_forward are the tape compositions the fused tensor.mlp replaces:
 the batch-ensemble MLP is gelu(be_dense_forward(x, be1) + b1), times the
 dropout mask, then be_dense_forward(., be2) + b2, and the fused node must
-equal it bitwise.
+equal it bitwise.  sgd_step_loop is the per-parameter SGD step that
+trainer.sgd_step's flat buffers replace, bit for bit.
 """
+
+import math
 
 import numpy as np
 
@@ -128,3 +131,25 @@ def be_dense_forward(h_tiled: Tensor, be: BatchEnsembleDense,
         h_m = take_rows(h_tiled, np.arange(mm * b, (mm + 1) * b))
         outs.append(matmul(h_m * be.r[mm], be.u, full_b) * be.s[mm])
     return concat(outs, axis=0)
+
+
+def sgd_step_loop(named_params, grads: dict, state: dict, config,
+                  lr: float) -> dict:
+    """Global-norm clip, then v <- beta v + g and p <- p - lr v, one
+    parameter at a time: grads and state (the velocities, made on first
+    use) map each name to an array, and every parameter's data is written
+    in place."""
+    sq = 0.0
+    for name, _ in named_params:
+        g = grads[name]
+        sq += float(np.sum(g * g))
+    gnorm = math.sqrt(sq)
+    scale = 1.0 if gnorm <= config.clip_norm else config.clip_norm / gnorm
+    for name, p in named_params:
+        v = state.get(name)
+        if v is None:
+            v = state[name] = np.zeros_like(p.data)
+        v *= config.momentum
+        v += grads[name] * scale
+        p.data -= lr * v
+    return state

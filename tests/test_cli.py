@@ -187,6 +187,9 @@ BAD_CSV = [
     ("fractional_label", _csv_row("1.5").encode()),
     ("non_numeric_pixel", _csv_row("1", 191).replace("\n", ",dark\n")
      .encode()),
+    ("nan_pixel", (_csv_row("1") + _csv_row("0", 191).replace("\n", ",nan\n"))
+     .encode()),
+    ("inf_pixel", _csv_row("1", 191).replace("\n", ",-inf\n").encode()),
 ]
 
 

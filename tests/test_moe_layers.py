@@ -10,6 +10,7 @@ from moelab.layers import (
     BeMLP,
     ExpertMLP,
     MoELayer,
+    dropout_mask,
     layer_forward,
     tile,
 )
@@ -636,3 +637,40 @@ class TestExpertDispatchBitwise:
                                     + list(layer.router.weights) + params))
         for got, want in zip(*results):
             np.testing.assert_array_equal(got, want)
+
+
+class TestDropoutMask:
+    """The keep mask from raw words, scaled, equals the float mask the
+    uniform draws give, (u >= rate) / (1 - rate), bit for bit."""
+
+    RATES = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 1.0 / 3.0, 0.999]
+
+    @pytest.mark.parametrize("rate", RATES)
+    def test_equals_uniform_draws(self, rate):
+        rng = Rng(23)
+        blocks = [(n, ("drop", 1, 5, -1, e)) for e, n in
+                  enumerate([1, 999, 2000, 3000, 4000])]
+        keep = dropout_mask(rng, rate, 100, blocks)  # 10^6 draws
+        assert keep.dtype == bool and keep.shape == (10000, 100)
+        u = np.concatenate([rng.stream(*tags).random((n, 100))
+                            for n, tags in blocks])
+        want = (u >= rate).astype(np.float64) / (1.0 - rate)
+        assert (keep * (1.0 / (1.0 - rate))).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rate", RATES + [2.0 ** -53, 0.5 - 2.0 ** -54])
+    def test_threshold_words(self, rate):
+        # the words on either side of the threshold, every low-bit pattern
+        # that random() drops
+        k = int(np.ceil(rate * 2.0 ** 53))
+        high = [max(k + d, 0) for d in (-2, -1, 0, 1, 2)] + [2 ** 53 - 1]
+        words = np.array([(h << 11) | low for h in high
+                          for low in (0, 1, 1024, 2047)], dtype=np.uint64)
+
+        class Words:  # an Rng whose every stream starts with these words
+            def raw(self, shape, *tags):
+                return words.reshape(shape)
+
+        keep = dropout_mask(Words(), rate, words.size, [(1, ("t",))])
+        u = (words >> np.uint64(11)) * 2.0 ** -53
+        np.testing.assert_array_equal(keep[0], u >= rate)
+

@@ -612,6 +612,41 @@ class TestNoGrad:
         np.testing.assert_array_equal(g, [1.0, 2.0, 3.0])
         np.testing.assert_array_equal(x.grad, [2.0, 4.0, 6.0])
 
+    def test_backward_releases_nonleaf_grads(self):
+        gen = np.random.default_rng(21)
+        x = Tensor(gen.normal(size=(3, 4)), requires_grad=True)
+        w = Tensor(gen.normal(size=(4, 2)), requires_grad=True)
+        h = dense(x, w)
+        y = softmax(h)
+        loss = tsum(mul(y, y))
+        loss.backward()
+        assert h.grad is None and y.grad is None and loss.grad is None
+        # the leaves keep theirs: d/dh of sum(y^2) through the softmax
+        p = y.data
+        g_h = p * (2.0 * p - (2.0 * p * p).sum(axis=1, keepdims=True))
+        np.testing.assert_allclose(x.grad, g_h @ w.data.T, rtol=1e-12)
+        np.testing.assert_allclose(w.grad, x.data.T @ g_h, rtol=1e-12)
+
+    def test_bound_gradient_added_in_place(self):
+        x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        buf = np.zeros(2)
+        x.accumulate_into(buf)
+        for _ in range(2):
+            tsum(mul(x, x)).backward()
+        assert x.grad is buf
+        np.testing.assert_array_equal(buf, [4.0, -8.0])
+        # a first contribution of -0.0 lands as +0.0 in the zeroed buffer
+        z = Tensor(np.zeros(1), requires_grad=True)
+        z.accumulate_into(np.zeros(1))
+        z._accum(np.array([-0.0]))
+        assert not np.signbit(z.grad[0])
+        x.accumulate_into(None)
+        assert x.grad is None
+        g = np.ones(2)
+        x._accum(g)
+        x._accum(g)
+        assert x.grad is not g and g.tolist() == [1.0, 1.0]
+
     def test_shared_gradient_array_never_written(self):
         # add hands the same gradient array to both parents; accumulating
         # more into one of them must not change the other

@@ -1,6 +1,8 @@
 """Addressable random streams: same (seed, tags) must always reproduce the
 same draw, and distinct tags must give independent values."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,18 @@ def test_tag_concatenation_not_ambiguous():
     assert not np.array_equal(a, b)
 
 
+def test_key_is_blake2b_of_seed_and_tags():
+    # the seed's hasher is copied per key, never advanced by one
+    key = np.frombuffer(hashlib.blake2b(b"21|i3|sdrop|i-1",
+                                        digest_size=16).digest(), np.uint64)
+    want = np.random.Generator(np.random.Philox(key=key)).random(4)
+    r = Rng(21)
+    for _ in range(2):
+        np.testing.assert_array_equal(r.stream(3, "drop", -1).random(4), want)
+        np.testing.assert_array_equal(_uniform(r.raw(4, 3, "drop", -1)),
+                                      want)
+
+
 def test_bad_tag_type_rejected():
     r = Rng(0)
     with pytest.raises(TypeError):
@@ -84,17 +98,25 @@ def test_numpy_integer_tags_equal_python_ints():
     np.testing.assert_array_equal(a, b)
 
 
+def _uniform(raw):
+    """The uniform draws random() makes of raw words."""
+    return (raw >> np.uint64(11)) * 2.0 ** -53
+
+
 def test_keyed_draws_equal_fresh_streams():
-    # normal and uniform_into re-key one owned generator; every draw must
-    # equal that of a fresh stream(*tags), whatever was drawn before it
+    # normal and raw re-key one owned generator; every draw must equal that
+    # of a fresh stream(*tags), whatever was drawn before it
     r = Rng(17)
     tag_sets = [("drop", 1, 0, -1, 3, 0), ("route", 0, 5), ("x",), ()]
     shapes = [(1, 1), (3, 7), (5,), (0, 4)]
     for tags in tag_sets:
         for shape in shapes:
-            got = np.empty(shape)
-            r.uniform_into(got, *tags)
-            np.testing.assert_array_equal(got, r.stream(*tags).random(shape))
+            got = r.raw(shape, *tags)
+            assert got.shape == shape and got.dtype == np.uint64
+            np.testing.assert_array_equal(
+                got, r.stream(*tags).bit_generator.random_raw(shape))
+            np.testing.assert_array_equal(_uniform(got),
+                                          r.stream(*tags).random(shape))
             np.testing.assert_array_equal(
                 r.normal(shape, *tags),
                 r.stream(*tags).standard_normal(shape))
@@ -103,10 +125,10 @@ def test_keyed_draws_equal_fresh_streams():
 def test_keyed_draws_interleaved_into_segments():
     r = Rng(4)
     buf = np.empty((6, 4))
-    r.uniform_into(buf[:2], "drop", 0, 1)
+    buf[:2] = _uniform(r.raw((2, 4), "drop", 0, 1))
     between = r.normal((3, 3), "route", 2)
-    r.uniform_into(buf[2:3], "drop", 1, 1)
-    r.uniform_into(buf[3:], "drop", 0, 1)
+    buf[2:3] = _uniform(r.raw((1, 4), "drop", 1, 1))
+    buf[3:] = _uniform(r.raw((3, 4), "drop", 0, 1))
     np.testing.assert_array_equal(buf[:2],
                                   r.stream("drop", 0, 1).random((2, 4)))
     np.testing.assert_array_equal(buf[2:3],
@@ -121,7 +143,7 @@ def test_stream_is_fresh_and_unaliased():
     r = Rng(6)
     g = r.stream("a")
     first = g.random(3)
-    r.uniform_into(np.empty(5), "a")
+    r.raw(5, "a")
     r.normal(4, "b")
     assert r.stream("a") is not g
     np.testing.assert_array_equal(np.concatenate([first, g.random(3)]),

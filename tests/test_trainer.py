@@ -4,6 +4,9 @@ convergence, and the evaluation driver."""
 import dataclasses
 import gc
 import math
+import platform
+import resource
+import weakref
 
 import numpy as np
 import pytest
@@ -14,13 +17,14 @@ from moelab.checkpoint import (Checkpoint, apply_checkpoint,
                                checkpoint_from_model, save_checkpoint)
 from moelab.dataset import DatasetSpec, make_synthetic_dataset
 from moelab.errors import ConfigError, DivergenceError, EvaluationError
-from moelab.losses import LossConfig
+from moelab.losses import LossConfig, member_avg_cross_entropy
 from moelab.metrics import EvalReport, fewshot_probe
 from moelab.model import ModelSpec, build_model, forward
 from moelab.rng import Rng
 from moelab.tensor import Tensor
 from moelab.trainer import (
     HISTORY_COLUMNS,
+    FlatBuffers,
     TrainConfig,
     evaluate,
     history_to_csv,
@@ -28,6 +32,7 @@ from moelab.trainer import (
     sgd_step,
     train,
 )
+from oracles import sgd_step_loop
 
 
 def tiny_model_spec(**kw):
@@ -104,84 +109,138 @@ class TestSchedules:
 
 
 class TestSgdStep:
-    def params(self, values):
-        out = []
-        for i, v in enumerate(values):
-            out.append((f"p{i}", Tensor(np.array(v, dtype=np.float64),
-                                        requires_grad=True)))
-        return out
+    def bind(self, values):
+        """Parameters of the given values, bound to new flat buffers."""
+        tensors = [Tensor(np.array(v, dtype=np.float64), requires_grad=True)
+                   for v in values]
+        return tensors, FlatBuffers.bind(tensors)
 
     def test_plain_gradient_step(self):
-        named = self.params([[1.0, 2.0]])
-        grads = {"p0": np.array([0.5, -0.5])}
+        (p,), flat = self.bind([[1.0, 2.0]])
+        p.grad[...] = [0.5, -0.5]
         cfg = TrainConfig(momentum=0.0, base_lr=1.0, clip_norm=10.0)
-        sgd_step(named, grads, {}, cfg, cfg.base_lr)
-        np.testing.assert_array_equal(named[0][1].data, [0.5, 2.5])
+        sgd_step(flat, cfg, cfg.base_lr)
+        np.testing.assert_array_equal(p.data, [0.5, 2.5])
 
     def test_clip_scales_exactly_half(self):
-        named = self.params([[0.0] * 4])
-        g = np.full(4, 10.0)  # norm 20
+        (p,), flat = self.bind([[0.0] * 4])
+        p.grad[...] = 10.0  # norm 20
         cfg = TrainConfig(momentum=0.0, base_lr=1.0, clip_norm=10.0)
-        sgd_step(named, {"p0": g}, {}, cfg, cfg.base_lr)
-        np.testing.assert_array_equal(named[0][1].data, -5.0 * np.ones(4))
+        sgd_step(flat, cfg, cfg.base_lr)
+        np.testing.assert_array_equal(p.data, -5.0 * np.ones(4))
 
     def test_zero_grads_decay_velocity(self):
-        named = self.params([[1.0]])
-        state = {"p0": np.array([2.0])}
+        (p,), flat = self.bind([[1.0]])
+        flat.velocity[...] = 2.0
         cfg = TrainConfig(momentum=0.9, base_lr=0.0, clip_norm=10.0)
-        sgd_step(named, {"p0": np.zeros(1)}, state, cfg, cfg.base_lr)
-        np.testing.assert_allclose(state["p0"], [1.8], atol=1e-15)
-        np.testing.assert_array_equal(named[0][1].data, [1.0])
+        sgd_step(flat, cfg, cfg.base_lr)
+        np.testing.assert_allclose(flat.velocity, [1.8], atol=1e-15)
+        np.testing.assert_array_equal(p.data, [1.0])
 
     def test_post_clip_norm_bounded(self):
         gen = np.random.default_rng(0)
         for _ in range(20):
-            named = self.params([gen.normal(size=6).tolist(),
-                                 gen.normal(size=3).tolist()])
-            grads = {"p0": gen.normal(size=6) * 10,
-                     "p1": gen.normal(size=3) * 10}
+            tensors, flat = self.bind([gen.normal(size=6).tolist(),
+                                       gen.normal(size=3).tolist()])
+            for t in tensors:
+                t.grad[...] = gen.normal(size=t.data.shape) * 10
             cfg = TrainConfig(momentum=0.0, base_lr=1.0, clip_norm=5.0)
-            before = {k: v.copy() for k, v in grads.items()}
-            sq = sum(float(np.sum(g * g)) for g in before.values())
+            before = flat.grads.copy()
+            sq = sum(float(np.sum(g * g)) for g in (before[:6], before[6:]))
             scale = min(1.0, 5.0 / math.sqrt(sq))
-            state = sgd_step(named, grads, {}, cfg, cfg.base_lr)
-            eff = math.sqrt(sum(float(np.sum(v * v))
-                                for v in state.values()))
+            sgd_step(flat, cfg, cfg.base_lr)
+            eff = math.sqrt(float(np.sum(flat.velocity * flat.velocity)))
             assert eff <= 5.0 + 1e-9
-            np.testing.assert_allclose(state["p0"], before["p0"] * scale,
+            np.testing.assert_allclose(flat.velocity, before * scale,
                                        atol=1e-12)
 
     def test_momentum_accumulates(self):
-        named = self.params([[0.0]])
+        (p,), flat = self.bind([[0.0]])
         cfg = TrainConfig(momentum=0.5, base_lr=1.0, clip_norm=100.0)
-        state = {}
-        sgd_step(named, {"p0": np.array([1.0])}, state, cfg, cfg.base_lr)
-        sgd_step(named, {"p0": np.array([1.0])}, state, cfg, cfg.base_lr)
+        for _ in range(2):
+            p.grad[...] = 1.0
+            sgd_step(flat, cfg, cfg.base_lr)
         # v1 = 1, v2 = 0.5 + 1 = 1.5; p = -(1 + 1.5)
-        np.testing.assert_allclose(named[0][1].data, [-2.5], atol=1e-15)
+        np.testing.assert_allclose(p.data, [-2.5], atol=1e-15)
 
     def test_in_place_update_matches_out_of_place_formula(self):
         gen = np.random.default_rng(3)
-        named = self.params([gen.normal(size=7).tolist(),
-                             gen.normal(size=(2, 3)).tolist()])
-        want = {n: p.data.copy() for n, p in named}
-        vel = {n: np.zeros_like(p.data) for n, p in named}
+        tensors, flat = self.bind([gen.normal(size=7).tolist(),
+                                   gen.normal(size=(2, 3)).tolist()])
+        want = [t.data.copy() for t in tensors]
+        vel = [np.zeros_like(t.data) for t in tensors]
         cfg = TrainConfig(momentum=0.9, base_lr=0.1, clip_norm=1.0)
-        state = {}
         for step in range(5):
-            grads = {n: gen.normal(size=p.data.shape) * 3 for n, p in named}
-            arrays = [p.data for _, p in named]
-            sgd_step(named, grads, state, cfg, 0.1 / (step + 1))
-            assert all(p.data is a for (_, p), a in zip(named, arrays))
+            grads = [gen.normal(size=t.data.shape) * 3 for t in tensors]
+            for t, g in zip(tensors, grads):
+                t.grad[...] = g
+            arrays = [t.data for t in tensors]
+            sgd_step(flat, cfg, 0.1 / (step + 1))
+            assert all(t.data is a for t, a in zip(tensors, arrays))
+            gnorm = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
+            scale = min(1.0, 1.0 / gnorm)
+            for i, g in enumerate(grads):
+                vel[i] = 0.9 * vel[i] + g * scale
+                want[i] = want[i] - 0.1 / (step + 1) * vel[i]
+        for i, t in enumerate(tensors):
+            np.testing.assert_array_equal(t.data, want[i])
+        np.testing.assert_array_equal(
+            flat.velocity, np.concatenate([v.reshape(-1) for v in vel]))
+
+    def test_flat_step_equals_per_parameter_loop(self):
+        # the same model's gradients, stepped by the flat buffers and by
+        # the per-parameter loop; some experts get no gradient, and the
+        # small clip norm clips some steps and not others
+        ds = small_dataset(seed=2)
+        spec = tiny_model_spec(variant="vmoe", e=8, k=1)
+        flat_model, loop_model = (build_model(spec, Rng(4)) for _ in "ab")
+        flat = FlatBuffers.bind(flat_model.params.values())
+        state = {}
+        cfg = TrainConfig(momentum=0.9, base_lr=0.1, clip_norm=3.0)
+        clipped, ungraded = set(), 0
+        for step in range(6):
+            images = ds.train_x[4 * step:4 * step + 3]
+            labels = ds.train_y[4 * step:4 * step + 3]
+            flat.grads.fill(0.0)
+            for mdl in (flat_model, loop_model):
+                out = forward(mdl, images, Rng(1), train=True, step=step)
+                member_avg_cross_entropy(out.member_probs, labels).backward()
+            named = list(loop_model.named_params())
+            ungraded += sum(p.grad is None for _, p in named)
+            grads = {n: np.zeros_like(p.data) if p.grad is None else p.grad
+                     for n, p in named}
             gnorm = math.sqrt(sum(float(np.sum(g * g))
                                   for g in grads.values()))
-            scale = min(1.0, 1.0 / gnorm)
-            for n in want:
-                vel[n] = 0.9 * vel[n] + grads[n] * scale
-                want[n] = want[n] - 0.1 / (step + 1) * vel[n]
-        for n, p in named:
-            np.testing.assert_array_equal(p.data, want[n])
-            np.testing.assert_array_equal(state[n], vel[n])
+            clipped.add(gnorm > cfg.clip_norm)
+            sgd_step(flat, cfg, 0.1)
+            sgd_step_loop(named, grads, state, cfg, 0.1)
+            for name, p in named:
+                p.grad = None
+                got = flat_model.params[name].data
+                assert got.tobytes() == p.data.tobytes(), (step, name)
+        assert ungraded and clipped == {False, True}
+        np.testing.assert_array_equal(
+            flat.velocity,
+            np.concatenate([state[n].reshape(-1) for n in flat_model.params]))
+
+    def test_flat_step_equals_loop_on_large_arrays(self):
+        # arrays long enough that the order of the norm's sums shows in
+        # its bits, every step clipped
+        gen = np.random.default_rng(9)
+        shapes = [(300, 200), (7,), (64, 3, 5), (1,), (1000, 37)]
+        tensors, flat = self.bind([gen.normal(size=s) for s in shapes])
+        named = [(f"p{i}", Tensor(t.data.copy())) for i, t in
+                 enumerate(tensors)]
+        state = {}
+        cfg = TrainConfig(momentum=0.9, base_lr=0.1, clip_norm=1.0)
+        for step in range(4):
+            grads = {n: gen.normal(size=p.data.shape) for n, p in named}
+            for t, (n, _) in zip(tensors, named):
+                t.grad[...] = grads[n]
+            sgd_step(flat, cfg, 0.1)
+            sgd_step_loop(named, grads, state, cfg, 0.1)
+            for t, (n, p) in zip(tensors, named):
+                assert t.data.tobytes() == p.data.tobytes(), (step, n)
 
 
 class TestTrainLoop:
@@ -199,6 +258,58 @@ class TestTrainLoop:
             np.testing.assert_array_equal(arr, kept[name])
         assert any(not np.array_equal(t.data, kept[n])
                    for n, t in model.named_params())
+
+    def test_one_step_tape_alive_at_a_time(self, monkeypatch):
+        # weak references to the arrays of every tensor of step s's tape
+        # (the parameters aside) must all be dead when step s+1's training
+        # forward starts: nothing holds the last tape, and no cycle waits
+        # for the collector, which is off in the loop
+        ds = small_dataset(seed=4)
+        model = build_model(tiny_model_spec(variant="pbe", m=2), Rng(2))
+        params = {id(t) for t in model.params.values()}
+        real = moelab.trainer.forward
+        previous, alive = [], []
+
+        def watched(mdl, images, rng, train=False, **kwargs):
+            if not train:
+                return real(mdl, images, rng, train=train, **kwargs)
+            alive.append(sum(ref() is not None for ref in previous))
+            previous.clear()
+            out = real(mdl, images, rng, train=train, **kwargs)
+            seen, stack = set(), [out.member_probs]
+            while stack:
+                t = stack.pop()
+                if id(t) in seen or id(t) in params:
+                    continue
+                seen.add(id(t))
+                previous.append(weakref.ref(t.data))
+                stack.extend(t._parents)
+            return out
+
+        monkeypatch.setattr(moelab.trainer, "forward", watched)
+        train(model, ds, TrainConfig(steps=4, batch_size=8, eval_every=1))
+        assert len(previous) > 100
+        assert alive == [0] * 4
+        assert all(p.grad is None for p in model.params.values())
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the bound rests on glibc malloc's dynamic "
+                               "mmap and trim thresholds")
+    @pytest.mark.parametrize("variant", ["be", "pbe"])
+    def test_repeat_training_barely_faults(self, variant):
+        # freed step memory stays mapped, so a second training of the same
+        # shape faults in almost no pages: at the benchmark's model shape,
+        # over a thousand without the raised malloc thresholds
+        ds = small_dataset(seed=4)
+        spec = moelab.model.preset("tiny", variant=variant, mlp_dim=128,
+                                   e=16, m=2)
+        cfg = TrainConfig(steps=12, batch_size=32, seed=1)
+        train(build_model(spec, Rng(1)), ds, cfg)
+        model = build_model(spec, Rng(1))
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        train(model, ds, cfg)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults <= 200, faults
 
     def test_deterministic_checkpoints(self, tmp_path):
         ds = small_dataset(seed=4)
