@@ -21,7 +21,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ConfigError, FitError
+from .errors import ConfigError
 
 # families ordered by model size, one patch scale per tier; this is the
 # comparison set for the difficulty-normalized table
@@ -84,14 +84,14 @@ class PhiFit:
 def fit_phi(points: list) -> PhiFit:
     """Ordinary least squares of metric on [1, u, u^2, u^3], u = ln GFLOPs."""
     if len(points) < 4:
-        raise FitError("need at least 4 points for a cubic fit")
+        raise ConfigError("need at least 4 points for a cubic fit")
     u = np.array([math.log(p.giga_flops) for p in points])
     design = np.stack([np.ones_like(u), u, u ** 2, u ** 3], axis=1)
     target = np.array([p.metric for p in points])
     coeffs, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
     if rank < 4:
-        raise FitError("design matrix is rank deficient "
-                       "(need 4 distinct FLOPs values)")
+        raise ConfigError("design matrix is rank deficient "
+                          "(need 4 distinct FLOPs values)")
     return PhiFit(coeffs)
 
 

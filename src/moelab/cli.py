@@ -51,7 +51,7 @@ from .analyzer import (
 from .checkpoint import checkpoint_from_model, save_checkpoint, write_atomic
 from .config import Record, check_value, field_types
 from .dataset import DatasetSpec, make_dataset
-from .errors import ConfigError, DivergenceError, EvaluationError, FitError
+from .errors import ConfigError, DivergenceError, EvaluationError
 from .flops import deep_ensemble_flops, flops_estimate, flops_forward, tiling_saving
 from .model import PRESET_NAMES, VARIANTS, ModelSpec, build_model, preset
 from .rng import Rng
@@ -86,6 +86,12 @@ class ExperimentConfig(Record):
             raise ConfigError(
                 f"repetitions must be >= 1, got {self.repetitions}"
             )
+        for name in ("image_size", "channels", "classes"):
+            have = getattr(self.dataset, name)
+            want = getattr(self.model, name)
+            if have != want:
+                raise ConfigError(f"dataset.{name} {have} differs from "
+                                  f"model.{name} {want}")
         # sweep cells are built with dataclasses.replace, which skips
         # from_dict, so the grid values get the ModelSpec field checks here
         for key, values in self.grid.items():
@@ -139,10 +145,8 @@ def _mean_stderr(values: list) -> tuple:
 def _flatten_report(report) -> dict:
     """Scalar view of an EvalReport: top-level fields plus ood metrics."""
     d = report.to_dict()
-    flat = {}
-    for key in report.SCALAR_FIELDS:
-        flat[key] = d.get(key)
-    for pair, metrics in sorted((d.get("ood") or {}).items()):
+    flat = {key: v for key, v in d.items() if not isinstance(v, dict)}
+    for pair, metrics in sorted(d["ood"].items()):
         for name, value in sorted(metrics.items()):
             flat[f"ood.{pair}.{name}"] = value
     return flat
@@ -176,10 +180,8 @@ def _repetitions(config: ExperimentConfig, spec: ModelSpec, n_models: int,
     pooled as a deep ensemble.  Yields ([(model, history), ...], report).
     """
     tcfg = config.train
-    # deep_ensemble_flops(spec, n_models, ...) is this same product, and
-    # for one model 1 * x == x exactly
-    flops_giga = n_models * flops_estimate(spec, tcfg.steps,
-                                           tcfg.batch_size)
+    flops_giga = deep_ensemble_flops(spec, n_models, tcfg.steps,
+                                     tcfg.batch_size)
     for i, dataset in enumerate(datasets):
         seed = tcfg.seed + i
         seeds = [seed + MEMBER_SEED_STRIDE * j for j in range(n_models)]
@@ -244,6 +246,9 @@ def run_sweep(config: ExperimentConfig, out_dir: Path) -> Path:
     ks = grid.get("k", [config.model.k])
     ms = grid.get("m", [config.model.m])
 
+    # every cell's spec is built, and so checked, before anything runs
+    cells = [(variant, e, k, m, _cell(config.model, variant, e, k, m))
+             for variant, e, k, m in itertools.product(variants, es, ks, ms)]
     _write_config(config, out_dir)
     header = ["variant", "e", "k", "m"]
     for name in SWEEP_METRICS:
@@ -255,10 +260,9 @@ def run_sweep(config: ExperimentConfig, out_dir: Path) -> Path:
     datasets = [make_dataset(replace(config.dataset,
                                      seed=config.dataset.seed + i))
                 for i in range(config.repetitions)]
-    for variant, e, k, m in itertools.product(variants, es, ks, ms):
+    for variant, e, k, m, cell in cells:
         flat = [_flatten_report(report) for _, report in
-                _repetitions(config, *_cell(config.model, variant, e, k, m),
-                             datasets)]
+                _repetitions(config, *cell, datasets)]
         row = [variant, str(e), str(k), str(m)]
         for name in SWEEP_METRICS:
             values = [fr.get(name) for fr in flat]
@@ -505,7 +509,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FitError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:

@@ -16,7 +16,3 @@ class DivergenceError(RuntimeError):
         super().__init__(f"non-finite loss {value!r} at step {step}")
         self.step = step
         self.value = value
-
-
-class FitError(RuntimeError):
-    """A least-squares fit could not be computed (rank-deficient design)."""

@@ -26,7 +26,6 @@ from .model import ModelSpec
 class FlopsReport:
     forward_per_example: int
     parts: dict
-    tiling: str
 
     def train_giga(self, steps: int, batch: int) -> float:
         return 3.0 * self.forward_per_example * steps * batch / 1e9
@@ -72,7 +71,7 @@ def flops_forward(spec: ModelSpec, tiling: str = "deferred") -> FlopsReport:
     parts["head"] = mult * 2 * d * head_out
 
     total = sum(parts.values())
-    return FlopsReport(total, parts, tiling)
+    return FlopsReport(total, parts)
 
 
 def flops_estimate(spec: ModelSpec, steps: int, batch: int) -> float:

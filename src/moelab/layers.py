@@ -25,7 +25,10 @@ just approximately.  Pairs are never grouped across slots, and the GEMMs
 are never batched across segments: either would change roundings (a 1-row
 segment runs as a matrix-vector product) or reorder the accumulation of
 the expert-weight gradients, and move trained numbers.  Each segment's
-dropout mask is drawn from its own (slot, expert) stream.
+dropout mask is drawn from its own (slot, expert) stream.  dropout_mask
+makes every dropout mask of the model, the dense and batch-ensemble ones
+too: drawn, cut to the rows kept and scaled, with no caller redoing any
+of it.
 
 An eval forward wants only some rows of its last MoE layer (layer_forward's
 rows), and a segment then keeps only their assignments.  A row of a GEMM
@@ -33,7 +36,8 @@ with 2 or more rows has the same bits whatever the other rows are, so the
 kept rows' outputs do not change, with one exception, the 2-row rule: a
 segment left with one row of a longer segment would drop to the
 matrix-vector path, so it runs that row twice and keeps the first result
-(tensor.matmul_rows).  A segment that had one row to begin with stays on
+(tensor.matmul_rows); so each segment carries its full length, as
+(expert, lo, hi, full).  A segment that had one row to begin with stays on
 the vector path.  The kernel applies this rule to every span by its full
 row count, so the dense and batch-ensemble MLPs keep it too, for a
 one-image batch or member block.
@@ -74,16 +78,21 @@ class ExpertMLP:
         return self.w1.data.shape[1]
 
 
-def dropout_mask(rng: Rng, rate: float, width: int, blocks) -> np.ndarray:
-    """Inverted-dropout keep mask: True with prob 1-rate.  Callers scale it
-    by 1/(1-rate), as keep * (1 / (1 - rate)).
+def dropout_mask(rng: Rng, rate: float, width: int, blocks,
+                 rows: np.ndarray | None = None) -> np.ndarray | None:
+    """The inverted-dropout mask: each unit is 1 / (1 - rate) with prob
+    1 - rate, else 0.  None at rate 0, where nothing is dropped.
 
     blocks lists (rows, tags) pairs: the mask stacks one rows x width block
     per entry, in order, each drawn from the stream addressed by its tags.
-    A unit is kept where stream(*tags).random() >= rate would be: random()
-    is (raw >> 11) * 2**-53 and rate * 2**53 is exact, so that is the
-    integer compare raw >= ceil(rate * 2**53) << 11.
+    rows, if given, selects the mask rows kept (an index or boolean array
+    over the stacked rows); they are cut before the scaling.  A unit is kept
+    where stream(*tags).random() >= rate would be: random() is (raw >> 11)
+    * 2**-53 and rate * 2**53 is exact, so that is the integer compare
+    raw >= ceil(rate * 2**53) << 11.
     """
+    if rate == 0.0:
+        return None
     floor = np.uint64(math.ceil(rate * 2.0 ** 53) << 11)
     keep = np.empty((sum(n for n, _ in blocks), width), dtype=bool)
     lo = 0
@@ -91,7 +100,9 @@ def dropout_mask(rng: Rng, rate: float, width: int, blocks) -> np.ndarray:
         np.greater_equal(rng.raw((n, width), *tags), floor,
                          out=keep[lo:lo + n])
         lo += n
-    return keep
+    if rows is not None:
+        keep = keep[rows]
+    return keep * (1.0 / (1.0 - rate))
 
 
 @dataclass
@@ -164,14 +175,8 @@ def layer_forward(h: Tensor, layer: MoELayer, rng: Rng, *, train: bool = False,
     bounds = starts.tolist() + [key.size]
     segs = [(*divmod(int(k), layer.e), lo, hi)  # (slot, expert, lo, hi)
             for k, lo, hi in zip(keys, bounds[:-1], bounds[1:])]
-    keep = None
-    if dropout_on and layer.dropout_rate > 0.0:
-        keep = dropout_mask(rng, layer.dropout_rate,
-                            layer.experts[0].hidden_dim,
-                            [(hi - lo, (*dropout_key, e, j))
-                             for j, e, lo, hi in segs])
-    spans = [(e, lo, hi, hi - lo) for _, e, lo, hi in segs]
-    x, weights = h, decision.weights
+    segments = [(e, lo, hi, hi - lo) for _, e, lo, hi in segs]
+    x, weights, sel = h, decision.weights, None
     if rows is not None:
         # keep the assignments of the wanted rows, renumbered to their
         # position in rows; each segment remembers its full length
@@ -180,17 +185,19 @@ def layer_forward(h: Tensor, layer: MoELayer, rng: Rng, *, train: bool = False,
         pos = where[assigned]
         sel = pos >= 0
         ends = np.concatenate([[0], np.cumsum(sel)]).tolist()
-        spans = [(e, ends[lo], ends[hi], full) for e, lo, hi, full in spans
-                 if ends[hi] > ends[lo]]
+        segments = [(e, ends[lo], ends[hi], full)
+                    for e, lo, hi, full in segments if ends[hi] > ends[lo]]
         assigned, slots = pos[sel], slots[sel]
-        keep = None if keep is None else keep[sel]
         x, weights = take_rows(h, rows), take_rows(decision.weights, rows)
-    mask = None if keep is None else keep * (1.0 / (1.0 - layer.dropout_rate))
+    mask = None
+    if dropout_on:
+        mask = dropout_mask(rng, layer.dropout_rate,
+                            layer.experts[0].hidden_dim,
+                            [(hi - lo, (*dropout_key, e, j))
+                             for j, e, lo, hi in segs], sel)
     experts = [(ex.w1, ex.b1, ex.w2, ex.b2) for ex in layer.experts]
-    out = expert_dispatch(x, weights, experts, assigned, slots,
-                          [(e, lo, hi) for e, lo, hi, _ in spans], mask,
-                          stack=layer.mode == "multihead",
-                          full_rows=[full for *_, full in spans])
+    out = expert_dispatch(x, weights, experts, assigned, slots, segments,
+                          mask, stack=layer.mode == "multihead")
     return out, decision
 
 

@@ -17,11 +17,10 @@ import numpy as np
 
 from .config import Record
 from .errors import ConfigError
-from .routing import RoutingDecision
+from .metrics import PROB_FLOOR
+from .routing import RoutingDecision, _topk_desc
 from .tensor import (Tensor, clamp_min, log, normal_cdf, softmax, take_cols,
                      tmean, tsum)
-
-PROB_FLOOR = 1e-12
 
 
 @dataclass
@@ -107,8 +106,8 @@ def load_loss(clean_logits: Tensor, noisy_logits: np.ndarray, sigma: float,
     if k >= e:
         return Tensor(0.0)
     if sigma <= 0.0:
-        order = np.argsort(-noisy_logits, axis=1, kind="stable")[:, :k]
-        counts = np.bincount(order.reshape(-1), minlength=e).astype(np.float64)
+        top = _topk_desc(noisy_logits, k)
+        counts = np.bincount(top.reshape(-1), minlength=e).astype(np.float64)
         mu = counts.mean()
         var = counts.var()
         return Tensor(var / max(mu * mu, 1e-24))

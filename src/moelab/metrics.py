@@ -3,17 +3,20 @@
 MetricAccumulator is the one implementation of NLL, error, ECE and the
 member-diversity metrics; every report reads them from its result().
 Accumulation is order-independent by construction: every per-example value
-goes into a list and totals are taken with math.fsum, which returns the
-correctly rounded sum of the multiset regardless of arrival order.  Two
-accumulators merge by concatenation, so sharded evaluation reproduces the
-sequential result exactly.
+goes into its term's list (add_batch alone names the terms) and totals are
+taken with math.fsum, which returns the correctly rounded sum of the
+multiset regardless of arrival order.  Two accumulators merge by
+concatenation, so sharded evaluation reproduces the sequential result
+exactly.  EvalReport's fields are the report's keys.  losses.py shares
+PROB_FLOOR, the floor under every log of a probability.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -181,15 +184,7 @@ class MetricAccumulator:
 
     def __init__(self):
         self.n_members = None
-        self._nll = []
-        self._member_nll = []
-        self._correct = []
-        self._conf = []
-        self._bin = []
-        self._kl = []
-        self._cos = []
-        self._dis = []
-        self._member_err = []
+        self._terms = defaultdict(list)  # term name -> per-example values
 
     def add_batch(self, member_probs, labels) -> None:
         mp = _as_array(member_probs)
@@ -201,22 +196,22 @@ class MetricAccumulator:
             raise ConfigError("member count changed between batches")
         ens = mp.mean(axis=0)
         picked = np.clip(ens[np.arange(len(y)), y], PROB_FLOOR, None)
-        self._nll.extend((-np.log(picked)).tolist())
         mem_picked = np.clip(mp[:, np.arange(len(y)), y], PROB_FLOOR, None)
-        self._member_nll.extend((-np.log(mem_picked)).mean(axis=0).tolist())
         conf = ens.max(axis=1)
-        self._correct.extend((np.argmax(ens, 1) == y).astype(float).tolist())
-        self._conf.extend(conf.tolist())
-        self._bin.extend(np.minimum((conf * ECE_BINS).astype(int),
-                                    ECE_BINS - 1).tolist())
+        terms = {
+            "nll": -np.log(picked),
+            "member_nll": (-np.log(mem_picked)).mean(axis=0),
+            "correct": (np.argmax(ens, 1) == y).astype(float),
+            "conf": conf,
+            "bin": np.minimum((conf * ECE_BINS).astype(int), ECE_BINS - 1),
+        }
         if m >= 2:
-            self._kl.extend(_pairwise_kl(mp).tolist())
-            cos, dis = _pairwise_cos_dis(mp)
-            self._cos.extend(cos.tolist())
-            self._dis.extend(dis.tolist())
+            terms["kl"] = _pairwise_kl(mp)
+            terms["cos"], terms["dis"] = _pairwise_cos_dis(mp)
             preds = np.argmax(mp, axis=-1)
-            merr = (preds != y[None, :]).astype(float).mean(axis=0)
-            self._member_err.extend(merr.tolist())
+            terms["member_err"] = (preds != y).astype(float).mean(axis=0)
+        for name, values in terms.items():
+            self._terms[name].extend(values.tolist())
 
     def merge(self, other: "MetricAccumulator") -> "MetricAccumulator":
         if (self.n_members is not None and other.n_members is not None
@@ -224,14 +219,13 @@ class MetricAccumulator:
             raise ConfigError("member counts differ")
         out = MetricAccumulator()
         out.n_members = self.n_members or other.n_members
-        for name in ("_nll", "_member_nll", "_correct", "_conf", "_bin",
-                     "_kl", "_cos", "_dis", "_member_err"):
-            setattr(out, name, getattr(self, name) + getattr(other, name))
+        for name in self._terms.keys() | other._terms.keys():
+            out._terms[name] = self._terms[name] + other._terms[name]
         return out
 
     @property
     def count(self) -> int:
-        return len(self._nll)
+        return len(self._terms["nll"])
 
     def result(self) -> dict:
         """Metrics of the ensemble (the member mean) over every example.
@@ -249,11 +243,12 @@ class MetricAccumulator:
         n = self.count
         if n == 0:
             raise ConfigError("no examples accumulated")
-        nll = math.fsum(self._nll) / n
-        err = 100.0 * (1.0 - math.fsum(self._correct) / n)
-        bins = np.asarray(self._bin)
-        conf = np.asarray(self._conf)
-        correct = np.asarray(self._correct)
+        t = self._terms
+        nll = math.fsum(t["nll"]) / n
+        err = 100.0 * (1.0 - math.fsum(t["correct"]) / n)
+        bins = np.asarray(t["bin"])
+        conf = np.asarray(t["conf"])
+        correct = np.asarray(t["correct"])
         total = 0.0
         for b in range(ECE_BINS):
             sel = bins == b
@@ -264,14 +259,14 @@ class MetricAccumulator:
             avg = math.fsum(conf[sel]) / nb
             total += (nb / n) * abs(acc - avg)
         out = {"nll": nll, "error_pct": err, "ece": float(total),
-               "member_nll": math.fsum(self._member_nll) / n,
+               "member_nll": math.fsum(t["member_nll"]) / n,
                "kl_diversity": None, "cosine_similarity": None,
                "normalized_disagreement": None}
-        if self._kl:
-            out["kl_diversity"] = math.fsum(self._kl) / n
-            out["cosine_similarity"] = math.fsum(self._cos) / n
-            mean_dis = math.fsum(self._dis) / n
-            mean_err = math.fsum(self._member_err) / n
+        if t["kl"]:
+            out["kl_diversity"] = math.fsum(t["kl"]) / n
+            out["cosine_similarity"] = math.fsum(t["cos"]) / n
+            mean_dis = math.fsum(t["dis"]) / n
+            mean_err = math.fsum(t["member_err"]) / n
             if mean_dis == 0.0 and mean_err == 0.0:
                 out["normalized_disagreement"] = 0.0
             elif mean_err == 0.0:
@@ -296,17 +291,9 @@ class EvalReport:
     fewshot: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {"nll": self.nll, "error_pct": self.error_pct,
-                "ece": self.ece, "kl_diversity": self.kl_diversity,
-                "cosine_similarity": self.cosine_similarity,
-                "normalized_disagreement": self.normalized_disagreement,
-                "flops_train_giga": self.flops_train_giga,
-                "ood": self.ood,
-                "fewshot": {str(k): v for k, v in self.fewshot.items()}}
+        d = asdict(self)
+        d["fewshot"] = {str(k): v for k, v in self.fewshot.items()}
+        return d
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
-    SCALAR_FIELDS = ("nll", "error_pct", "ece", "kl_diversity",
-                     "cosine_similarity", "normalized_disagreement",
-                     "flops_train_giga")

@@ -126,6 +126,10 @@ class ModelSpec(Record):
             raise ConfigError("dropout_rate must be in [0, 1)")
         if self.noise_scale is not None and self.noise_scale < 0:
             raise ConfigError("noise_scale must be >= 0")
+        if self.noise_multiplier < 0:
+            raise ConfigError("noise_multiplier must be >= 0")
+        if not 0.0 <= self.mimo_input_repetition_prob <= 1.0:
+            raise ConfigError("mimo_input_repetition_prob must be in [0, 1]")
         if self.capacity_ratio is not None and self.capacity_ratio <= 0:
             raise ConfigError("capacity_ratio must be positive")
         if self.batch_repetitions < 1:
@@ -319,8 +323,7 @@ def build_model(spec: ModelSpec, rng: Rng) -> Model:
         router = RouterParams(
             [new(n, draw(n, (spec.e // routers, d)) * 0.02)
              for n in (f"{p}.router.{j}.w" for j in range(routers))],
-            noise_scale=spec.resolved_noise_scale(),
-            noise_multiplier=spec.noise_multiplier,
+            noise_scale=spec.resolved_noise_scale() * spec.noise_multiplier,
             eval_noise_enabled=spec.resolved_eval_noise())
         return MoELayer(experts, router, spec.k, mode=kind,
                         capacity_ratio=spec.capacity_ratio,
@@ -418,6 +421,9 @@ def _forward(model, images, rng, train, step, mc_sample, want_features):
             raise ConfigError("mimo input needs C or M*C channels")
     elif x_img.shape[-1] != spec.channels:
         raise ConfigError("channel count mismatch")
+    if x_img.shape[1:3] != (spec.image_size,) * 2:
+        raise ConfigError(f"images must be {spec.image_size} pixels square, "
+                          f"got {x_img.shape[1]}x{x_img.shape[2]}")
 
     n_members = spec.ensemble_size
     tile_block = spec.tile_block
@@ -452,12 +458,10 @@ def _forward(model, images, rng, train, step, mc_sample, want_features):
         drop_key = ("drop", i, step, sample)
         if kind in ("dense", "be"):
             mask = None
-            if dropout_on and spec.dropout_rate > 0.0:
-                keep = dropout_mask(rng, spec.dropout_rate,
+            if dropout_on:
+                mask = dropout_mask(rng, spec.dropout_rate,
                                     blk.mlp.hidden_dim,
-                                    [(n, (*drop_key, -1, 0))])
-                keep = keep if rows is None else keep[rows]
-                mask = keep * (1.0 / (1.0 - spec.dropout_rate))
+                                    [(n, (*drop_key, -1, 0))], rows)
             res = res + blk.mlp.forward(layernorm(res, *blk.ln2), mask,
                                         full_rows=n)
         else:

@@ -6,13 +6,15 @@ routes every row in every block.  Per block, the gate takes softmax over
 (optionally noisy) router logits and keeps the K largest entries per token.
 Surviving weights are the raw softmax values, never renormalized.  Ties
 break toward the lower expert index so that a brute-force sort oracle
-reproduces the decision exactly.
+reproduces the decision exactly; _topk_desc is that rule, which the load
+loss's hard count reuses.  The noise sigma is realized once, in
+RouterParams.noise_scale.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,15 +27,13 @@ from .tensor import Tensor, concat, matmul, softmax, take_cols, take_rows, trans
 class RouterParams:
     """One router weight matrix per member; a single router is a length-1 list.
 
-    noise_scale is the gate noise's sigma (ModelSpec.resolved_noise_scale:
-    1/E unless the spec sets it).  noise_multiplier is the only-tiling
-    ablation knob (sigma x {1,2,4}).  eval_noise_enabled re-enables the
-    noise draw outside training.
+    noise_scale is the gate noise's sigma as applied: ModelSpec's
+    resolved_noise_scale() (1/E unless set) times its noise_multiplier.
+    eval_noise_enabled re-enables the noise draw outside training.
     """
 
     weights: list  # list[Tensor], each (E_m, D)
     noise_scale: float
-    noise_multiplier: float = 1.0
     eval_noise_enabled: bool = False
 
     def __post_init__(self):
@@ -54,7 +54,7 @@ class RouterParams:
 
     def effective_sigma(self, train: bool) -> float:
         if train or self.eval_noise_enabled:
-            return self.noise_scale * self.noise_multiplier
+            return self.noise_scale
         return 0.0
 
 
@@ -88,9 +88,9 @@ def partitioned_gate(h: Tensor, router: RouterParams, k: int, rng: Rng, *,
                      noise_key: tuple = ("route", 0, 0)) -> RoutingDecision:
     """Noisy top-K gate over M router blocks of E/M experts each.
 
-    Block m has weights W_m; its logits are h W_m^T (+ sigma * multiplier *
-    eps when noise is enabled), softmax runs over the block, and the K
-    largest weights are kept.  Indices are global expert ids.
+    Block m has weights W_m; its logits are h W_m^T (+ sigma * eps when
+    noise is enabled), softmax runs over the block, and the K largest
+    weights are kept.  Indices are global expert ids.
 
     tiled=True (pbe, Eq. 3): rows are member-major, rows [m*B, (m+1)*B)
     belong to member m and are routed by block m only; eps is drawn as
@@ -169,11 +169,4 @@ def capacity_filter(decision: RoutingDecision, ratio: float | None,
         live = (flat_ids == e) & ~dropped
         overflow = live & (np.cumsum(live) > capacity)
         dropped |= overflow
-    return RoutingDecision(
-        indices=decision.indices,
-        weights=decision.weights,
-        dropped_mask=dropped.reshape(n, slots),
-        member_logits=decision.member_logits,
-        sigma=decision.sigma,
-        k=decision.k,
-    )
+    return replace(decision, dropped_mask=dropped.reshape(n, slots))

@@ -31,7 +31,8 @@ of the compositions of smaller ops the fused nodes replace (the tests keep
 those as oracles).  The kernel's forward GEMMs go through ``matmul_rows``
 with each span's full row count, so that rows cut from a longer span keep
 the bits they have in the full product (a lone row would otherwise run
-through gemv).
+through gemv): a dispatch segment's full entry, or mlp's full_rows.
+Dropout masks arrive finished from layers.dropout_mask.
 
 Inside a ``no_grad()`` block no tape is built: every op returns a bare
 result with no parents and no backward closure, so the intermediates an op
@@ -770,17 +771,16 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
 def expert_dispatch(x: Tensor, weights: Tensor, experts: list,
                     rows: np.ndarray, slots: np.ndarray, segments: list,
                     mask: np.ndarray | None = None,
-                    stack: bool = False,
-                    full_rows: list | None = None) -> Tensor:
+                    stack: bool = False) -> Tensor:
     """Run every expert of a MoE layer and combine by gate weight, as one node.
 
     x is the (N, D) layer input, weights the (N, S) gate weights and experts
     the layer's (w1, b1, w2, b2) tuples.  The R kept (row, slot) assignments
     are rows[a] and slots[a]; a (row, slot) pair appears at most once.  Each
-    segment (e, lo, hi) runs assignments lo:hi through experts[e], as one
-    span of the MLP kernel.  mask, if given, is the (R, F) dropout mask of
-    the hidden units.  full_rows, if given, holds per segment the assignment
-    count of the segment it was cut from.
+    segment (e, lo, hi, full) runs assignments lo:hi through experts[e], as
+    one span of the MLP kernel; full is the assignment count of the segment
+    they were cut from (hi - lo when nothing was cut).  mask, if given, is
+    the (R, F) dropout mask of the hidden units.
 
     Slot s of row r is the expert output times weights[r, s], or 0 where no
     assignment holds it (a dropped assignment or an empty slot).  The (N, S,
@@ -791,10 +791,8 @@ def expert_dispatch(x: Tensor, weights: Tensor, experts: list,
     given: that order fixes how an expert serving several segments, and a
     row in several slots, accumulate their gradients.
     """
-    if full_rows is None:
-        full_rows = [hi - lo for _, lo, hi in segments]
     spans = [(lo, hi, full, experts[e], None)
-             for (e, lo, hi), full in zip(segments, full_rows)]
+             for e, lo, hi, full in segments]
     params = [t for ex in experts for t in ex]
     parents = (x, *params, weights)
     gate = weights.data[rows, slots][:, None]

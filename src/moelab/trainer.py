@@ -75,6 +75,8 @@ class TrainConfig(Record):
             raise ConfigError(f"unknown lr_schedule {self.lr_schedule!r}")
         if not 0.0 <= self.warmup_frac < 1.0:
             raise ConfigError("warmup_frac must be in [0, 1)")
+        if self.eval_every < 0:
+            raise ConfigError("eval_every must be >= 0")
 
 
 def lr_at(config: TrainConfig, step: int) -> float:

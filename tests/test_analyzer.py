@@ -18,7 +18,7 @@ from moelab.analyzer import (
     normalized_improvement,
     pareto_frontier,
 )
-from moelab.errors import ConfigError, FitError
+from moelab.errors import ConfigError
 
 
 class TestNormalizedGain:
@@ -94,12 +94,12 @@ class TestPhiFit:
 
     def test_too_few_points_rejected(self):
         pts = [CostPoint("p", 0.5, f) for f in (10.0, 20.0, 30.0)]
-        with pytest.raises(FitError):
+        with pytest.raises(ConfigError):
             fit_phi(pts)
 
     def test_duplicate_flops_rank_deficient(self):
         pts = [CostPoint("p", v, 10.0) for v in (0.5, 0.6, 0.7, 0.8)]
-        with pytest.raises(FitError):
+        with pytest.raises(ConfigError):
             fit_phi(pts)
 
 

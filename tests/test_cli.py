@@ -146,6 +146,17 @@ MALFORMED = [
     ("run", ("train", "base_lr"), math.nan, "train.base_lr"),
     ("run", ("model",), [1], "model"),
     ("run", ("model", "noise_scale"), -1.0, "noise_scale"),
+    ("run", ("model", "noise_multiplier"), -0.25, "noise_multiplier"),
+    ("run", ("model", "mimo_input_repetition_prob"), 1.5,
+     "mimo_input_repetition_prob"),
+    ("run", ("train", "eval_every"), -2, "eval_every"),
+    # the model and the dataset disagree
+    ("run", ("dataset", "image_size"), 16, "dataset.image_size"),
+    ("run", ("dataset", "channels"), 1, "dataset.channels"),
+    ("run", ("dataset", "classes"), 3, "dataset.classes"),
+    # the pbe cell has e=4 and m=3; the cells before it are valid
+    ("sweep", ("grid",), {"variant": ["vit", "deep_ensemble", "pbe"],
+                          "m": [3]}, "divisible"),
     # bytes go into the file raw: the config is not UTF-8
     ("run", ("output_dir",), b"\xff", "utf-8"),
     ("sweep", ("output_dir",), b"\xff", "utf-8"),

@@ -280,6 +280,12 @@ class TestForwardContracts:
         with pytest.raises(ConfigError):
             forward(model, np.zeros((2, 8, 8, 4)), Rng(0))
 
+    @pytest.mark.parametrize("shape", [(2, 16, 16, 3), (2, 8, 12, 3)])
+    def test_image_size_mismatch_rejected(self, shape):
+        model = build_model(tiny_spec(), Rng(0))
+        with pytest.raises(ConfigError, match="8 pixels square"):
+            forward(model, np.zeros(shape), Rng(0))
+
     @pytest.mark.parametrize("variant", ["vit", "vmoe"])
     def test_empty_batch_rejected(self, variant):
         model = build_model(tiny_spec(variant=variant), Rng(0))

@@ -497,7 +497,7 @@ def per_pair_dispatch(x, weights, experts, rows, slots, segments, mask=None,
                       stack=False):
     """One take_rows and one mlp node per segment, then one combine."""
     values, seg_rows, seg_slots = [], [], []
-    for e, lo, hi in segments:
+    for e, lo, hi, _ in segments:
         seg_mask = None if mask is None else mask[lo:hi]
         values.append(mlp(take_rows(x, rows[lo:hi]), *experts[e], seg_mask))
         seg_rows.append(rows[lo:hi])
@@ -557,7 +557,8 @@ class TestExpertDispatchBitwise:
         for j in range(n_slots):
             for ex in np.unique(ids[kept[:, j], j]):
                 r = np.nonzero((ids[:, j] == ex) & kept[:, j])[0]
-                segments.append((int(ex), len(rows), len(rows) + r.size))
+                segments.append((int(ex), len(rows), len(rows) + r.size,
+                                 r.size))
                 rows += r.tolist()
                 slots += [j] * r.size
         experts = [tuple(Tensor(gen.normal(size=sh), requires_grad=True)
@@ -578,13 +579,13 @@ class TestExpertDispatchBitwise:
     def test_cases_cover_their_names(self):
         _, _, _, _, _, segs, _ = self._dispatch_case(
             *self.CASES["expert_in_3_segments"])
-        assert max(sum(e == ex for e, _, _ in segs) for ex in range(2)) >= 3
+        assert max(sum(e == ex for e, *_ in segs) for ex in range(2)) >= 3
         _, _, _, rows, _, _, _ = self._dispatch_case(*self.CASES["drops"])
         assert rows.size < 12 * 4
         _, _, _, _, _, segs, _ = self._dispatch_case(
             *self.CASES["1_row_segments_unused_experts"])
-        assert any(hi - lo == 1 for _, lo, hi in segs)
-        assert len({e for e, _, _ in segs}) < 8
+        assert any(hi - lo == 1 for _, lo, hi, _ in segs)
+        assert len({e for e, *_ in segs}) < 8
 
     @pytest.mark.parametrize("stack", [False, True])
     @pytest.mark.parametrize("masked", [False, True])
@@ -639,9 +640,15 @@ class TestExpertDispatchBitwise:
             np.testing.assert_array_equal(got, want)
 
 
+def _as_mask(mask, shape):
+    """A mask as an array: no mask (rate 0) keeps every unit at scale 1."""
+    return np.ones(shape) if mask is None else mask
+
+
 class TestDropoutMask:
-    """The keep mask from raw words, scaled, equals the float mask the
-    uniform draws give, (u >= rate) / (1 - rate), bit for bit."""
+    """The mask from raw words equals the float mask the uniform draws
+    give, (u >= rate) / (1 - rate), bit for bit, also when rows are cut
+    from it; rate 0 gives no mask."""
 
     RATES = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 1.0 / 3.0, 0.999]
 
@@ -650,12 +657,17 @@ class TestDropoutMask:
         rng = Rng(23)
         blocks = [(n, ("drop", 1, 5, -1, e)) for e, n in
                   enumerate([1, 999, 2000, 3000, 4000])]
-        keep = dropout_mask(rng, rate, 100, blocks)  # 10^6 draws
-        assert keep.dtype == bool and keep.shape == (10000, 100)
         u = np.concatenate([rng.stream(*tags).random((n, 100))
                             for n, tags in blocks])
         want = (u >= rate).astype(np.float64) / (1.0 - rate)
-        assert (keep * (1.0 / (1.0 - rate))).tobytes() == want.tobytes()
+        rows = np.arange(0, 10000, 7)
+        sel = np.zeros(10000, dtype=bool)
+        sel[rows] = True
+        for cut, kept in ((None, want), (rows, want[rows]),
+                          (sel, want[rows])):
+            mask = dropout_mask(rng, rate, 100, blocks, cut)  # 10^6 draws
+            assert (mask is None) == (rate == 0.0)
+            assert _as_mask(mask, kept.shape).tobytes() == kept.tobytes()
 
     @pytest.mark.parametrize("rate", RATES + [2.0 ** -53, 0.5 - 2.0 ** -54])
     def test_threshold_words(self, rate):
@@ -670,7 +682,7 @@ class TestDropoutMask:
             def raw(self, shape, *tags):
                 return words.reshape(shape)
 
-        keep = dropout_mask(Words(), rate, words.size, [(1, ("t",))])
+        mask = dropout_mask(Words(), rate, words.size, [(1, ("t",))])
         u = (words >> np.uint64(11)) * 2.0 ** -53
-        np.testing.assert_array_equal(keep[0], u >= rate)
-
+        np.testing.assert_array_equal(
+            _as_mask(mask, (1, words.size))[0] != 0.0, u >= rate)

@@ -313,7 +313,7 @@ class TestFusedOps:
                    for _ in range(3)]
         rows = np.array([0, 2, 1, 3, 1, 0, 2])
         slots = np.array([0, 0, 0, 1, 1, 1, 1])
-        segments = [(0, 0, 2), (1, 2, 3), (0, 3, 5), (1, 5, 7)]
+        segments = [(0, 0, 2, 2), (1, 2, 3, 1), (0, 3, 5, 2), (1, 5, 7, 2)]
         x = Tensor(gen.normal(size=(4, 2)), requires_grad=True)
         weights = Tensor(gen.uniform(0.1, 1.0, size=(4, 3)),
                          requires_grad=True)
@@ -340,7 +340,7 @@ class TestFusedOps:
         stacked = expert_dispatch(x, weights, experts, rows, slots, segments,
                                   mask, stack=True).data
         want = np.zeros((4, 3, 2))
-        for e, lo, hi in segments:
+        for e, lo, hi, _ in segments:
             r, s = rows[lo:hi], slots[lo]
             y = mlp(Tensor(x.data[r]), *experts[e], mask[lo:hi]).data
             want[r, s] = y * weights.data[r, s][:, None]
@@ -488,7 +488,7 @@ class TestInPlaceOps:
         for out in (dense(x, w1, b1), layernorm(x, g, b), softmax(x),
                     gelu(x), normal_cdf(x), mlp(x, w1, b1, w2, b2, mask),
                     expert_dispatch(x, gate, [(w1, b1, w2, b2)], rows, slots,
-                                    [(0, 0, 2), (0, 2, 4)], mask)):
+                                    [(0, 0, 2, 2), (0, 2, 4, 2)], mask)):
             tsum(out).backward()
         for t, a in zip((x, w1, b1, w2, b2, g, b), arrays):
             np.testing.assert_array_equal(t.data, a)
