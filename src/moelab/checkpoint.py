@@ -56,7 +56,7 @@ class Checkpoint:
 
 def checkpoint_from_model(model: Model) -> Checkpoint:
     params = {name: t.data.astype(np.float32)
-              for name, t in model.named_params()}
+              for name, t in model.params.items()}
     return Checkpoint(model.spec, params)
 
 

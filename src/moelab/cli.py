@@ -53,6 +53,7 @@ from .config import Record, check_value, field_types
 from .dataset import DatasetSpec, make_dataset
 from .errors import ConfigError, DivergenceError, EvaluationError
 from .flops import deep_ensemble_flops, flops_estimate, flops_forward, tiling_saving
+from .losses import check_loss_mode
 from .model import PRESET_NAMES, VARIANTS, ModelSpec, build_model, preset
 from .rng import Rng
 from .trainer import TrainConfig, evaluate, history_to_csv, train
@@ -103,6 +104,9 @@ class ExperimentConfig(Record):
             for i, value in enumerate(values):
                 check_value(value, field_types(ModelSpec)[key],
                             f"grid.{key}[{i}]")
+        # run trains model.variant, a sweep cell its grid variant
+        for variant in [self.model.variant, *self.grid.get("variant", [])]:
+            check_loss_mode(variant, self.train.loss.loss_mode)
 
     def to_dict(self) -> dict:
         d = super().to_dict()
@@ -128,8 +132,6 @@ def _csv_bytes(lines: list) -> bytes:
 
 
 def _fmt_cell(v) -> str:
-    if v is None:
-        return ""
     return f"{v:.10g}"
 
 
@@ -223,6 +225,8 @@ def run_experiment(config: ExperimentConfig, out_dir: Path) -> list:
 
 def _cell(base: ModelSpec, variant: str, e: int, k: int, m: int):
     """Resolve one sweep cell to (model spec, n_models, mc_samples)."""
+    if variant in SWEEP_PROTOCOLS and m < 1:
+        raise ConfigError(f"sweep cell {variant} needs m >= 1, got m={m}")
     if variant == "deep_ensemble":
         return replace(base, variant="vmoe", e=e, k=k, m=1), m, 0
     if variant == "mc_dropout":

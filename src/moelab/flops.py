@@ -27,9 +27,6 @@ class FlopsReport:
     forward_per_example: int
     parts: dict
 
-    def train_giga(self, steps: int, batch: int) -> float:
-        return 3.0 * self.forward_per_example * steps * batch / 1e9
-
 
 def _attn_flops(t: int, d: int) -> int:
     # four D x D projections, then QK^T and AV
@@ -76,7 +73,7 @@ def flops_forward(spec: ModelSpec, tiling: str = "deferred") -> FlopsReport:
 
 def flops_estimate(spec: ModelSpec, steps: int, batch: int) -> float:
     """Training GFLOPs at deferred tiling: 3 * forward * steps * batch."""
-    return flops_forward(spec).train_giga(steps, batch)
+    return 3.0 * flops_forward(spec).forward_per_example * steps * batch / 1e9
 
 
 def deep_ensemble_flops(spec: ModelSpec, m: int, steps: int,

@@ -8,11 +8,12 @@ dispatch core:
 * only_partitioning -- untiled rows routed in every block (K*M experts)
 * multihead         -- top-K contributions stacked into K slots, not summed
 
-plus the rank-1 batch-ensemble MLP and tile, the member-major batch
-tiling.
+plus tile, the member-major batch tiling.
 
-Every MLP here is one tape node on tensor.py's MLP kernel: ExpertMLP and
-BeMLP through ``mlp``, a MoE layer through ``expert_dispatch``.
+Every MLP of a model is an ExpertMLP: the dense MLP, each expert of a MoE
+layer, and the batch-ensemble MLP, which adds its members' rank-1 fast
+weights.  Each is one tape node on tensor.py's MLP kernel: ExpertMLP
+through ``mlp``, a MoE layer through ``expert_dispatch``.
 
 Dispatch is one ``expert_dispatch`` tape node per layer.  The kept (row,
 slot) assignments are gathered once, grouped into one segment per (slot,
@@ -61,17 +62,25 @@ from .tensor import Tensor, concat, expert_dispatch, mlp, take_rows
 
 @dataclass
 class ExpertMLP:
-    """Two-layer GELU MLP: D -> F -> Q."""
+    """Two-layer GELU MLP: D -> F -> Q.
+
+    members, for a batch-ensemble MLP, holds one (r1, s1, r2, s2) tuple of
+    rank-1 fast weights per member, and w1 and w2 are the shared slow
+    weights U: member m's rows of the member-major tiled input run
+    ((h * r) U) * s + b in both layers, and U * (r s^T) is never
+    materialized.  The biases are shared.
+    """
 
     w1: Tensor
     b1: Tensor
     w2: Tensor
     b2: Tensor
+    members: list | None = None
 
     def forward(self, x: Tensor, dropout_mask: np.ndarray | None = None,
                 full_rows: int | None = None) -> Tensor:
         return mlp(x, self.w1, self.b1, self.w2, self.b2, dropout_mask,
-                   full_rows)
+                   full_rows, self.members)
 
     @property
     def hidden_dim(self) -> int:
@@ -214,64 +223,3 @@ def tile(x, m: int):
     if isinstance(x, Tensor):
         return concat([x] * m, axis=0)
     return np.concatenate([np.asarray(x)] * m, axis=0)
-
-
-# ----------------------------------------------------------------------
-# batch-ensemble dense
-
-
-@dataclass
-class BatchEnsembleDense:
-    """Shared slow weight U with per-member rank-1 fast weights r_m, s_m.
-
-    Member m's effective weight is U * (r_m s_m^T) but the forward never
-    materializes it: member rows compute ((h * r_m) U) * s_m.
-    """
-
-    u: Tensor
-    r: list  # list[Tensor] of shape (D,)
-    s: list  # list[Tensor] of shape (L,)
-
-    def __post_init__(self):
-        if len(self.r) != len(self.s) or not self.r:
-            raise ConfigError("need matching, nonempty r and s lists")
-        d, l = self.u.data.shape
-        for rm, sm in zip(self.r, self.s):
-            if rm.data.shape != (d,) or sm.data.shape != (l,):
-                raise ConfigError("fast weight shapes must match U")
-
-    @property
-    def m(self) -> int:
-        return len(self.r)
-
-
-@dataclass
-class BeMLP:
-    """Transformer MLP with both dense layers batch-ensembled; biases shared.
-
-    One tensor.mlp node: each member's block of the member-major tiled rows
-    runs ((h * r_m) U) * s_m + b in both layers.
-    """
-
-    be1: BatchEnsembleDense
-    b1: Tensor
-    be2: BatchEnsembleDense
-    b2: Tensor
-
-    def forward(self, x_tiled: Tensor, dropout_mask_: np.ndarray | None = None,
-                full_rows: int | None = None) -> Tensor:
-        n = x_tiled.data.shape[0]
-        if n % self.m != 0:
-            raise ConfigError(
-                f"tiled row count {n} not divisible by M={self.m}")
-        members = list(zip(self.be1.r, self.be1.s, self.be2.r, self.be2.s))
-        return mlp(x_tiled, self.be1.u, self.b1, self.be2.u, self.b2,
-                   dropout_mask_, full_rows, members)
-
-    @property
-    def m(self) -> int:
-        return self.be1.m
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.be1.u.data.shape[1]

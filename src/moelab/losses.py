@@ -35,6 +35,15 @@ class LossConfig(Record):
             raise ConfigError(f"unknown loss_mode {self.loss_mode!r}")
 
 
+def check_loss_mode(variant: str, mode: str) -> None:
+    """Reject ensemble_ce for mimo: its members carry different labels, so
+    a cross-entropy of the member mean against one label per row is
+    undefined."""
+    if variant == "mimo" and mode == "ensemble_ce":
+        raise ConfigError("loss_mode ensemble_ce is undefined for variant "
+                          "mimo, whose members carry different labels")
+
+
 @dataclass
 class AuxLossState:
     """Balance-loss inputs for one MoE layer.

@@ -10,8 +10,11 @@ The variants differ only in which blocks carry which MLP and where the
 rows are tiled.  ModelSpec states that once: mlp_kinds gives each block's
 MLP ("dense", "be", or a MoELayer mode) and tile_block the block whose MLP
 input is tiled.  build_model, forward and flops.flops_forward all read it.
-build_model makes every parameter once, under its dotted name, into
-Model.params; that order is the checkpoint's and the optimizer's.
+Every MLP build_model makes is a layers.ExpertMLP: a "dense" or "be" block
+holds one (the "be" one carries its members' rank-1 fast weights), and a
+routed block holds a MoELayer of them.  build_model makes every parameter
+once, under its dotted name, into Model.params; that order is the
+checkpoint's and the optimizer's.
 
 Tiling discipline: the input batch runs untiled through every block before
 tile_block, and is replicated M times right before that block's MLP (the
@@ -48,8 +51,7 @@ import numpy as np
 
 from .config import Record
 from .errors import ConfigError, EvaluationError
-from .layers import (BatchEnsembleDense, BeMLP, ExpertMLP, MoELayer,
-                     dropout_mask, layer_forward, tile)
+from .layers import ExpertMLP, MoELayer, dropout_mask, layer_forward, tile
 from .rng import Rng
 from .routing import RouterParams
 from .tensor import (Tensor, concat, dense, layernorm, matmul, no_grad,
@@ -243,7 +245,7 @@ class Block:
     ln1: tuple   # (gain, bias)
     attn: tuple  # (wq, bq, wk, bk, wv, bv, wo, bo)
     ln2: tuple
-    mlp: object  # ExpertMLP, BeMLP or MoELayer, as spec.mlp_kinds says
+    mlp: object  # ExpertMLP (dense or "be") or MoELayer, per spec.mlp_kinds
 
 
 class Model:
@@ -254,10 +256,6 @@ class Model:
         self.spec = spec
         self.params = params
         self.blocks = blocks
-
-    def named_params(self):
-        """(dotted name, Tensor) pairs in a stable order."""
-        return self.params.items()
 
 
 def _trunc_normal(gen, shape, std=0.02):
@@ -310,14 +308,17 @@ def build_model(spec: ModelSpec, rng: Rng) -> Model:
              for n in (f"{p}.r.{j}" for j in range(spec.m))]
         s = [new(n, 1.0 + 0.5 * draw(n, (n_out,)))
              for n in (f"{p}.s.{j}" for j in range(spec.m))]
-        return BatchEnsembleDense(u, r, s)
+        return u, r, s
 
     def mlp(p, kind):
         if kind == "dense":
             return expert(p)
         if kind == "be":
-            return BeMLP(be_dense(f"{p}.be1", d, f), zeros(f"{p}.b1", (f,)),
-                         be_dense(f"{p}.be2", f, d), zeros(f"{p}.b2", (d,)))
+            u1, r1, s1 = be_dense(f"{p}.be1", d, f)
+            b1 = zeros(f"{p}.b1", (f,))
+            u2, r2, s2 = be_dense(f"{p}.be2", f, d)
+            return ExpertMLP(u1, b1, u2, zeros(f"{p}.b2", (d,)),
+                             list(zip(r1, s1, r2, s2)))
         experts = [expert(f"{p}.experts.{e}") for e in range(spec.e)]
         routers = spec.m if kind in ("pbe", "only_partitioning") else 1
         router = RouterParams(

@@ -76,6 +76,8 @@ import contextvars
 
 import numpy as np
 
+from .errors import ConfigError
+
 LAYERNORM_EPS = 1e-6  # added to the variance before the square root
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -743,13 +745,17 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
 
     members, for a batch-ensemble MLP, lists each member's rank-1 factors
     (r1, s1, r2, s2); x's rows are then M member-major blocks, block m
-    running ((a * r) @ w) * s + b with its own factors in both layers.
-    mask, if given, has the hidden shape (..., F).  full_rows, when x's rows
-    were cut from a longer input, keeps each block's bits (matmul_rows).
+    running ((a * r) @ w) * s + b with its own factors in both layers, and
+    a row count that M does not divide is a ConfigError.  mask, if given,
+    has the hidden shape (..., F).  full_rows, when x's rows were cut from
+    a longer input, keeps each block's bits (matmul_rows).
     """
     d_out = w2.data.shape[1]
     x2 = x.data.reshape(-1, w1.data.shape[0])
     fasts = members or [None]
+    if x2.shape[0] % len(fasts):
+        raise ConfigError(f"tiled row count {x2.shape[0]} not divisible by "
+                          f"M={len(fasts)}")
     n = x2.shape[0] // len(fasts)
     full = n if full_rows is None else full_rows // len(fasts)
     spans = [(j * n, (j + 1) * n, full, (w1, b1, w2, b2), fast)

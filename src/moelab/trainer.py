@@ -41,8 +41,8 @@ from .checkpoint import write_atomic
 from .config import Record
 from .dataset import Dataset
 from .errors import ConfigError, DivergenceError
-from .losses import AuxLossState, LossConfig, member_avg_cross_entropy, \
-    total_loss
+from .losses import AuxLossState, LossConfig, check_loss_mode, \
+    member_avg_cross_entropy, total_loss
 from .metrics import EvalReport, MetricAccumulator, fewshot_probe, \
     ood_metrics, ood_scores
 from .model import Model, ensemble_predict, forward
@@ -186,6 +186,7 @@ def train(model: Model, dataset: Dataset, config: TrainConfig):
     spec = model.spec
     if dataset.spec.classes != spec.classes:
         raise ConfigError("dataset and model class counts differ")
+    check_loss_mode(spec.variant, config.loss.loss_mode)
     n = len(dataset.train_y)
     if config.batch_size > n:
         raise ConfigError("batch_size exceeds training set size")

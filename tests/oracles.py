@@ -1,11 +1,12 @@
 """Test-side references the tests compare the package against.
 
 finite_difference_check checks tape gradients against central
-differences; BeMoeView reads a batch-ensemble layer as a sparse MoE
+differences; BeMoeView reads a batch-ensemble dense layer, given as its
+slow weight U and its members' fast weights r and s, as a sparse MoE
 (Appendix F), the other side of the BE/MoE equivalence.  gelu and
 be_dense_forward are the tape compositions the fused tensor.mlp replaces:
-the batch-ensemble MLP is gelu(be_dense_forward(x, be1) + b1), times the
-dropout mask, then be_dense_forward(., be2) + b2, and the fused node must
+the batch-ensemble MLP is gelu(be_dense_forward(x, *be1) + b1), times the
+dropout mask, then be_dense_forward(., *be2) + b2, and the fused node must
 equal it bitwise.  sgd_step_loop is the per-parameter SGD step that
 trainer.sgd_step's flat buffers replace, bit for bit.
 """
@@ -15,7 +16,6 @@ import math
 import numpy as np
 
 from moelab.errors import ConfigError, EvaluationError
-from moelab.layers import BatchEnsembleDense
 from moelab.tensor import (Tensor, _node, _pdf, _phi, concat, matmul_rows,
                            no_grad, take_rows)
 from moelab.tensor import matmul as _matmul
@@ -71,10 +71,10 @@ class BeMoeView:
     which the binary gates collapse to the member's expert.
     """
 
-    def __init__(self, be: BatchEnsembleDense):
-        self.m = be.m
+    def __init__(self, u: Tensor, r: list, s: list):
+        self.m = len(r)
         self.expert_weights = [
-            be.u.data * np.outer(be.r[mm].data, be.s[mm].data) for mm in range(be.m)
+            u.data * np.outer(r_m.data, s_m.data) for r_m, s_m in zip(r, s)
         ]
 
     def gates(self, n_rows: int) -> np.ndarray:
@@ -114,22 +114,22 @@ def matmul(a: Tensor, b: Tensor, full_rows: int | None = None) -> Tensor:
     return out
 
 
-def be_dense_forward(h_tiled: Tensor, be: BatchEnsembleDense,
+def be_dense_forward(h_tiled: Tensor, u: Tensor, r: list, s: list,
                      full_rows: int | None = None) -> Tensor:
     """Member-m rows -> ((h * r_m) U) * s_m, on the member-major tiled layout.
 
     full_rows, when the rows were cut from a longer tiled input, keeps each
     member block's bits as in tensor.matmul_rows.
     """
-    n = h_tiled.data.shape[0]
-    if n % be.m != 0:
-        raise ConfigError(f"tiled row count {n} not divisible by M={be.m}")
-    b = n // be.m
-    full_b = None if full_rows is None else full_rows // be.m
+    n, m = h_tiled.data.shape[0], len(r)
+    if n % m != 0:
+        raise ConfigError(f"tiled row count {n} not divisible by M={m}")
+    b = n // m
+    full_b = None if full_rows is None else full_rows // m
     outs = []
-    for mm in range(be.m):
+    for mm in range(m):
         h_m = take_rows(h_tiled, np.arange(mm * b, (mm + 1) * b))
-        outs.append(matmul(h_m * be.r[mm], be.u, full_b) * be.s[mm])
+        outs.append(matmul(h_m * r[mm], u, full_b) * s[mm])
     return concat(outs, axis=0)
 
 

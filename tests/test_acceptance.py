@@ -22,8 +22,6 @@ from moelab.checkpoint import (
 from moelab.cli import EVAL_SEED_OFFSET, MEMBER_SEED_STRIDE, main
 from moelab.dataset import DatasetSpec, make_synthetic_dataset
 from moelab.layers import (
-    BatchEnsembleDense,
-    BeMLP,
     ExpertMLP,
     MoELayer,
     layer_forward,
@@ -181,21 +179,20 @@ def test_criterion_02_gradient_fidelity():
         f_mh, [hm] + list(layer_m.router.weights))
 
     def be_dense(d_in, d_out, m):
-        return BatchEnsembleDense(
-            u=Tensor(gen.normal(size=(d_in, d_out)), requires_grad=True),
-            r=[Tensor(gen.normal(size=d_in), requires_grad=True)
-               for _ in range(m)],
-            s=[Tensor(gen.normal(size=d_out), requires_grad=True)
-               for _ in range(m)],
-        )
+        # slow weight u, then the members' fast weights r and s
+        return (Tensor(gen.normal(size=(d_in, d_out)), requires_grad=True),
+                [Tensor(gen.normal(size=d_in), requires_grad=True)
+                 for _ in range(m)],
+                [Tensor(gen.normal(size=d_out), requires_grad=True)
+                 for _ in range(m)])
 
-    be = BeMLP(be1=be_dense(3, 4, 2),
-               b1=Tensor(gen.normal(size=4), requires_grad=True),
-               be2=be_dense(4, 3, 2),
-               b2=Tensor(gen.normal(size=3), requires_grad=True))
+    u1, r1, s1 = be_dense(3, 4, 2)
+    b1 = Tensor(gen.normal(size=4), requires_grad=True)
+    u2, r2, s2 = be_dense(4, 3, 2)
+    b2 = Tensor(gen.normal(size=3), requires_grad=True)
+    be = ExpertMLP(u1, b1, u2, b2, list(zip(r1, s1, r2, s2)))
     hb = Tensor(gen.normal(size=(4, 3)), requires_grad=True)
-    params = [hb, be.b1, be.b2, be.be1.u, be.be2.u]
-    params += be.be1.r + be.be1.s + be.be2.r + be.be2.s
+    params = [hb, b1, b2, u1, u2] + r1 + s1 + r2 + s2
     errs["be_mlp"] = finite_difference_check(
         lambda: tsum(be.forward(hb) * be.forward(hb)), params)
 
@@ -237,14 +234,12 @@ def test_criterion_03_be_view_equivalence():
         d_in = int(gen.integers(1, 7))
         d_out = int(gen.integers(1, 7))
         rows = int(gen.integers(1, 5))
-        be = BatchEnsembleDense(
-            u=Tensor(gen.normal(size=(d_in, d_out))),
-            r=[Tensor(gen.normal(size=d_in)) for _ in range(m)],
-            s=[Tensor(gen.normal(size=d_out)) for _ in range(m)],
-        )
+        be = (Tensor(gen.normal(size=(d_in, d_out))),
+              [Tensor(gen.normal(size=d_in)) for _ in range(m)],
+              [Tensor(gen.normal(size=d_out)) for _ in range(m)])
         h = Tensor(gen.normal(size=(m * rows, d_in)))
-        direct = be_dense_forward(h, be).data
-        viewed = BeMoeView(be).forward(h)
+        direct = be_dense_forward(h, *be).data
+        viewed = BeMoeView(*be).forward(h)
         worst = max(worst, float(np.abs(direct - viewed).max()))
     ok = worst < 1e-12
     assert report(3, ok, f"100 instances, max |direct - view| = {worst:.2e} "

@@ -157,6 +157,11 @@ MALFORMED = [
     # the pbe cell has e=4 and m=3; the cells before it are valid
     ("sweep", ("grid",), {"variant": ["vit", "deep_ensemble", "pbe"],
                           "m": [3]}, "divisible"),
+    # a protocol cell needs at least one member
+    ("sweep", ("grid",), {"variant": ["mc_dropout"], "m": [0]}, "mc_dropout"),
+    ("sweep", ("grid",), {"variant": ["mc_dropout"], "m": [-1]}, "mc_dropout"),
+    ("sweep", ("grid",), {"variant": ["deep_ensemble"], "m": [0]},
+     "deep_ensemble"),
     # bytes go into the file raw: the config is not UTF-8
     ("run", ("output_dir",), b"\xff", "utf-8"),
     ("sweep", ("output_dir",), b"\xff", "utf-8"),
@@ -183,6 +188,28 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, where, value,
     assert err.startswith("config error:") and err.count("\n") == 1
     assert named in err
     assert "Traceback" not in err
+    assert not (tmp_path / "out" / "config.json").exists()
+
+
+@pytest.mark.parametrize("command,grid", [
+    ("run", None),
+    ("sweep", {"m": [2]}),  # the base resolves every cell to mimo
+    ("sweep", {"variant": ["vit", "mimo"], "m": [2]}),
+], ids=["run", "sweep-base", "sweep-grid"])
+def test_mimo_ensemble_ce_exits_2(tmp_path, capsys, command, grid):
+    # MIMO's members carry different labels: no one label per row to score
+    # the member mean against
+    d = tiny_config_dict(tmp_path / "out",
+                         train={"loss": {"loss_mode": "ensemble_ce"}})
+    if grid is None or "variant" not in grid:
+        d["model"].update(variant="mimo", m=2)
+    if grid is not None:
+        d["grid"] = grid
+    path = write_config(tmp_path, d)
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "ensemble_ce" in err and "mimo" in err
     assert not (tmp_path / "out" / "config.json").exists()
 
 

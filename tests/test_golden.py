@@ -4,7 +4,7 @@ The 8 model variants and the deep-ensemble and MC-dropout protocols train
 at toy size for 3 steps with clip_norm 1.0, below every step's gradient
 norm (1.3 to 3.2 here), so the order in which the clip norm sums the
 parameters reaches the trained numbers.  Each entry hashes every trained
-model's checkpoint and history.csv bytes, its named_params() name
+model's checkpoint and history.csv bytes, its Model.params name
 sequence and the report.json bytes; the "analyze" entry hashes what the
 three ``moelab analyze`` modes write, and the "cli_run" and "cli_sweep"
 entries hash every file a toy ``moelab run`` (2 repetitions) and ``moelab
@@ -109,8 +109,7 @@ def _entry_digests(name, dataset, work: Path):
         out[f"checkpoint.{j}"] = _digest((work / "ckpt.bin").read_bytes())
         out[f"history.{j}"] = _digest((work / "history.csv").read_bytes())
         models.append(model)
-    out["names"] = _digest("\n".join(
-        n for n, _ in models[0].named_params()).encode())
+    out["names"] = _digest("\n".join(models[0].params).encode())
     rng = Rng(SEED + EVAL_SEED_OFFSET)
     if protocol == "deep_ensemble":
         report = evaluate(None, dataset, rng, models=models, flops_giga=(

@@ -17,7 +17,7 @@ from moelab.checkpoint import (
     save_checkpoint,
 )
 from moelab.errors import ConfigError
-from moelab.layers import BeMLP, ExpertMLP, MoELayer
+from moelab.layers import ExpertMLP, MoELayer
 from moelab.losses import AuxLossState, member_avg_cross_entropy, total_loss
 from moelab.metrics import MetricAccumulator
 from moelab.model import (
@@ -188,20 +188,35 @@ class TestBlockPlacement:
         assert modes == [k if k not in ("dense", "be") else None
                          for k in kinds]
 
-    def test_params_table_order(self):
-        model = build_model(tiny_spec(variant="pbe", m=2, last_n=1), Rng(0))
-        names = list(model.params)
+    @staticmethod
+    def params_table(mlps: dict) -> list:
+        """Model.params names of a 4-block tiny model whose block i has the
+        MLP names mlps.get(i), a dense MLP's by default."""
         attn = [f"attn.{w}{c}" for c in "qkvo" for w in "wb"]
         block = ["ln1.g", "ln1.b", *attn, "ln2.g", "ln2.b"]
         mlp = ["mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2"]
+        return ["embed.w", "embed.b", "cls", "pos"] + [
+            f"blocks.{i}.{n}" for i in range(4)
+            for n in block + mlps.get(i, mlp)] + \
+            ["final_ln.g", "final_ln.b", "head.w", "head.b"]
+
+    def test_params_table_order(self):
+        model = build_model(tiny_spec(variant="pbe", m=2, last_n=1), Rng(0))
         moe = [f"mlp.experts.{e}.{w}" for e in range(4)
                for w in ("w1", "b1", "w2", "b2")] + \
             ["mlp.router.0.w", "mlp.router.1.w"]
-        assert names == ["embed.w", "embed.b", "cls", "pos"] + [
-            f"blocks.{i}.{n}" for i in range(4)
-            for n in block + (moe if i == 3 else mlp)] + \
-            ["final_ln.g", "final_ln.b", "head.w", "head.b"]
-        assert [n for n, _ in model.named_params()] == names
+        assert list(model.params) == self.params_table({3: moe})
+
+    def test_be_params_table_order(self):
+        # each BE dense layer makes its slow weight u, then every member's
+        # r, then every member's s; the shared bias follows it
+        model = build_model(tiny_spec(variant="be", m=3), Rng(0))
+        be = [n for layer, bias in (("be1", "b1"), ("be2", "b2"))
+              for n in [f"mlp.{layer}.u",
+                        *(f"mlp.{layer}.r.{j}" for j in range(3)),
+                        *(f"mlp.{layer}.s.{j}" for j in range(3)),
+                        f"mlp.{bias}"]]
+        assert list(model.params) == self.params_table({1: be, 3: be})
 
     def test_built_model_mlp_types(self):
         model = build_model(tiny_spec(variant="vmoe"), Rng(0))
@@ -214,8 +229,14 @@ class TestBlockPlacement:
 
     def test_be_blocks(self):
         model = build_model(tiny_spec(variant="be", m=2), Rng(0))
-        kinds = [type(b.mlp) for b in model.blocks]
-        assert kinds == [ExpertMLP, BeMLP, ExpertMLP, BeMLP]
+        assert all(isinstance(b.mlp, ExpertMLP) for b in model.blocks)
+        # the BE blocks carry one (r1, s1, r2, s2) tuple per member
+        p = model.params
+        assert [b.mlp.members for b in model.blocks] == [
+            None, [tuple(p[f"blocks.1.mlp.be{i}.{w}.{j}"]
+                         for i in (1, 2) for w in "rs") for j in range(2)],
+            None, [tuple(p[f"blocks.3.mlp.be{i}.{w}.{j}"]
+                         for i in (1, 2) for w in "rs") for j in range(2)]]
 
 
 class TestPatchify:
@@ -321,13 +342,13 @@ class TestForwardContracts:
             loss = member_avg_cross_entropy(bundle.member_probs, labels)
             loss.backward()
             del bundle, loss
-            assert live_tensors() - before == len(list(model.named_params()))
+            assert live_tensors() - before == len(model.params)
             # an eval forward builds no tape: nothing it returns has parents
             bundle = forward(model, x, Rng(7))
             assert not any(o._parents for o in gc.get_objects()
                            if isinstance(o, Tensor))
             del bundle
-            assert live_tensors() - before == len(list(model.named_params()))
+            assert live_tensors() - before == len(model.params)
         finally:
             gc.enable()
 
@@ -341,7 +362,7 @@ class TestForwardContracts:
         loss = member_avg_cross_entropy(bundle.member_probs, labels)
         with pytest.raises(ValueError, match="no tape"):
             loss.backward()
-        assert all(p.grad is None for _, p in model.named_params())
+        assert all(p.grad is None for p in model.params.values())
         taped = forward(model, x, Rng(7), train=True)
         assert taped.member_probs.requires_grad
 
@@ -482,7 +503,7 @@ class TestPrunedEvalForward:
         for rate in (0.0, 0.1):
             model = build_model(tiny_spec(variant=variant, dropout_rate=rate,
                                           **noise, **kw), Rng(batch))
-            for _, p in model.named_params():  # leave the near-uniform init
+            for p in model.params.values():  # leave the near-uniform init
                 p.data += 0.3 * gen.standard_normal(p.data.shape)
             for tiling, run in (("deferred", forward),
                                 ("naive", naive_forward)):
@@ -697,5 +718,5 @@ class TestFullModelGradient:
             aux = [AuxLossState.from_decision(d) for d in bundle.decisions]
             return total_loss(data, aux, 0.1)
 
-        err = finite_difference_check(f, [p for _, p in model.named_params()])
+        err = finite_difference_check(f, list(model.params.values()))
         assert err < 1e-4, f"max rel err {err:.3e}"

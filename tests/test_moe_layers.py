@@ -6,8 +6,6 @@ import pytest
 
 from moelab.errors import ConfigError
 from moelab.layers import (
-    BatchEnsembleDense,
-    BeMLP,
     ExpertMLP,
     MoELayer,
     dropout_mask,
@@ -267,33 +265,38 @@ class TestMultihead:
         np.testing.assert_allclose(out.data[0, 1], 0.24473 * y1, atol=1e-3)
 
 
+def be_mlp(be1, b1, be2, b2):
+    """The batch-ensemble ExpertMLP of two (u, r, s) dense layers."""
+    (u1, r1, s1), (u2, r2, s2) = be1, be2
+    return ExpertMLP(u1, b1, u2, b2, list(zip(r1, s1, r2, s2)))
+
+
 class TestBatchEnsemble:
     def make_be(self, gen, d, l, m):
-        return BatchEnsembleDense(
-            u=Tensor(gen.normal(size=(d, l)), requires_grad=True),
-            r=[Tensor(gen.normal(size=d), requires_grad=True) for _ in range(m)],
-            s=[Tensor(gen.normal(size=l), requires_grad=True) for _ in range(m)],
-        )
+        """A batch-ensemble dense layer: slow weight u, fast weights r, s."""
+        return (Tensor(gen.normal(size=(d, l)), requires_grad=True),
+                [Tensor(gen.normal(size=d), requires_grad=True)
+                 for _ in range(m)],
+                [Tensor(gen.normal(size=l), requires_grad=True)
+                 for _ in range(m)])
 
     def test_unit_fast_weights_match_dense(self):
         gen = np.random.default_rng(15)
-        be = self.make_be(gen, 3, 2, 2)
+        u, r, s = self.make_be(gen, 3, 2, 2)
         for mm in range(2):
-            be.r[mm].data[:] = 1.0
-            be.s[mm].data[:] = 1.0
+            r[mm].data[:] = 1.0
+            s[mm].data[:] = 1.0
         x = gen.normal(size=(4, 3))
-        out = be_dense_forward(Tensor(tile(x, 2)), be)
-        plain = x @ be.u.data
+        out = be_dense_forward(Tensor(tile(x, 2)), u, r, s)
+        plain = x @ u.data
         np.testing.assert_allclose(out.data[:4], plain, atol=1e-12)
         np.testing.assert_allclose(out.data[4:], plain, atol=1e-12)
 
     def test_hand_example(self):
-        be = BatchEnsembleDense(
-            u=Tensor(np.ones((2, 2))),
-            r=[Tensor(np.array([1.0, 2.0]))],
-            s=[Tensor(np.array([3.0, 4.0]))],
-        )
-        out = be_dense_forward(Tensor(np.array([[1.0, 1.0]])), be)
+        out = be_dense_forward(Tensor(np.array([[1.0, 1.0]])),
+                               Tensor(np.ones((2, 2))),
+                               [Tensor(np.array([1.0, 2.0]))],
+                               [Tensor(np.array([3.0, 4.0]))])
         np.testing.assert_array_equal(out.data, [[9.0, 12.0]])
 
     def test_matches_materialized_weights(self):
@@ -303,11 +306,11 @@ class TestBatchEnsemble:
             l = int(gen.integers(1, 6))
             m = int(gen.integers(1, 4))
             b = int(gen.integers(1, 5))
-            be = self.make_be(gen, d, l, m)
+            u, r, s = self.make_be(gen, d, l, m)
             x = gen.normal(size=(b, d))
-            out = be_dense_forward(Tensor(tile(x, m)), be).data
+            out = be_dense_forward(Tensor(tile(x, m)), u, r, s).data
             for mm in range(m):
-                w_m = be.u.data * np.outer(be.r[mm].data, be.s[mm].data)
+                w_m = u.data * np.outer(r[mm].data, s[mm].data)
                 np.testing.assert_allclose(out[mm * b:(mm + 1) * b], x @ w_m,
                                            atol=1e-12)
 
@@ -319,35 +322,31 @@ class TestBatchEnsemble:
             m = int(gen.integers(1, 4))
             be = self.make_be(gen, d, l, m)
             x = tile(gen.normal(size=(2, d)), m)
-            view = BeMoeView(be)
-            a = be_dense_forward(Tensor(x), be).data
+            view = BeMoeView(*be)
+            a = be_dense_forward(Tensor(x), *be).data
             b = view.forward(x)
             assert np.abs(a - b).max() < 1e-12
 
     def test_moe_view_gates_binary_one_hot(self):
         gen = np.random.default_rng(18)
         be = self.make_be(gen, 3, 2, 3)
-        g = BeMoeView(be).gates(6)
+        g = BeMoeView(*be).gates(6)
         assert set(np.unique(g)) == {0.0, 1.0}
         np.testing.assert_array_equal(g.sum(axis=1), 1.0)
 
     def test_m1_view_is_dense(self):
         gen = np.random.default_rng(19)
-        be = self.make_be(gen, 3, 2, 1)
+        u, r, s = self.make_be(gen, 3, 2, 1)
         x = gen.normal(size=(4, 3))
-        view = BeMoeView(be)
+        view = BeMoeView(u, r, s)
         np.testing.assert_array_equal(view.gates(4), 1.0)
-        w = be.u.data * np.outer(be.r[0].data, be.s[0].data)
+        w = u.data * np.outer(r[0].data, s[0].data)
         np.testing.assert_allclose(view.forward(x), x @ w, atol=1e-12)
 
-    def test_mismatched_fast_weights_rejected(self):
-        with pytest.raises(ConfigError):
-            BatchEnsembleDense(u=Tensor(np.ones((2, 2))),
-                               r=[Tensor(np.ones(2))], s=[])
-
     def test_fused_mlp_bitwise_equals_composition(self):
-        # BeMLP.forward is one node; the tape composition it replaces is
-        # gelu(be_dense_forward(x, be1) + b1) * mask -> be_dense_forward + b2.
+        # a batch-ensemble ExpertMLP.forward is one node; the tape
+        # composition it replaces is gelu(be_dense_forward(x, *be1) + b1)
+        # * mask -> be_dense_forward(., *be2) + b2.
         # Zero rows in the output multiplier give exact zero gradients, so
         # the sign of zero is compared too (tobytes).
         gen = np.random.default_rng(25)
@@ -365,27 +364,28 @@ class TestBatchEnsemble:
             for fused in (True, False):
                 g = np.random.default_rng(seed)
                 be1, be2 = self.make_be(g, d, f, m), self.make_be(g, f, d, m)
-                mlp_ = BeMLP(be1, Tensor(g.normal(size=f), requires_grad=True),
-                             be2, Tensor(g.normal(size=d), requires_grad=True))
+                mlp_ = be_mlp(be1, Tensor(g.normal(size=f), requires_grad=True),
+                              be2, Tensor(g.normal(size=d), requires_grad=True))
                 x = Tensor(x0, requires_grad=True)
                 if fused:
                     y = mlp_.forward(x, mask, full_rows)
                 else:
-                    hidden = gelu(be_dense_forward(x, be1, full_rows) + mlp_.b1)
+                    hidden = gelu(be_dense_forward(x, *be1, full_rows)
+                                  + mlp_.b1)
                     if mask is not None:
                         hidden = hidden * Tensor(mask)
-                    y = be_dense_forward(hidden, be2, full_rows) + mlp_.b2
+                    y = be_dense_forward(hidden, *be2, full_rows) + mlp_.b2
                 tsum(mul(y, Tensor(mult))).backward()
-                params = [x, be1.u, mlp_.b1, be2.u, mlp_.b2,
-                          *be1.r, *be1.s, *be2.r, *be2.s]
+                params = [x, be1[0], mlp_.b1, be2[0], mlp_.b2,
+                          *be1[1], *be1[2], *be2[1], *be2[2]]
                 results.append([y.data] + [p.grad for p in params])
             for i, (got, want) in enumerate(zip(*results)):
                 assert got.tobytes() == want.tobytes(), (m, b, masked, pruned, i)
 
     def test_fused_mlp_rejects_indivisible_rows(self):
         gen = np.random.default_rng(27)
-        mlp_ = BeMLP(self.make_be(gen, 3, 4, 2), Tensor(np.zeros(4)),
-                     self.make_be(gen, 4, 3, 2), Tensor(np.zeros(3)))
+        mlp_ = be_mlp(self.make_be(gen, 3, 4, 2), Tensor(np.zeros(4)),
+                      self.make_be(gen, 4, 3, 2), Tensor(np.zeros(3)))
         with pytest.raises(ConfigError, match="divisible"):
             mlp_.forward(Tensor(gen.normal(size=(3, 3))))
 
@@ -451,12 +451,11 @@ class TestLayerGradients:
         gen = np.random.default_rng(24)
         be1 = TestBatchEnsemble().make_be(gen, 3, 5, 2)
         be2 = TestBatchEnsemble().make_be(gen, 5, 3, 2)
-        mlp = BeMLP(be1=be1,
-                    b1=Tensor(gen.normal(size=5), requires_grad=True),
-                    be2=be2,
-                    b2=Tensor(gen.normal(size=3), requires_grad=True))
+        mlp = be_mlp(be1, Tensor(gen.normal(size=5), requires_grad=True),
+                     be2, Tensor(gen.normal(size=3), requires_grad=True))
         x = Tensor(gen.normal(size=(4, 3)), requires_grad=True)
-        params = [x, be1.u, be2.u, mlp.b1, mlp.b2] + be1.r + be1.s + be2.r + be2.s
+        params = [x, be1[0], be2[0], mlp.b1, mlp.b2] + \
+            be1[1] + be1[2] + be2[1] + be2[2]
 
         def f():
             return tsum(mlp.forward(x))

@@ -205,7 +205,7 @@ class TestSgdStep:
             for mdl in (flat_model, loop_model):
                 out = forward(mdl, images, Rng(1), train=True, step=step)
                 member_avg_cross_entropy(out.member_probs, labels).backward()
-            named = list(loop_model.named_params())
+            named = list(loop_model.params.items())
             ungraded += sum(p.grad is None for _, p in named)
             grads = {n: np.zeros_like(p.data) if p.grad is None else p.grad
                      for n, p in named}
@@ -248,16 +248,16 @@ class TestTrainLoop:
         ds = small_dataset(seed=4)
         spec = tiny_model_spec(variant="pbe", m=2)
         params = {n: t.data.copy()
-                  for n, t in build_model(spec, Rng(2)).named_params()}
+                  for n, t in build_model(spec, Rng(2)).params.items()}
         kept = {n: a.copy() for n, a in params.items()}
         model = apply_checkpoint(build_model(spec, Rng(3)),
                                  Checkpoint(spec, params))
-        assert all(t.data is params[n] for n, t in model.named_params())
+        assert all(t.data is params[n] for n, t in model.params.items())
         model, _ = train(model, ds, TrainConfig(steps=3, batch_size=16))
         for name, arr in params.items():
             np.testing.assert_array_equal(arr, kept[name])
         assert any(not np.array_equal(t.data, kept[n])
-                   for n, t in model.named_params())
+                   for n, t in model.params.items())
 
     def test_one_step_tape_alive_at_a_time(self, monkeypatch):
         # weak references to the arrays of every tensor of step s's tape
@@ -418,7 +418,7 @@ class TestTrainLoop:
         # the loss is ever formed
         ds = small_dataset(seed=8)
         model = build_model(tiny_model_spec(), Rng(6))
-        for _, p in model.named_params():
+        for p in model.params.values():
             p.data[:] = np.inf
         cfg = TrainConfig(steps=5, batch_size=16, base_lr=0.1, seed=6)
         with pytest.raises(EvaluationError):
@@ -435,6 +435,18 @@ class TestTrainLoop:
         model = build_model(tiny_model_spec(), Rng(0))
         with pytest.raises(ConfigError):
             train(model, ds, TrainConfig(steps=1, batch_size=64))
+
+    def test_mimo_ensemble_ce_rejected_before_any_step(self, monkeypatch):
+        # MIMO's members carry different labels, so ensemble_ce is undefined
+        def no_forward(*args, **kw):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(moelab.trainer, "forward", no_forward)
+        model = build_model(tiny_model_spec(variant="mimo", m=2), Rng(0))
+        cfg = TrainConfig(steps=1, batch_size=4,
+                          loss=LossConfig(loss_mode="ensemble_ce"))
+        with pytest.raises(ConfigError, match="ensemble_ce"):
+            train(model, small_dataset(seed=11), cfg)
 
     def test_mimo_batch_repetitions_run(self):
         ds = small_dataset(seed=11)
