@@ -223,7 +223,11 @@ def improvement_table(rows: list, variant: str,
     """
     by = {}
     for r in rows:
-        by[(r["family"], r["variant"])] = r
+        key = (r["family"], r["variant"])
+        if key in by:
+            raise ConfigError(f"row family={key[0]}, variant={key[1]} "
+                              "appears more than once")
+        by[key] = r
     vit_points = [CostPoint(f, by[(f, "vit")]["nll"], by[(f, "vit")]["gflops"])
                   for f in dict.fromkeys(r["family"] for r in rows)
                   if (f, "vit") in by]
@@ -234,6 +238,9 @@ def improvement_table(rows: list, variant: str,
         if (fam, "vit") not in by or (fam, variant) not in by:
             raise ConfigError(f"family {fam!r} lacks vit or {variant} rows")
         vit_nll = by[(fam, "vit")]["nll"]
+        if vit_nll <= 0:
+            raise ConfigError(f"family {fam!r}: vit nll must be positive to "
+                              f"divide the improvement by, got {vit_nll}")
         var_nll = by[(fam, variant)]["nll"]
         raw[fam] = 100.0 * (vit_nll - var_nll) / vit_nll
         flops[fam] = by[(fam, "vit")]["gflops"]

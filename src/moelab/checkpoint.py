@@ -51,7 +51,6 @@ class _Header(Record):
 class Checkpoint:
     spec: ModelSpec
     params: dict  # name -> float32 ndarray
-    format_version: int = FORMAT_VERSION
 
 
 def checkpoint_from_model(model: Model) -> Checkpoint:
@@ -98,12 +97,12 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     table = [{"name": n,
               "shape": [int(s) for s in ckpt.params[n].shape],
               "dtype": "float32"} for n in names]
-    header = {"format_version": ckpt.format_version,
+    header = {"format_version": FORMAT_VERSION,
               "model_spec": ckpt.spec.to_dict(),
               "tensors": table}
     blob = json.dumps(header, sort_keys=True,
                       separators=(",", ":")).encode("utf-8")
-    parts = [MAGIC, struct.pack("<I", ckpt.format_version),
+    parts = [MAGIC, struct.pack("<I", FORMAT_VERSION),
              struct.pack("<Q", len(blob)), blob]
     parts += [np.ascontiguousarray(ckpt.params[n], dtype="<f4").tobytes()
               for n in names]
@@ -137,5 +136,5 @@ def load_checkpoint(path) -> Checkpoint:
         off += count * 4
     if off != len(raw):
         raise ConfigError("checkpoint has trailing or missing bytes")
-    return Checkpoint(header.model_spec, params, version)
+    return Checkpoint(header.model_spec, params)
 

@@ -21,8 +21,8 @@ Subcommands:
 ``flops --preset <name>``
     Print the analytic cost report for a model configuration.
 
-``run`` and every sweep cell train and evaluate their repetitions through
-one loop, ``_repetitions``.
+``run`` and ``sweep`` make and check their data before the first write,
+then train and evaluate each repetition through ``_repetition``.
 
 Exit codes: 0 success, 2 configuration error, 3 training divergence or
 evaluation failure.
@@ -33,6 +33,8 @@ checkpoints, is written atomically (temp file then rename).
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import itertools
 import json
 import math
@@ -56,7 +58,7 @@ from .flops import deep_ensemble_flops, flops_estimate, flops_forward, tiling_sa
 from .losses import check_loss_mode
 from .model import PRESET_NAMES, VARIANTS, ModelSpec, build_model, preset
 from .rng import Rng
-from .trainer import TrainConfig, evaluate, history_to_csv, train
+from .trainer import TrainConfig, check_train_inputs, evaluate, history_to_csv, train
 
 __all__ = ["ExperimentConfig", "main"]
 
@@ -127,8 +129,11 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig.from_dict(data)
 
 
-def _csv_bytes(lines: list) -> bytes:
-    return ("\n".join(lines) + "\n").encode()
+def _csv_bytes(rows: list) -> bytes:
+    """Rows of text cells as CSV: minimal quoting, \\n line ends."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue().encode()
 
 
 def _fmt_cell(v) -> str:
@@ -155,15 +160,15 @@ def _flatten_report(report) -> dict:
 
 
 def _summary_csv(flat_reports: list) -> bytes:
-    lines = ["metric,mean,stderr"]
+    rows = [["metric", "mean", "stderr"]]
     keys = list(flat_reports[0])
     for key in keys:
         values = [fr.get(key) for fr in flat_reports]
         if any(v is None for v in values):
             continue
         mean, stderr = _mean_stderr(values)
-        lines.append(f"{key},{_fmt_cell(mean)},{_fmt_cell(stderr)}")
-    return _csv_bytes(lines)
+        rows.append([key, _fmt_cell(mean), _fmt_cell(stderr)])
+    return _csv_bytes(rows)
 
 
 def _write_config(config: ExperimentConfig, out_dir: Path) -> None:
@@ -172,45 +177,52 @@ def _write_config(config: ExperimentConfig, out_dir: Path) -> None:
     write_atomic(out_dir / "config.json", text.encode())
 
 
-def _repetitions(config: ExperimentConfig, spec: ModelSpec, n_models: int,
-                 mc_samples: int, datasets):
-    """Train and evaluate every repetition, repetition i on the i-th dataset.
+def _dataset(config: ExperimentConfig, i: int):
+    """Repetition i's dataset, seeded dataset.seed + i: the seed sets no
+    split size, class count or csv file that train's checks read."""
+    return make_dataset(replace(config.dataset, seed=config.dataset.seed + i))
 
-    Repetition i trains n_models models of spec at seeds seed + j *
+
+def _repetition(config: ExperimentConfig, spec: ModelSpec, n_models: int,
+                mc_samples: int, i: int, dataset):
+    """Train and evaluate repetition i on its dataset.
+
+    It trains n_models models of spec at seeds seed + i + j *
     MEMBER_SEED_STRIDE and evaluates them once: a lone model with
     mc_samples dropout draws (0: its own members), or the n_models models
-    pooled as a deep ensemble.  Yields ([(model, history), ...], report).
+    pooled as a deep ensemble.  Returns ([(model, history), ...], report).
     """
     tcfg = config.train
-    flops_giga = deep_ensemble_flops(spec, n_models, tcfg.steps,
-                                     tcfg.batch_size)
-    for i, dataset in enumerate(datasets):
-        seed = tcfg.seed + i
-        seeds = [seed + MEMBER_SEED_STRIDE * j for j in range(n_models)]
-        trained = [train(build_model(spec, Rng(s)), dataset,
-                         replace(tcfg, seed=s)) for s in seeds]
-        models = [model for model, _ in trained]
-        # one model is evaluated as itself, also as a deep ensemble of one:
-        # its vmoe spec has one member, and the mean over one member is exact
-        report = evaluate(
-            models[0] if n_models == 1 else None, dataset,
-            Rng(seed + EVAL_SEED_OFFSET),
-            models=None if n_models == 1 else models, mc_samples=mc_samples,
-            flops_giga=flops_giga)
-        yield trained, report
+    seed = tcfg.seed + i
+    seeds = [seed + MEMBER_SEED_STRIDE * j for j in range(n_models)]
+    trained = [train(build_model(spec, Rng(s)), dataset,
+                     replace(tcfg, seed=s)) for s in seeds]
+    models = [model for model, _ in trained]
+    # one model is evaluated as itself, also as a deep ensemble of one:
+    # its vmoe spec has one member, and the mean over one member is exact
+    report = evaluate(
+        models[0] if n_models == 1 else None, dataset,
+        Rng(seed + EVAL_SEED_OFFSET),
+        models=None if n_models == 1 else models, mc_samples=mc_samples,
+        flops_giga=deep_ensemble_flops(spec, n_models, tcfg.steps,
+                                       tcfg.batch_size))
+    return trained, report
 
 
 def run_experiment(config: ExperimentConfig, out_dir: Path) -> list:
-    """Train and evaluate every repetition; returns the EvalReports."""
+    """Train and evaluate every repetition; returns the EvalReports.  One
+    repetition's data is held at a time; repetition 0's is checked before
+    the first write."""
+    dataset = _dataset(config, 0)
+    check_train_inputs(config.model, dataset, config.train)
     _write_config(config, out_dir)
-    # made one at a time as the loop reaches them, so one repetition's
-    # data is held at a time
-    datasets = (make_dataset(replace(config.dataset,
-                                     seed=config.dataset.seed + i))
-                for i in range(config.repetitions))
     reports = []
-    for i, ([(model, history)], report) in enumerate(
-            _repetitions(config, config.model, 1, 0, datasets)):
+    for i in range(config.repetitions):
+        if i:
+            del dataset  # freed before the next repetition's data is made
+            dataset = _dataset(config, i)
+        [(model, history)], report = _repetition(config, config.model, 1, 0,
+                                                 i, dataset)
         seed_dir = out_dir / f"seed_{i:03d}"
         seed_dir.mkdir(parents=True, exist_ok=True)
         write_atomic(seed_dir / "report.json",
@@ -250,23 +262,24 @@ def run_sweep(config: ExperimentConfig, out_dir: Path) -> Path:
     ks = grid.get("k", [config.model.k])
     ms = grid.get("m", [config.model.m])
 
-    # every cell's spec is built, and so checked, before anything runs
+    # every cell's spec is built and checked, and the repetition datasets,
+    # which every cell shares (train and evaluate write no dataset array),
+    # are made and checked against every cell before the first write
     cells = [(variant, e, k, m, _cell(config.model, variant, e, k, m))
              for variant, e, k, m in itertools.product(variants, es, ks, ms)]
+    datasets = [_dataset(config, i) for i in range(config.repetitions)]
+    for *_, (spec, _, _) in cells:
+        for dataset in datasets:
+            check_train_inputs(spec, dataset, config.train)
     _write_config(config, out_dir)
     header = ["variant", "e", "k", "m"]
     for name in SWEEP_METRICS:
         header += [f"{name}_mean", f"{name}_stderr"]
     header.append("train_gflops")
-    lines = [",".join(header)]
-    # every cell trains and evaluates on the same repetition datasets, and
-    # neither train nor evaluate writes a dataset array
-    datasets = [make_dataset(replace(config.dataset,
-                                     seed=config.dataset.seed + i))
-                for i in range(config.repetitions)]
+    rows = [header]
     for variant, e, k, m, cell in cells:
-        flat = [_flatten_report(report) for _, report in
-                _repetitions(config, *cell, datasets)]
+        flat = [_flatten_report(_repetition(config, *cell, i, dataset)[1])
+                for i, dataset in enumerate(datasets)]
         row = [variant, str(e), str(k), str(m)]
         for name in SWEEP_METRICS:
             values = [fr.get(name) for fr in flat]
@@ -276,9 +289,9 @@ def run_sweep(config: ExperimentConfig, out_dir: Path) -> Path:
                 mean, stderr = _mean_stderr(values)
                 row += [_fmt_cell(mean), _fmt_cell(stderr)]
         row.append(_fmt_cell(flat[0]["flops_train_giga"]))
-        lines.append(",".join(row))
+        rows.append(row)
     path = out_dir / "sweep.csv"
-    write_atomic(path, _csv_bytes(lines))
+    write_atomic(path, _csv_bytes(rows))
     return path
 
 
@@ -298,9 +311,9 @@ def _scatter_svg(series_points: dict, frontier=None, y_label="NLL") -> bytes:
 def analyze_normalized_improvement(rows, out_dir: Path, variant: str,
                                    reference: str) -> None:
     table = improvement_table(rows, variant, reference=reference)
-    lines = ["family,raw_improvement_pct,normalized_improvement_pct"]
-    for family, raw, norm in table:
-        lines.append(f"{family},{_fmt_cell(raw)},{_fmt_cell(norm)}")
+    lines = [["family", "raw_improvement_pct", "normalized_improvement_pct"]]
+    lines += [[family, _fmt_cell(raw), _fmt_cell(norm)]
+              for family, raw, norm in table]
     write_atomic(out_dir / "improvement.csv", _csv_bytes(lines))
 
     series = {}
@@ -317,9 +330,9 @@ def analyze_pareto(rows, out_dir: Path) -> None:
     points = [CostPoint(row["label"], row["metric"], row["gflops"])
               for row in rows]
     frontier = pareto_frontier(points)
-    lines = ["label,metric,gflops"]
-    for p in frontier:
-        lines.append(f"{p.label},{_fmt_cell(p.metric)},{_fmt_cell(p.giga_flops)}")
+    lines = [["label", "metric", "gflops"]]
+    lines += [[p.label, _fmt_cell(p.metric), _fmt_cell(p.giga_flops)]
+              for p in frontier]
     write_atomic(out_dir / "frontier.csv", _csv_bytes(lines))
 
     series = {"points": ([p.giga_flops for p in points],
@@ -340,7 +353,7 @@ def analyze_gain_map(rows, path, out_dir: Path, baseline) -> None:
         label = (row.get("label") or "").strip() or f"K={key[0]},M={key[1]}"
         points[key] = CostPoint(label, row["metric"], row["gflops"])
     gains = normalized_gain(points, baseline=baseline)
-    lines = ["k,m,log_gain_per_cost"]
+    lines = [["k", "m", "log_gain_per_cost"]]
     for (k, m) in sorted(gains):
         g = gains[(k, m)]
         if g is None:
@@ -349,7 +362,7 @@ def analyze_gain_map(rows, path, out_dir: Path, baseline) -> None:
             cell = "-inf"
         else:
             cell = _fmt_cell(g)
-        lines.append(f"{k},{m},{cell}")
+        lines.append([str(k), str(m), cell])
     write_atomic(out_dir / "gain_map.csv", _csv_bytes(lines))
 
     series = {"grid": ([p.giga_flops for p in points.values()],

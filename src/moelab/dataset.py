@@ -163,9 +163,10 @@ def load_csv_dataset(spec: DatasetSpec) -> Dataset:
     train_x, train_y = load("train")
     val_x, val_y = load("val")
     test_x, test_y = load("test")
-    for y in (train_y, val_y, test_y):
+    for name, y in (("train", train_y), ("val", val_y), ("test", test_y)):
         if y.min() < 0 or y.max() >= spec.classes:
-            raise ConfigError("label outside [0, classes)")
+            raise ConfigError(f"{spec.paths[name]}: label outside "
+                              f"[0, {spec.classes})")
     shift_x = shift_y = ood_x = None
     if "shift" in spec.paths:
         shift_x, shift_y = load("shift")

@@ -116,7 +116,9 @@ def dropout_mask(rng: Rng, rate: float, width: int, blocks,
 
 @dataclass
 class MoELayer:
-    """A mixture-of-experts MLP slot in a transformer block."""
+    """A mixture-of-experts MLP slot in a transformer block.  build_model
+    fills it from a checked ModelSpec: E experts, M router blocks of E/M
+    rows (M = 1 outside pbe and only_partitioning), 1 <= k <= E/M."""
 
     experts: list
     router: RouterParams
@@ -124,18 +126,6 @@ class MoELayer:
     mode: str = "moe"
     capacity_ratio: float | None = None  # None: no per-expert budget
     dropout_rate: float = 0.1
-
-    def __post_init__(self):
-        modes = {"moe", "pbe", "multihead", "only_partitioning"}
-        if self.mode not in modes:
-            raise ConfigError(f"unknown MoE mode {self.mode!r}")
-        if (self.mode not in ("pbe", "only_partitioning")
-                and len(self.router.weights) != 1):
-            raise ConfigError(f"mode {self.mode} requires a single router")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError("dropout_rate must be in [0, 1)")
-        if len(self.experts) != self.router.total_experts:
-            raise ConfigError("expert count must match router rows")
 
     @property
     def e(self) -> int:

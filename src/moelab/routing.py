@@ -32,25 +32,9 @@ class RouterParams:
     eval_noise_enabled re-enables the noise draw outside training.
     """
 
-    weights: list  # list[Tensor], each (E_m, D)
+    weights: list  # list[Tensor], each (E/M, D), as build_model makes them
     noise_scale: float
     eval_noise_enabled: bool = False
-
-    def __post_init__(self):
-        if not self.weights:
-            raise ConfigError("router needs at least one weight matrix")
-        if self.noise_scale < 0:
-            raise ConfigError("noise_scale must be >= 0")
-        widths = {w.data.shape[1] for w in self.weights}
-        if len(widths) != 1:
-            raise ConfigError("router blocks disagree on input width")
-        heights = {w.data.shape[0] for w in self.weights}
-        if len(heights) != 1:
-            raise ConfigError("router blocks must all hold E/M experts")
-
-    @property
-    def total_experts(self) -> int:
-        return sum(w.data.shape[0] for w in self.weights)
 
     def effective_sigma(self, train: bool) -> float:
         if train or self.eval_noise_enabled:

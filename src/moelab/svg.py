@@ -38,8 +38,9 @@ class Series:
     """One named group of points.
 
     x values are compute costs (positive: the x axis is logarithmic), y
-    values are the metric.  ``labels`` optionally tags individual points;
-    tagged points get a small text annotation.
+    values are the metric, one of each per point.  ``labels`` optionally
+    tags the points, one label per point; tagged points get a small text
+    annotation.
     """
 
     name: str
@@ -47,18 +48,6 @@ class Series:
     ys: list
     labels: list = field(default_factory=list)
     connect: bool = False
-
-    def __post_init__(self):
-        if len(self.xs) != len(self.ys):
-            raise ConfigError(
-                f"series {self.name!r}: {len(self.xs)} x values vs "
-                f"{len(self.ys)} y values"
-            )
-        if self.labels and len(self.labels) != len(self.xs):
-            raise ConfigError(
-                f"series {self.name!r}: {len(self.labels)} labels for "
-                f"{len(self.xs)} points"
-            )
 
 
 def _esc(text):

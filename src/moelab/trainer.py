@@ -45,7 +45,7 @@ from .losses import AuxLossState, LossConfig, check_loss_mode, \
     member_avg_cross_entropy, total_loss
 from .metrics import EvalReport, MetricAccumulator, fewshot_probe, \
     ood_metrics, ood_scores
-from .model import Model, ensemble_predict, forward
+from .model import Model, ModelSpec, ensemble_predict, forward
 from .rng import Rng
 
 SCHEDULES = ("constant", "cosine", "warmup_cosine")
@@ -172,6 +172,17 @@ def _mimo_batch(images, labels, spec, rng: Rng, step: int):
     return x, y
 
 
+def check_train_inputs(spec: ModelSpec, dataset: Dataset,
+                       config: TrainConfig) -> None:
+    """train's input checks: equal class counts, a loss mode the variant
+    defines, a batch no larger than the training split."""
+    if dataset.spec.classes != spec.classes:
+        raise ConfigError("dataset and model class counts differ")
+    check_loss_mode(spec.variant, config.loss.loss_mode)
+    if config.batch_size > len(dataset.train_y):
+        raise ConfigError("batch_size exceeds training set size")
+
+
 def train(model: Model, dataset: Dataset, config: TrainConfig):
     """Run the loop; returns (model, history) with one dict per step.
 
@@ -184,12 +195,8 @@ def train(model: Model, dataset: Dataset, config: TrainConfig):
     parameters hold no gradient after.
     """
     spec = model.spec
-    if dataset.spec.classes != spec.classes:
-        raise ConfigError("dataset and model class counts differ")
-    check_loss_mode(spec.variant, config.loss.loss_mode)
+    check_train_inputs(spec, dataset, config)
     n = len(dataset.train_y)
-    if config.batch_size > n:
-        raise ConfigError("batch_size exceeds training set size")
     _keep_freed_memory()
     rng = Rng(config.seed)
     params = model.params.values()

@@ -165,6 +165,10 @@ MALFORMED = [
     # bytes go into the file raw: the config is not UTF-8
     ("run", ("output_dir",), b"\xff", "utf-8"),
     ("sweep", ("output_dir",), b"\xff", "utf-8"),
+    # a batch larger than the 32 training rows; train's own check, run
+    # before the first write
+    ("run", ("train", "batch_size"), 64, "batch_size"),
+    ("sweep", ("train", "batch_size"), 64, "batch_size"),
 ]
 
 
@@ -174,7 +178,9 @@ MALFORMED = [
          for c in MALFORMED])
 def test_malformed_config_exits_2(tmp_path, capsys, command, where, value,
                                   named):
-    d = tiny_config_dict(tmp_path / "out")
+    # a sweep gets a one-cell grid unless its case sets the grid
+    d = tiny_config_dict(tmp_path / "out",
+                         **{"grid": {"k": [1]}} if command == "sweep" else {})
     section = d
     for key in where[:-1]:
         section = section[key]
@@ -228,12 +234,15 @@ BAD_CSV = [
     ("nan_pixel", (_csv_row("1") + _csv_row("0", 191).replace("\n", ",nan\n"))
      .encode()),
     ("inf_pixel", _csv_row("1", 191).replace("\n", ",-inf\n").encode()),
+    ("label_out_of_range", _csv_row("4").encode()),  # classes is 4
 ]
 
 
-@pytest.mark.parametrize("data", [c[1] for c in BAD_CSV],
-                         ids=[c[0] for c in BAD_CSV])
-def test_bad_csv_dataset_exits_2(tmp_path, capsys, data):
+@pytest.mark.parametrize(
+    "command,data", [(cmd, c[1]) for cmd in ("run", "sweep") for c in BAD_CSV],
+    ids=[c[0] + ("" if cmd == "run" else "-sweep")
+         for cmd in ("run", "sweep") for c in BAD_CSV])
+def test_bad_csv_dataset_exits_2(tmp_path, capsys, command, data):
     paths = {}
     for name in ("train", "val", "test"):
         paths[name] = str(tmp_path / f"{name}.csv")
@@ -242,11 +251,14 @@ def test_bad_csv_dataset_exits_2(tmp_path, capsys, data):
                 data if name == "train" else _csv_row("0").encode() * 4)
     d = tiny_config_dict(tmp_path / "out",
                          dataset={"kind": "csv", "paths": paths})
+    if command == "sweep":
+        d["grid"] = {"k": [1]}
     path = write_config(tmp_path, d)
-    assert main(["run", "--config", str(path)]) == 2
+    assert main([command, "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert "train.csv" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "config.json").exists()
 
 
 # What config.to_dict serializes to; checkpoint headers and config.json
@@ -607,7 +619,8 @@ def _paper_points_with(families=None, first_gflops=None) -> bytes:
     return ("\n".join([header, *rows]) + "\n").encode()
 
 
-# case: (analyze mode, input file bytes, or None for a missing file)
+# case: (analyze mode, input file bytes, or None for a missing file, and
+# optionally the text the one-line error must contain)
 BAD_INPUTS = {
     "non_numeric_gflops": ("normalized_improvement",
                            _paper_points_with(first_gflops="lots")),
@@ -622,6 +635,13 @@ BAD_INPUTS = {
                        b"k,m,metric,gflops\n1,1,1.0,1.0\nnan,2,0.5,2.0\n"),
     "gain_map_fractional_k": (
         "gain_map", b"k,m,metric,gflops\n1,1,1.0,1.0\n1.7,2,0.5,2.0\n"),
+    # the raw improvement divides by the vit NLL
+    "vit_nll_zero": ("normalized_improvement", PAPER_POINTS.replace(
+        "S/32,vit,0.907,22.32", "S/32,vit,0,22.32").encode(), "S/32"),
+    "repeated_family_variant": (
+        "normalized_improvement",
+        (PAPER_POINTS + "S/32,vit,0.5,22.32\n").encode(),
+        "family=S/32, variant=vit"),
 }
 
 EXPECTED_RAW = {"S/32": 9.82, "B/32": 9.53, "L/32": 3.76, "L/16": 5.38,
@@ -670,14 +690,16 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
     def test_bad_input_exits_2(self, tmp_path, capsys, case):
-        mode, data = BAD_INPUTS[case]
+        mode, data, *named = BAD_INPUTS[case]
         csv = tmp_path / "points.csv"
         if data is not None:
             csv.write_bytes(data)
         assert main(["analyze", "--mode", mode, "--input", str(csv),
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and "Traceback" not in err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert all(text in err for text in named)
 
     def test_custom_input_missing_column_exits_2(self, tmp_path, capsys):
         csv = tmp_path / "in.csv"
@@ -695,6 +717,16 @@ class TestAnalyze:
         lines = (out / "frontier.csv").read_text().strip().split("\n")
         assert lines == ["label,metric,gflops", "A,1.5,2"]
         assert (out / "pareto.svg").read_text().startswith("<svg")
+
+    def test_label_with_comma_is_quoted(self, tmp_path):
+        src = tmp_path / "in.csv"
+        src.write_text('label,metric,gflops\n"big, wide",0.5,3\n',
+                       encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["analyze", "--mode", "pareto", "--input", str(src),
+                     "--out", str(out)]) == 0
+        assert (out / "frontier.csv").read_bytes() == \
+            b'label,metric,gflops\n"big, wide",0.5,3\n'
 
     def test_pareto_drops_dominated_points(self, tmp_path):
         csv = tmp_path / "in.csv"

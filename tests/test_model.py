@@ -187,6 +187,16 @@ class TestBlockPlacement:
         modes = [getattr(b.mlp, "mode", None) for b in model.blocks]
         assert modes == [k if k not in ("dense", "be") else None
                          for k in kinds]
+        # the MoELayer and RouterParams rules, which the records leave to
+        # ModelSpec and build_model
+        routers = spec.m if variant in ("pbe", "only_partitioning") else 1
+        for layer in (b.mlp for b in model.blocks
+                      if isinstance(b.mlp, MoELayer)):
+            assert len(layer.experts) == spec.e
+            assert [w.data.shape for w in layer.router.weights] == \
+                [(spec.e // routers, spec.hidden)] * routers
+            assert (layer.k, layer.dropout_rate) == (spec.k,
+                                                     spec.dropout_rate)
 
     @staticmethod
     def params_table(mlps: dict) -> list:

@@ -208,17 +208,6 @@ class TestOnlyPartitioning:
             oracle += dense_mixture_oracle(h, sub)
         np.testing.assert_allclose(out.data, oracle, atol=1e-12)
 
-    def test_experts_checked_against_router_blocks(self):
-        # the router blocks are the one record of M and E/M
-        gen = np.random.default_rng(25)
-        layer = make_layer(gen, e=6, k=1, mode="only_partitioning", m=2)
-        with pytest.raises(ConfigError):
-            MoELayer(experts=layer.experts[:4], router=layer.router, k=1,
-                     mode="only_partitioning")
-        with pytest.raises(ConfigError):
-            MoELayer(experts=layer.experts, router=layer.router, k=1,
-                     mode="moe")
-
     def test_k_times_m_live_slots(self):
         gen = np.random.default_rng(11)
         layer = make_layer(gen, e=6, k=2, mode="only_partitioning", m=3)

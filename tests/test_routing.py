@@ -198,15 +198,6 @@ class TestPartitionedGate:
         np.testing.assert_allclose(dec.weights.data.sum(axis=1), 1.0,
                                    atol=1e-12)
 
-    def test_unequal_block_heights_rejected(self):
-        # the gate reads E/M from the first block; a shorter or taller block
-        # would send tokens to experts of the wrong member
-        gen = np.random.default_rng(14)
-        with pytest.raises(ConfigError):
-            RouterParams(weights=[Tensor(gen.normal(size=(2, 3))),
-                                  Tensor(gen.normal(size=(4, 3)))],
-                         noise_scale=0.0)
-
 
 class TestOnlyPartitioningGate:
     def test_k_times_m_selections(self):
