@@ -177,10 +177,18 @@ def _write_config(config: ExperimentConfig, out_dir: Path) -> None:
     write_atomic(out_dir / "config.json", text.encode())
 
 
-def _dataset(config: ExperimentConfig, i: int):
-    """Repetition i's dataset, seeded dataset.seed + i: the seed sets no
-    split size, class count or csv file that train's checks read."""
-    return make_dataset(replace(config.dataset, seed=config.dataset.seed + i))
+def _datasets(config: ExperimentConfig):
+    """Yield each repetition's dataset when it is asked for: synthetic data
+    seeded dataset.seed + i, or csv data, which depends on no seed, read
+    once and shared.  The seed sets no split size, class count or csv file
+    that train's checks read."""
+    if config.dataset.kind == "csv":
+        yield from itertools.repeat(make_dataset(config.dataset),
+                                    config.repetitions)
+    else:
+        for i in range(config.repetitions):
+            yield make_dataset(replace(config.dataset,
+                                       seed=config.dataset.seed + i))
 
 
 def _repetition(config: ExperimentConfig, spec: ModelSpec, n_models: int,
@@ -213,14 +221,15 @@ def run_experiment(config: ExperimentConfig, out_dir: Path) -> list:
     """Train and evaluate every repetition; returns the EvalReports.  One
     repetition's data is held at a time; repetition 0's is checked before
     the first write."""
-    dataset = _dataset(config, 0)
+    datasets = _datasets(config)
+    dataset = next(datasets)
     check_train_inputs(config.model, dataset, config.train)
     _write_config(config, out_dir)
     reports = []
     for i in range(config.repetitions):
         if i:
             del dataset  # freed before the next repetition's data is made
-            dataset = _dataset(config, i)
+            dataset = next(datasets)
         [(model, history)], report = _repetition(config, config.model, 1, 0,
                                                  i, dataset)
         seed_dir = out_dir / f"seed_{i:03d}"
@@ -267,7 +276,7 @@ def run_sweep(config: ExperimentConfig, out_dir: Path) -> Path:
     # are made and checked against every cell before the first write
     cells = [(variant, e, k, m, _cell(config.model, variant, e, k, m))
              for variant, e, k, m in itertools.product(variants, es, ks, ms)]
-    datasets = [_dataset(config, i) for i in range(config.repetitions)]
+    datasets = list(_datasets(config))
     for *_, (spec, _, _) in cells:
         for dataset in datasets:
             check_train_inputs(spec, dataset, config.train)
@@ -308,13 +317,12 @@ def _scatter_svg(series_points: dict, frontier=None, y_label="NLL") -> bytes:
     return plot.render().encode()
 
 
-def analyze_normalized_improvement(rows, out_dir: Path, variant: str,
-                                   reference: str) -> None:
+def analyze_normalized_improvement(rows, variant: str,
+                                   reference: str) -> dict:
     table = improvement_table(rows, variant, reference=reference)
     lines = [["family", "raw_improvement_pct", "normalized_improvement_pct"]]
     lines += [[family, _fmt_cell(raw), _fmt_cell(norm)]
               for family, raw, norm in table]
-    write_atomic(out_dir / "improvement.csv", _csv_bytes(lines))
 
     series = {}
     for row in rows:
@@ -323,27 +331,28 @@ def analyze_normalized_improvement(rows, out_dir: Path, variant: str,
         xs.append(row["gflops"])
         ys.append(row["nll"])
         labels.append(row["family"])
-    write_atomic(out_dir / "improvement.svg", _scatter_svg(series))
+    return {"improvement.csv": _csv_bytes(lines),
+            "improvement.svg": _scatter_svg(series)}
 
 
-def analyze_pareto(rows, out_dir: Path) -> None:
+def analyze_pareto(rows) -> dict:
     points = [CostPoint(row["label"], row["metric"], row["gflops"])
               for row in rows]
     frontier = pareto_frontier(points)
     lines = [["label", "metric", "gflops"]]
     lines += [[p.label, _fmt_cell(p.metric), _fmt_cell(p.giga_flops)]
               for p in frontier]
-    write_atomic(out_dir / "frontier.csv", _csv_bytes(lines))
 
     series = {"points": ([p.giga_flops for p in points],
                          [p.metric for p in points],
                          [p.label for p in points])}
     front_xy = [(p.giga_flops, p.metric) for p in frontier]
-    write_atomic(out_dir / "pareto.svg",
-                 _scatter_svg(series, frontier=front_xy, y_label="metric"))
+    return {"frontier.csv": _csv_bytes(lines),
+            "pareto.svg": _scatter_svg(series, frontier=front_xy,
+                                       y_label="metric")}
 
 
-def analyze_gain_map(rows, path, out_dir: Path, baseline) -> None:
+def analyze_gain_map(rows, path, baseline) -> dict:
     points = {}
     for row in rows:
         key = (row["k"], row["m"])
@@ -363,13 +372,12 @@ def analyze_gain_map(rows, path, out_dir: Path, baseline) -> None:
         else:
             cell = _fmt_cell(g)
         lines.append([str(k), str(m), cell])
-    write_atomic(out_dir / "gain_map.csv", _csv_bytes(lines))
 
     series = {"grid": ([p.giga_flops for p in points.values()],
                        [p.metric for p in points.values()],
                        [p.label for p in points.values()])}
-    write_atomic(out_dir / "gain_map.svg",
-                 _scatter_svg(series, y_label="metric"))
+    return {"gain_map.csv": _csv_bytes(lines),
+            "gain_map.svg": _scatter_svg(series, y_label="metric")}
 
 
 def _cmd_run(args) -> int:
@@ -391,23 +399,19 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Read and check the input and make every output before the output
+    directory is created, so a bad input leaves nothing behind."""
     if args.mode == "normalized_improvement":
         rows = load_reference_points(args.input)
-        analyze_normalized_improvement(rows, out_dir, args.variant,
-                                       args.reference)
+        files = analyze_normalized_improvement(rows, args.variant,
+                                               args.reference)
+    elif not args.input:
+        raise ConfigError(f"analyze --mode {args.mode} requires --input")
     elif args.mode == "pareto":
-        if not args.input:
-            raise ConfigError("analyze --mode pareto requires --input")
         rows = read_results(args.input, {"label": str, "metric": float,
                                          "gflops": float})
-        analyze_pareto(rows, out_dir)
+        files = analyze_pareto(rows)
     else:  # gain_map
-        if not args.input:
-            raise ConfigError("analyze --mode gain_map requires --input")
-        rows = read_results(args.input, {"k": int, "m": int,
-                                         "metric": float, "gflops": float})
         try:
             parts = [int(x) for x in args.baseline.split(",")]
             if len(parts) != 2:
@@ -416,7 +420,13 @@ def _cmd_analyze(args) -> int:
             raise ConfigError(
                 f"--baseline must be 'k,m', got {args.baseline!r}"
             ) from None
-        analyze_gain_map(rows, args.input, out_dir, tuple(parts))
+        rows = read_results(args.input, {"k": int, "m": int,
+                                         "metric": float, "gflops": float})
+        files = analyze_gain_map(rows, args.input, tuple(parts))
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, data in files.items():
+        write_atomic(out_dir / name, data)
     print(f"wrote analysis to {out_dir}")
     return 0
 

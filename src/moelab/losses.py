@@ -110,16 +110,17 @@ def load_loss(clean_logits: Tensor, noisy_logits: np.ndarray, sigma: float,
     noisy logit among the OTHER experts of token i.  sigma = 0 falls back to
     hard top-K membership counts (a constant, so no gradient).  K = E means
     every expert is always selected: the load is uniform and the loss 0.
+    The hard count ranks by the gate's top-K rule, since its ties decide
+    which expert is counted; the smooth count reads only the K-th and
+    (K+1)-th largest values, which no tie rule changes, so a plain sort,
+    several times faster than the gate's stable argsort, finds them.
     """
-    n, e = noisy_logits.shape
+    e = noisy_logits.shape[1]
     if k >= e:
         return Tensor(0.0)
     if sigma <= 0.0:
         top = _topk_desc(noisy_logits, k)
-        counts = np.bincount(top.reshape(-1), minlength=e).astype(np.float64)
-        mu = counts.mean()
-        var = counts.var()
-        return Tensor(var / max(mu * mu, 1e-24))
+        return _cv_squared(Tensor(np.bincount(top.reshape(-1), minlength=e)))
     desc = -np.sort(-noisy_logits, axis=1)
     kth = desc[:, k - 1:k]       # K-th largest including self
     kth_next = desc[:, k:k + 1]  # (K+1)-th largest

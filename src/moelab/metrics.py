@@ -1,7 +1,9 @@
 """Evaluation metrics: NLL, error, calibration, diversity, OOD, few-shot.
 
 MetricAccumulator is the one implementation of NLL, error, ECE and the
-member-diversity metrics; every report reads them from its result().
+member-diversity metrics, which come from one loop over member pairs;
+every report reads them from its result().  The three OOD metrics read
+one ranking of the scores.
 Accumulation is order-independent by construction: every per-example value
 goes into its term's list (add_batch alone names the terms) and totals are
 taken with math.fsum, which returns the correctly rounded sum of the
@@ -33,34 +35,29 @@ def _as_array(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def _pairwise_kl(mp: np.ndarray) -> np.ndarray:
-    """Per-example mean over ordered member pairs of KL(p_m || p_m')."""
+def _member_pair_terms(mp: np.ndarray, preds: np.ndarray) -> dict:
+    """Per-example kl, cos and dis terms, from one loop over member pairs.
+
+    kl is the mean over ordered pairs (a, b != a) of KL(p_a || p_b); cos
+    (cosine similarity) and dis (top-1 disagreement) are means over the
+    pairs a < b.  preds holds each member's argmax.
+    """
     m = mp.shape[0]
     q = np.clip(mp, PROB_FLOOR, None)
     logq = np.log(q)
-    out = np.zeros(mp.shape[1], dtype=np.float64)
+    norms = np.linalg.norm(mp, axis=-1)
+    kl, cos, dis = (np.zeros(mp.shape[1], dtype=np.float64) for _ in range(3))
     for a in range(m):
         for b in range(m):
             if a == b:
                 continue
-            out += np.sum(q[a] * (logq[a] - logq[b]), axis=-1)
-    return out / (m * (m - 1))
-
-
-def _pairwise_cos_dis(mp: np.ndarray):
-    m = mp.shape[0]
-    norms = np.linalg.norm(mp, axis=-1)
-    preds = np.argmax(mp, axis=-1)
-    cos = np.zeros(mp.shape[1], dtype=np.float64)
-    dis = np.zeros(mp.shape[1], dtype=np.float64)
-    pairs = 0
-    for a in range(m):
-        for b in range(a + 1, m):
-            denom = np.maximum(norms[a] * norms[b], PROB_FLOOR)
-            cos += np.sum(mp[a] * mp[b], axis=-1) / denom
-            dis += (preds[a] != preds[b]).astype(np.float64)
-            pairs += 1
-    return cos / pairs, dis / pairs
+            kl += np.sum(q[a] * (logq[a] - logq[b]), axis=-1)
+            if a < b:
+                denom = np.maximum(norms[a] * norms[b], PROB_FLOOR)
+                cos += np.sum(mp[a] * mp[b], axis=-1) / denom
+                dis += preds[a] != preds[b]
+    pairs = m * (m - 1) // 2
+    return {"kl": kl / (2 * pairs), "cos": cos / pairs, "dis": dis / pairs}
 
 
 def ood_scores(ensemble_probs) -> np.ndarray:
@@ -69,27 +66,12 @@ def ood_scores(ensemble_probs) -> np.ndarray:
     return 1.0 - p.max(axis=1)
 
 
-def _auc_roc(in_scores, out_scores) -> float:
-    """Mann-Whitney statistic: P(out > in) with ties counted half."""
-    both = np.concatenate([in_scores, out_scores])
-    order = np.argsort(both, kind="stable")
-    sorted_vals = both[order]
-    starts = np.append(True, sorted_vals[1:] != sorted_vals[:-1])
-    first = np.flatnonzero(starts)
-    last = np.append(first[1:], len(both)) - 1
-    ranks = np.empty(len(both), dtype=np.float64)
-    # average 1-based rank of each tie group, spread over its members
-    ranks[order] = (0.5 * (first + last) + 1.0)[np.cumsum(starts) - 1]
-    n_in, n_out = len(in_scores), len(out_scores)
-    u = ranks[n_in:].sum() - n_out * (n_out + 1) / 2.0
-    return float(u / (n_in * n_out))
-
-
 def _tie_group_counts(in_scores, out_scores) -> tuple:
     """(tp, fp) with OOD as the positive class, at each threshold.
 
     Scores are taken in descending order and every run of equal scores is
-    one threshold; the counts are exact integers, returned as float64.
+    one threshold; tp and fp are the exact int64 counts of out- and
+    in-scores at or above it.
     """
     scores = np.concatenate([in_scores, out_scores])
     positive = np.concatenate([np.zeros(len(in_scores), dtype=np.int64),
@@ -98,38 +80,37 @@ def _tie_group_counts(in_scores, out_scores) -> tuple:
     scores = scores[order]
     last = np.flatnonzero(np.append(scores[1:] != scores[:-1], True))
     tp = np.cumsum(positive[order])[last]
-    return tp.astype(np.float64), (last + 1 - tp).astype(np.float64)
-
-
-def _auc_pr(in_scores, out_scores) -> float:
-    """Average precision with OOD as the positive class."""
-    tp, fp = _tie_group_counts(in_scores, out_scores)
-    recall = tp / len(out_scores)
-    precision = tp / (tp + fp)
-    # cumsum adds strictly left to right; np.sum would pair terms up and
-    # round differently
-    return float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])
-
-
-def _fpr_at_tpr(in_scores, out_scores, tpr: float = 0.95) -> float:
-    """FPR at the smallest threshold reaching the requested TPR."""
-    need = math.ceil(tpr * len(out_scores))
-    thresh = np.sort(out_scores)[::-1][need - 1]
-    return float(np.mean(in_scores >= thresh))
+    return tp, last + 1 - tp
 
 
 def ood_metrics(in_scores, out_scores) -> dict:
     """{auc_roc, auc_pr, fpr95} for OOD-ness scores (higher = more OOD).
 
-    fpr95 is the false-positive rate at 95% true-positive rate.
+    All three read one ranking, the tie-group counts.  auc_roc is the
+    trapezoid area under the ROC steps, the Mann-Whitney P(out > in) with
+    ties counted half: its integer sum is exactly 2U, so one division
+    rounds it.  auc_pr is average precision with OOD as the positive
+    class.  fpr95, the false-positive rate at 95% true-positive rate, is
+    read at the first group reaching ceil(0.95 * n_out) out-scores: that
+    group holds the threshold, and its fp counts the in-scores at or
+    above it.
     """
     ins = np.asarray(in_scores, dtype=np.float64)
     outs = np.asarray(out_scores, dtype=np.float64)
     if len(ins) == 0 or len(outs) == 0:
         raise ConfigError("need both in- and out-of-distribution scores")
-    return {"auc_roc": _auc_roc(ins, outs),
-            "auc_pr": _auc_pr(ins, outs),
-            "fpr95": _fpr_at_tpr(ins, outs)}
+    n_in, n_out = len(ins), len(outs)
+    tp, fp = _tie_group_counts(ins, outs)
+    two_u = int(np.sum(np.diff(fp, prepend=0) * (np.append(0, tp[:-1]) + tp)))
+    recall = tp / n_out
+    precision = tp / (tp + fp)
+    # cumsum adds strictly left to right; np.sum would pair terms up and
+    # round differently
+    auc_pr = np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1]
+    g = np.searchsorted(tp, math.ceil(0.95 * n_out))
+    return {"auc_roc": two_u / (2 * n_in * n_out),
+            "auc_pr": float(auc_pr),
+            "fpr95": float(fp[g] / n_in)}
 
 
 def fewshot_probe(features, labels, shots: int) -> float:
@@ -206,9 +187,8 @@ class MetricAccumulator:
             "bin": np.minimum((conf * ECE_BINS).astype(int), ECE_BINS - 1),
         }
         if m >= 2:
-            terms["kl"] = _pairwise_kl(mp)
-            terms["cos"], terms["dis"] = _pairwise_cos_dis(mp)
             preds = np.argmax(mp, axis=-1)
+            terms.update(_member_pair_terms(mp, preds))
             terms["member_err"] = (preds != y).astype(float).mean(axis=0)
         for name, values in terms.items():
             self._terms[name].extend(values.tolist())

@@ -238,9 +238,6 @@ class Tensor:
             shape = tuple(shape[0])
         return reshape(self, shape)
 
-    def transpose(self, axes):
-        return transpose(self, axes)
-
 
 def _ensure(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import moelab.cli
+import moelab.dataset
 from moelab.cli import ExperimentConfig, load_config, main
 from moelab.errors import ConfigError, DivergenceError, EvaluationError
 from moelab.model import preset
@@ -259,6 +260,30 @@ def test_bad_csv_dataset_exits_2(tmp_path, capsys, command, data):
     assert err.startswith("config error:") and err.count("\n") == 1
     assert "train.csv" in err and "Traceback" not in err
     assert not (tmp_path / "out" / "config.json").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_csv_dataset_read_once(tmp_path, monkeypatch, command):
+    # csv data depends on no seed: three repetitions read each split once
+    paths = {}
+    for name in ("train", "val", "test"):
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_text(_csv_row("0") * 4 + _csv_row("1") * 4)
+    loads = []
+    real = moelab.dataset.load_csv_split
+
+    def counted(path, *args):
+        loads.append(Path(path).name)
+        return real(path, *args)
+
+    monkeypatch.setattr(moelab.dataset, "load_csv_split", counted)
+    d = tiny_config_dict(tmp_path / "out", repetitions=3, dataset={
+        "kind": "csv", "paths": {k: str(v) for k, v in paths.items()}})
+    if command == "sweep":
+        d["grid"] = {"k": [1]}
+    path = write_config(tmp_path, d)
+    assert main([command, "--config", str(path)]) == 0
+    assert loads == ["train.csv", "val.csv", "test.csv"]
 
 
 # What config.to_dict serializes to; checkpoint headers and config.json
@@ -635,6 +660,10 @@ BAD_INPUTS = {
                        b"k,m,metric,gflops\n1,1,1.0,1.0\nnan,2,0.5,2.0\n"),
     "gain_map_fractional_k": (
         "gain_map", b"k,m,metric,gflops\n1,1,1.0,1.0\n1.7,2,0.5,2.0\n"),
+    "gain_map_bad_baseline": ("gain_map --baseline 1",
+                              b"k,m,metric,gflops\n1,1,1.0,1.0\n",
+                              "--baseline"),
+    "pareto_missing_file": ("pareto", None),
     # the raw improvement divides by the vit NLL
     "vit_nll_zero": ("normalized_improvement", PAPER_POINTS.replace(
         "S/32,vit,0.907,22.32", "S/32,vit,0,22.32").encode(), "S/32"),
@@ -690,16 +719,18 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
     def test_bad_input_exits_2(self, tmp_path, capsys, case):
+        # mode is the --mode value, with any further flags after it
         mode, data, *named = BAD_INPUTS[case]
         csv = tmp_path / "points.csv"
         if data is not None:
             csv.write_bytes(data)
-        assert main(["analyze", "--mode", mode, "--input", str(csv),
+        assert main(["analyze", "--mode", *mode.split(), "--input", str(csv),
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "Traceback" not in err
         assert all(text in err for text in named)
+        assert not (tmp_path / "o").exists()
 
     def test_custom_input_missing_column_exits_2(self, tmp_path, capsys):
         csv = tmp_path / "in.csv"
@@ -748,6 +779,7 @@ class TestAnalyze:
         assert main(["analyze", "--mode", "pareto",
                      "--out", str(tmp_path / "o")]) == 2
         assert "--input" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_pareto_empty_metric_cell_exits_2(self, tmp_path, capsys):
         csv = tmp_path / "in.csv"
@@ -807,6 +839,7 @@ class TestAnalyze:
                      "--baseline", "one,one",
                      "--out", str(tmp_path / "o")]) == 2
         assert "baseline" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_gain_map_repeated_cell_exits_2(self, tmp_path, capsys):
         csv = tmp_path / "in.csv"
@@ -820,10 +853,12 @@ class TestAnalyze:
         assert main(["analyze", "--mode", "gain_map", "--input", str(csv),
                      "--out", str(tmp_path / "o")]) == 2
         assert "k=1, m=2" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_gain_map_requires_input(self, tmp_path):
         assert main(["analyze", "--mode", "gain_map",
                      "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
 
     def test_empty_csv_exits_2(self, tmp_path, capsys):
         csv = tmp_path / "in.csv"

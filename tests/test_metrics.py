@@ -8,8 +8,6 @@ import pytest
 
 from moelab.errors import ConfigError
 from moelab.metrics import (
-    _auc_pr,
-    _auc_roc,
     ECE_BINS,
     MetricAccumulator,
     fewshot_probe,
@@ -278,8 +276,16 @@ def _loop_auc_pr(in_scores, out_scores):
     return float(ap)
 
 
+def _loop_fpr95(in_scores, out_scores):
+    """Share of in-scores at or above the ceil(0.95 n_out)-th largest
+    out-score."""
+    need = math.ceil(0.95 * len(out_scores))
+    thresh = sorted(out_scores, reverse=True)[need - 1]
+    return sum(1 for s in in_scores if s >= thresh) / len(in_scores)
+
+
 class TestOodTieGroupsAgainstLoops:
-    """The vectorized tie-group passes equal the loops they replaced."""
+    """ood_metrics, which reads one ranking, equals a loop per metric."""
 
     def _cases(self, seed, tied):
         gen = np.random.default_rng(seed)
@@ -297,8 +303,10 @@ class TestOodTieGroupsAgainstLoops:
     def test_bitwise_equal(self, tied):
         got, want = [], []
         for ins, outs in self._cases(11 + tied, tied):
-            got.append([_auc_roc(ins, outs), _auc_pr(ins, outs)])
-            want.append([_loop_auc_roc(ins, outs), _loop_auc_pr(ins, outs)])
+            out = ood_metrics(ins, outs)
+            got.append([out["auc_roc"], out["auc_pr"], out["fpr95"]])
+            want.append([_loop_auc_roc(ins, outs), _loop_auc_pr(ins, outs),
+                         _loop_fpr95(ins, outs)])
         np.testing.assert_array_equal(got, want)
 
 
