@@ -171,8 +171,17 @@ def _summary_csv(flat_reports: list) -> bytes:
     return _csv_bytes(rows)
 
 
+def _make_dir(path: Path) -> None:
+    """mkdir -p path; an OSError (say, a file in the way) is a ConfigError."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make directory {path}: "
+                          f"{exc.strerror}") from exc
+
+
 def _write_config(config: ExperimentConfig, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
     text = json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n"
     write_atomic(out_dir / "config.json", text.encode())
 
@@ -233,7 +242,7 @@ def run_experiment(config: ExperimentConfig, out_dir: Path) -> list:
         [(model, history)], report = _repetition(config, config.model, 1, 0,
                                                  i, dataset)
         seed_dir = out_dir / f"seed_{i:03d}"
-        seed_dir.mkdir(parents=True, exist_ok=True)
+        _make_dir(seed_dir)
         write_atomic(seed_dir / "report.json",
                      (report.to_json() + "\n").encode())
         history_to_csv(history, seed_dir / "history.csv")
@@ -424,7 +433,7 @@ def _cmd_analyze(args) -> int:
                                          "metric": float, "gflops": float})
         files = analyze_gain_map(rows, args.input, tuple(parts))
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
     for name, data in files.items():
         write_atomic(out_dir / name, data)
     print(f"wrote analysis to {out_dir}")

@@ -19,8 +19,8 @@ from .config import Record
 from .errors import ConfigError
 from .metrics import PROB_FLOOR
 from .routing import RoutingDecision, _topk_desc
-from .tensor import (Tensor, clamp_min, log, normal_cdf, softmax, take_cols,
-                     tmean, tsum)
+from .tensor import (Tensor, clamp_min, log, normal_cdf, reshape, softmax,
+                     take_cols, tmean, tsum)
 
 
 @dataclass
@@ -68,7 +68,7 @@ def _gather_label_probs(member_probs: Tensor, labels: np.ndarray) -> Tensor:
     labels = np.asarray(labels)
     if labels.ndim == 1:
         labels = np.broadcast_to(labels, (m, b))
-    flat = member_probs.reshape((m * b, c))
+    flat = reshape(member_probs, (m * b, c))
     return take_cols(flat, labels.reshape(m * b, 1))
 
 

@@ -217,8 +217,9 @@ class MetricAccumulator:
         more members, kl_diversity is the mean over ordered pairs m != m'
         of KL(p_m || p_m'), cosine_similarity the mean pairwise cosine, and
         normalized_disagreement the pair-averaged rate at which two members
-        pick different classes divided by the mean member error rate (0
-        when both are 0); with one member the three are None.
+        pick different classes divided by the mean member error rate, or 0
+        when that rate is 0: every member is then right on every example,
+        so no two disagree.  With one member the three are None.
         """
         n = self.count
         if n == 0:
@@ -247,12 +248,8 @@ class MetricAccumulator:
             out["cosine_similarity"] = math.fsum(t["cos"]) / n
             mean_dis = math.fsum(t["dis"]) / n
             mean_err = math.fsum(t["member_err"]) / n
-            if mean_dis == 0.0 and mean_err == 0.0:
-                out["normalized_disagreement"] = 0.0
-            elif mean_err == 0.0:
-                out["normalized_disagreement"] = float("inf")
-            else:
-                out["normalized_disagreement"] = mean_dis / mean_err
+            out["normalized_disagreement"] = (
+                0.0 if mean_err == 0.0 else mean_dis / mean_err)
         return out
 
 

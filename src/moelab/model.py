@@ -16,6 +16,10 @@ routed block holds a MoELayer of them.  build_model makes every parameter
 once, under its dotted name, into Model.params; that order is the
 checkpoint's and the optimizer's.
 
+The residual stream is one (rows, hidden) tensor from the stem to the head,
+its rows image-major blocks of n_tokens (member-major once tiled); only
+attention groups them into images.
+
 Tiling discipline: the input batch runs untiled through every block before
 tile_block, and is replicated M times right before that block's MLP (the
 attention of that block still sees the untiled batch).  In eval
@@ -375,20 +379,21 @@ def patchify(images: np.ndarray, patch: int) -> np.ndarray:
     return x.reshape(b, nh * nw, patch * patch * c)
 
 
-def _attention(x: Tensor, params: tuple, heads: int) -> Tensor:
+def _attention(x: Tensor, params: tuple, heads: int, tokens: int) -> Tensor:
+    """Self-attention within each image's block of `tokens` rows."""
     wq, bq, wk, bk, wv, bv, wo, bo = params
-    bc, t, d = x.data.shape
-    dh = d // heads
+    n, d = x.data.shape
+    bc, dh = n // tokens, d // heads
     q = dense(x, wq, bq)
     k = dense(x, wk, bk)
     v = dense(x, wv, bv)
-    q = transpose(reshape(q, (bc, t, heads, dh)), (0, 2, 1, 3))
-    k = transpose(reshape(k, (bc, t, heads, dh)), (0, 2, 1, 3))
-    v = transpose(reshape(v, (bc, t, heads, dh)), (0, 2, 1, 3))
-    scores = matmul(q, transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
+    q = transpose(reshape(q, (bc, tokens, heads, dh)), (0, 2, 1, 3))
+    k = transpose(reshape(k, (bc, tokens, heads, dh)), (0, 2, 3, 1))
+    v = transpose(reshape(v, (bc, tokens, heads, dh)), (0, 2, 1, 3))
+    scores = matmul(q, k) * (1.0 / math.sqrt(dh))
     attn = softmax(scores, axis=-1)
     ctx = matmul(attn, v)
-    ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (bc, t, d))
+    ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (n, d))
     return dense(ctx, wo, bo)
 
 
@@ -435,9 +440,8 @@ def _forward(model, images, rng, train, step, mc_sample, want_features):
     x = dense(Tensor(patches), p["embed.w"], p["embed.b"])
     t = spec.n_tokens
     d = spec.hidden
-    cls_row = reshape(p["cls"], (1, 1, d))
-    x = concat([Tensor(np.zeros((b_in, 1, d))) + cls_row, x], axis=1)
-    x = x + reshape(p["pos"], (1, t, d))
+    x = concat([Tensor(np.zeros((b_in, 1, d))) + p["cls"], x], axis=1)
+    x = reshape(x + p["pos"], (b_in * t, d))
 
     dropout_on = train or (mc_sample is not None)
     sample = -1 if mc_sample is None else int(mc_sample)
@@ -445,16 +449,15 @@ def _forward(model, images, rng, train, step, mc_sample, want_features):
 
     last = spec.layers - 1
     for i, (blk, kind) in enumerate(zip(model.blocks, spec.mlp_kinds)):
-        x = x + _attention(layernorm(x, *blk.ln1), blk.attn, spec.heads)
+        x = x + _attention(layernorm(x, *blk.ln1), blk.attn, spec.heads, t)
         if i == tile_block:
             x = tile(x, spec.tile_factor)
-        bc = x.data.shape[0]
-        n = bc * t
-        flat = reshape(x, (n, d))
+        n = x.data.shape[0]
+        bc = n // t
         # the rows the MLP runs on: all of them, except in the last block of
         # an eval forward, where only the head reads the output
         rows = np.arange(bc) * t if i == last and not train else None
-        res = flat if rows is None else take_rows(flat, rows)
+        res = x if rows is None else take_rows(x, rows)
         noise_key = ("route", i, step)
         drop_key = ("drop", i, step, sample)
         if kind in ("dense", "be"):
@@ -463,31 +466,26 @@ def _forward(model, images, rng, train, step, mc_sample, want_features):
                 mask = dropout_mask(rng, spec.dropout_rate,
                                     blk.mlp.hidden_dim,
                                     [(n, (*drop_key, -1, 0))], rows)
-            res = res + blk.mlp.forward(layernorm(res, *blk.ln2), mask,
-                                        full_rows=n)
+            x = res + blk.mlp.forward(layernorm(res, *blk.ln2), mask,
+                                      full_rows=n)
         else:
             out, decision = layer_forward(
-                layernorm(flat, *blk.ln2), blk.mlp, rng,
+                layernorm(x, *blk.ln2), blk.mlp, rng,
                 train=train, dropout_on=dropout_on, noise_key=noise_key,
                 dropout_key=drop_key, rows=rows)
             decisions.append(decision)
             if kind == "multihead":
-                # slot outputs become ensemble members: broadcast the
-                # residual over K slots, then fold slots into the rows
-                # (member-major)
-                r = res.data.shape[0]
-                stacked = transpose(reshape(res, (r, 1, d)) + out, (1, 0, 2))
-                res = reshape(stacked, (spec.k * r, d))
+                # slot outputs become ensemble members: add the residual
+                # to each of the K slots, slot-major, then fold the slots
+                # into the rows (member-major)
+                x = reshape(transpose(out, (1, 0, 2)) + res, (-1, d))
                 bc *= spec.k
             else:
-                res = res + out
-        if i != last:
-            x = reshape(res, (bc, t, d))
+                x = res + out
 
     # the head reads the class rows, all that an eval forward's last block
     # kept
-    cls_tokens = res if rows is not None else take_rows(res,
-                                                        np.arange(bc) * t)
+    cls_tokens = x if rows is not None else take_rows(x, np.arange(bc) * t)
     feats = layernorm(cls_tokens, p["final_ln.g"], p["final_ln.b"])
     logits = dense(feats, p["head.w"], p["head.b"])
 

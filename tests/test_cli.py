@@ -286,6 +286,29 @@ def test_csv_dataset_read_once(tmp_path, monkeypatch, command):
     assert loads == ["train.csv", "val.csv", "test.csv"]
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+@pytest.mark.parametrize("command", ["run", "sweep", "analyze"])
+def test_output_dir_on_a_file_exits_2(tmp_path, capsys, command, under):
+    # the output directory names an existing file, or a path under one
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"not a directory\n")
+    out = taken / "sub" if under else taken
+    if command == "analyze":
+        argv = ["analyze", "--mode", "normalized_improvement",
+                "--out", str(out)]
+    else:
+        d = tiny_config_dict(tmp_path / "unused",
+                             **{"grid": {"k": [1]}} if command == "sweep"
+                             else {})
+        argv = [command, "--config", str(write_config(tmp_path, d)),
+                "--output-dir", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert str(out) in err and "Traceback" not in err
+    assert taken.read_bytes() == b"not a directory\n"
+
+
 # What config.to_dict serializes to; checkpoint headers and config.json
 # files written by earlier versions must keep matching these bytes.
 PINNED_PBE_SPEC = (

@@ -380,6 +380,33 @@ class TestForwardContracts:
     def test_each_mlp_is_one_tape_node(self, variant):
         # every MLP kind runs as one fused node: its first weight is a
         # parent of exactly one node of a training forward's tape
+        model, nodes = self._train_tape(variant)
+        first = {"dense": "w1", "be": "be1.u"}
+        for i, kind in enumerate(model.spec.mlp_kinds):
+            name = f"blocks.{i}.mlp.{first.get(kind, 'experts.0.w1')}"
+            w = model.params[name]
+            users = [n for n in nodes if any(p is w for p in n._parents)]
+            assert len(users) == 1, (name, len(users))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_stream_is_rows_by_hidden(self, variant):
+        # the residual stream is one (rows, hidden) tensor from the stem to
+        # the head: each layernorm, found as the one node whose parents
+        # include its gain, reads a 2-D input
+        model, nodes = self._train_tape(variant)
+        names = [f"blocks.{i}.{ln}.g" for i in range(model.spec.layers)
+                 for ln in ("ln1", "ln2")] + ["final_ln.g"]
+        for name in names:
+            g = model.params[name]
+            [node] = [n for n in nodes if any(p is g for p in n._parents)]
+            shape = node._parents[0].data.shape
+            assert len(shape) == 2 and shape[1] == model.spec.hidden, \
+                (name, shape)
+
+    @staticmethod
+    def _train_tape(variant):
+        """A tiny model of variant and every node of one training forward's
+        tape."""
         model = build_model(tiny_spec(variant=variant, e=4, m=2), Rng(6))
         bundle = forward(model, images(np.random.default_rng(5), n=4),
                          Rng(7), train=True)
@@ -390,12 +417,7 @@ class TestForwardContracts:
                 seen.add(id(node))
                 nodes.append(node)
                 stack.extend(node._parents)
-        first = {"dense": "w1", "be": "be1.u"}
-        for i, kind in enumerate(model.spec.mlp_kinds):
-            name = f"blocks.{i}.mlp.{first.get(kind, 'experts.0.w1')}"
-            w = model.params[name]
-            users = [n for n in nodes if any(p is w for p in n._parents)]
-            assert len(users) == 1, (name, len(users))
+        return model, nodes
 
 
 class TestStructuralEquivalences:
