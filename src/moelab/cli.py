@@ -313,21 +313,10 @@ def run_sweep(config: ExperimentConfig, out_dir: Path) -> Path:
     return path
 
 
-def _scatter_svg(series_points: dict, frontier=None, y_label="NLL") -> bytes:
-    from .svg import ScatterPlot, Series
-
-    plot = ScatterPlot(x_label="training GFLOPs", y_label=y_label)
-    for name in sorted(series_points):
-        xs, ys, labels = series_points[name]
-        plot.add(Series(name=name, xs=xs, ys=ys, labels=labels,
-                        connect=len(xs) > 1))
-    if frontier:
-        plot.frontier = list(frontier)
-    return plot.render().encode()
-
-
 def analyze_normalized_improvement(rows, variant: str,
                                    reference: str) -> dict:
+    from .svg import scatter  # imported here: not on moelab.cli's import path
+
     table = improvement_table(rows, variant, reference=reference)
     lines = [["family", "raw_improvement_pct", "normalized_improvement_pct"]]
     lines += [[family, _fmt_cell(raw), _fmt_cell(norm)]
@@ -341,10 +330,12 @@ def analyze_normalized_improvement(rows, variant: str,
         ys.append(row["nll"])
         labels.append(row["family"])
     return {"improvement.csv": _csv_bytes(lines),
-            "improvement.svg": _scatter_svg(series)}
+            "improvement.svg": scatter(series, "NLL")}
 
 
 def analyze_pareto(rows) -> dict:
+    from .svg import scatter
+
     points = [CostPoint(row["label"], row["metric"], row["gflops"])
               for row in rows]
     frontier = pareto_frontier(points)
@@ -357,11 +348,12 @@ def analyze_pareto(rows) -> dict:
                          [p.label for p in points])}
     front_xy = [(p.giga_flops, p.metric) for p in frontier]
     return {"frontier.csv": _csv_bytes(lines),
-            "pareto.svg": _scatter_svg(series, frontier=front_xy,
-                                       y_label="metric")}
+            "pareto.svg": scatter(series, "metric", front_xy)}
 
 
 def analyze_gain_map(rows, path, baseline) -> dict:
+    from .svg import scatter
+
     points = {}
     for row in rows:
         key = (row["k"], row["m"])
@@ -374,19 +366,13 @@ def analyze_gain_map(rows, path, baseline) -> dict:
     lines = [["k", "m", "log_gain_per_cost"]]
     for (k, m) in sorted(gains):
         g = gains[(k, m)]
-        if g is None:
-            cell = ""
-        elif g == float("-inf"):
-            cell = "-inf"
-        else:
-            cell = _fmt_cell(g)
-        lines.append([str(k), str(m), cell])
+        lines.append([str(k), str(m), "" if g is None else _fmt_cell(g)])
 
     series = {"grid": ([p.giga_flops for p in points.values()],
                        [p.metric for p in points.values()],
                        [p.label for p in points.values()])}
     return {"gain_map.csv": _csv_bytes(lines),
-            "gain_map.svg": _scatter_svg(series, y_label="metric")}
+            "gain_map.svg": scatter(series, "metric")}
 
 
 def _cmd_run(args) -> int:

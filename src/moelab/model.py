@@ -59,7 +59,7 @@ from .layers import ExpertMLP, MoELayer, dropout_mask, layer_forward, tile
 from .rng import Rng
 from .routing import RouterParams
 from .tensor import (Tensor, concat, dense, layernorm, matmul, no_grad,
-                     reshape, softmax, take_rows, tmean, transpose)
+                     reshape, softmax, take_rows, transpose)
 
 VARIANTS = ("vit", "vmoe", "pbe", "only_tiling", "only_partitioning",
             "multihead", "be", "mimo")
@@ -358,16 +358,20 @@ def build_model(spec: ModelSpec, rng: Rng) -> Model:
 class PredictionBundle:
     """Per-member and pooled predictions from one forward pass.
 
-    member_probs: (M, B, classes); ensemble_probs: (B, classes) mean over
-    members.  decisions lists the RoutingDecision of each MoE layer in depth
-    order.  member_features, when requested, holds the pre-head class-token
-    features (M, B, hidden) as a plain array.
+    member_probs: (M, B, classes).  decisions lists the RoutingDecision of
+    each MoE layer in depth order.  member_features, when requested, holds
+    the pre-head class-token features (M, B, hidden) as a plain array.
     """
 
     member_probs: Tensor
-    ensemble_probs: Tensor
     decisions: list = field(default_factory=list)
     member_features: np.ndarray | None = None
+
+    @property
+    def ensemble_probs(self) -> Tensor:
+        """(B, classes) mean over members, derived off the tape: training
+        reads member_probs only."""
+        return Tensor(self.member_probs.data.mean(axis=0))
 
 
 def patchify(images: np.ndarray, patch: int) -> np.ndarray:
@@ -498,7 +502,6 @@ def _forward(model, images, rng, train, step, mc_sample, want_features):
         b = bc // n_members
         probs = softmax(logits, axis=-1)
         member_probs = reshape(probs, (n_members, b, spec.classes))
-    ensemble_probs = tmean(member_probs, axis=0)
     if not np.isfinite(member_probs.data).all():
         raise EvaluationError("non-finite probabilities in forward pass")
 
@@ -509,7 +512,7 @@ def _forward(model, images, rng, train, step, mc_sample, want_features):
             features = np.broadcast_to(fdata, (spec.m,) + fdata.shape).copy()
         else:
             features = fdata.reshape(n_members, b, d).copy()
-    return PredictionBundle(member_probs, ensemble_probs, decisions, features)
+    return PredictionBundle(member_probs, decisions, features)
 
 
 def ensemble_predict(passes, images, rng: Rng, *,
@@ -535,5 +538,4 @@ def ensemble_predict(passes, images, rng: Rng, *,
     if want_features:
         features = np.concatenate([b.member_features for b in bundles],
                                   axis=0)
-    return PredictionBundle(member, Tensor(member.data.mean(axis=0)),
-                            member_features=features)
+    return PredictionBundle(member, member_features=features)

@@ -1,21 +1,20 @@
 """Minimal SVG scatter plots for performance-versus-compute studies.
 
 Hand-rolled on purpose: the plots needed here are a log-x scatter with
-optional series lines and a highlighted frontier polyline, and emitting
-the couple of dozen SVG elements directly keeps the package free of
-plotting dependencies.  A plot is a ScatterPlot with Series added to it;
-its render() returns plain UTF-8 ``.svg`` text that any browser renders.
-The analyze subcommand draws every plot this way (cli._scatter_svg).
+series lines and a highlighted frontier polyline, and emitting the couple
+of dozen SVG elements directly keeps the package free of plotting
+dependencies.  One function, scatter, draws every plot the analyze
+subcommand writes and returns plain UTF-8 ``.svg`` bytes that any browser
+renders.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import ConfigError
 
-__all__ = ["Series", "ScatterPlot"]
+__all__ = ["scatter"]
 
 # Colorblind-safe cycle (Okabe-Ito, minus black which is used for axes).
 PALETTE = (
@@ -32,22 +31,7 @@ MARKERS = ("circle", "square", "diamond", "triangle")
 
 WIDTH, HEIGHT = 640, 440
 
-
-@dataclass
-class Series:
-    """One named group of points.
-
-    x values are compute costs (positive: the x axis is logarithmic), y
-    values are the metric, one of each per point.  ``labels`` optionally
-    tags the points, one label per point; tagged points get a small text
-    annotation.
-    """
-
-    name: str
-    xs: list
-    ys: list
-    labels: list = field(default_factory=list)
-    connect: bool = False
+X_LABEL = "training GFLOPs"
 
 
 def _esc(text):
@@ -66,9 +50,8 @@ def _fmt(v):
 
 
 def _nice_ticks(lo, hi, target=5):
-    """Round tick positions covering [lo, hi] on a linear scale."""
-    if hi <= lo:
-        hi = lo + 1.0
+    """Round tick positions covering [lo, hi], hi > lo, on a linear
+    scale."""
     raw = (hi - lo) / max(target, 1)
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
@@ -129,150 +112,144 @@ def _marker(kind, x, y, color, r=4.0):
     return f'<polygon points="{pts}" fill="{color}" />'
 
 
-@dataclass
-class ScatterPlot:
-    """Log-x scatter chart description; call :meth:`render` for the SVG
-    text."""
+def scatter(series: dict, y_label: str, frontier=()) -> bytes:
+    """Log-x scatter chart as UTF-8 SVG bytes.
 
-    x_label: str = "GFLOPs"
-    y_label: str = "NLL"
-    series: list = field(default_factory=list)
-    frontier: list = field(default_factory=list)
+    series maps each name to (xs, ys, labels), one of each per point: x
+    values are compute costs (positive: the x axis is logarithmic), y
+    values the metric, and every point carries a text label.  The series
+    are drawn and listed in the legend in name order, and a series of two
+    or more points is joined in x order.  frontier lists (x, y) points
+    drawn as a dashed polyline under the markers.
+    """
+    names = sorted(series)
+    pts = [(x, y) for name in names
+           for x, y in zip(series[name][0], series[name][1])]
+    pts.extend(frontier)
+    for x, _ in pts:
+        if x <= 0:
+            raise ConfigError(
+                f"log-scale x axis requires positive costs, got {x}"
+            )
+    log_xs = [math.log10(x) for x, _ in pts]
+    all_ys = [y for _, y in pts]
 
-    def add(self, series):
-        self.series.append(series)
-        return self
+    x_lo, x_hi = min(log_xs), max(log_xs)
+    y_lo, y_hi = min(all_ys), max(all_ys)
+    if x_hi - x_lo < 1e-9:
+        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
+    if y_hi - y_lo < 1e-9:
+        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+    # 6% padding so markers do not clip at the box edge
+    xpad = 0.06 * (x_hi - x_lo)
+    ypad = 0.06 * (y_hi - y_lo)
+    x_lo, x_hi = x_lo - xpad, x_hi + xpad
+    y_lo, y_hi = y_lo - ypad, y_hi + ypad
 
-    def render(self):
-        pts = [(x, y) for s in self.series for x, y in zip(s.xs, s.ys)]
-        pts.extend(self.frontier)
-        if not pts:
-            raise ConfigError("cannot render a plot with no points")
-        for x, _ in pts:
-            if x <= 0:
-                raise ConfigError(
-                    f"log-scale x axis requires positive costs, got {x}"
-                )
-        xs = [math.log10(x) for x, _ in pts]
-        ys = [y for _, y in pts]
+    m_left, m_right, m_top, m_bot = 64, 16, 36, 48
+    pw = WIDTH - m_left - m_right
+    ph = HEIGHT - m_top - m_bot
 
-        x_lo, x_hi = min(xs), max(xs)
-        y_lo, y_hi = min(ys), max(ys)
-        if x_hi - x_lo < 1e-9:
-            x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-        if y_hi - y_lo < 1e-9:
-            y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
-        # 6% padding so markers do not clip at the box edge
-        xpad = 0.06 * (x_hi - x_lo)
-        ypad = 0.06 * (y_hi - y_lo)
-        x_lo, x_hi = x_lo - xpad, x_hi + xpad
-        y_lo, y_hi = y_lo - ypad, y_hi + ypad
+    def px(x):
+        return m_left + (math.log10(x) - x_lo) / (x_hi - x_lo) * pw
 
-        m_left, m_right, m_top, m_bot = 64, 16, 36, 48
-        pw = WIDTH - m_left - m_right
-        ph = HEIGHT - m_top - m_bot
+    def py(y):
+        return m_top + (y_hi - y) / (y_hi - y_lo) * ph
 
-        def px(x):
-            return m_left + (math.log10(x) - x_lo) / (x_hi - x_lo) * pw
+    out = []
+    out.append(
+        f'<svg xmlns="http://www.w3.org/2000/svg" '
+        f'width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}" '
+        f'font-family="sans-serif" font-size="12">'
+    )
+    out.append(
+        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" '
+        f'fill="white" />'
+    )
 
-        def py(y):
-            return m_top + (y_hi - y) / (y_hi - y_lo) * ph
+    # plot box
+    out.append(
+        f'<rect x="{m_left}" y="{m_top}" width="{pw}" height="{ph}" '
+        f'fill="none" stroke="#333" />'
+    )
 
-        out = []
+    for t in _log_ticks(x_lo, x_hi):
+        if t < x_lo or t > x_hi:
+            continue
+        tx = m_left + (t - x_lo) / (x_hi - x_lo) * pw
         out.append(
-            f'<svg xmlns="http://www.w3.org/2000/svg" '
-            f'width="{WIDTH}" height="{HEIGHT}" '
-            f'viewBox="0 0 {WIDTH} {HEIGHT}" '
-            f'font-family="sans-serif" font-size="12">'
+            f'<line x1="{_fmt(tx)}" y1="{m_top}" x2="{_fmt(tx)}" '
+            f'y2="{m_top + ph}" stroke="#ddd" />'
         )
         out.append(
-            f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" '
-            f'fill="white" />'
+            f'<text x="{_fmt(tx)}" y="{m_top + ph + 16}" '
+            f'text-anchor="middle">{_esc(_log_tick_label(t))}</text>'
         )
-
-        # plot box
+    for t in _nice_ticks(y_lo, y_hi):
+        if t < y_lo or t > y_hi:
+            continue
+        ty = m_top + (y_hi - t) / (y_hi - y_lo) * ph
         out.append(
-            f'<rect x="{m_left}" y="{m_top}" width="{pw}" height="{ph}" '
-            f'fill="none" stroke="#333" />'
-        )
-
-        for t in _log_ticks(x_lo, x_hi):
-            if t < x_lo or t > x_hi:
-                continue
-            tx = m_left + (t - x_lo) / (x_hi - x_lo) * pw
-            out.append(
-                f'<line x1="{_fmt(tx)}" y1="{m_top}" x2="{_fmt(tx)}" '
-                f'y2="{m_top + ph}" stroke="#ddd" />'
-            )
-            out.append(
-                f'<text x="{_fmt(tx)}" y="{m_top + ph + 16}" '
-                f'text-anchor="middle">{_esc(_log_tick_label(t))}</text>'
-            )
-        for t in _nice_ticks(y_lo, y_hi):
-            if t < y_lo or t > y_hi:
-                continue
-            ty = m_top + (y_hi - t) / (y_hi - y_lo) * ph
-            out.append(
-                f'<line x1="{m_left}" y1="{_fmt(ty)}" x2="{m_left + pw}" '
-                f'y2="{_fmt(ty)}" stroke="#ddd" />'
-            )
-            out.append(
-                f'<text x="{m_left - 6}" y="{_fmt(ty + 4)}" '
-                f'text-anchor="end">{_esc(_tick_label(t))}</text>'
-            )
-
-        out.append(
-            f'<text x="{m_left + pw // 2}" y="{HEIGHT - 10}" '
-            f'text-anchor="middle">{_esc(self.x_label)}</text>'
+            f'<line x1="{m_left}" y1="{_fmt(ty)}" x2="{m_left + pw}" '
+            f'y2="{_fmt(ty)}" stroke="#ddd" />'
         )
         out.append(
-            f'<text x="16" y="{m_top + ph // 2}" text-anchor="middle" '
-            f'transform="rotate(-90 16 {m_top + ph // 2})">'
-            f"{_esc(self.y_label)}</text>"
+            f'<text x="{m_left - 6}" y="{_fmt(ty + 4)}" '
+            f'text-anchor="end">{_esc(_tick_label(t))}</text>'
         )
 
-        # frontier under the data markers
-        if self.frontier:
-            fr = sorted(self.frontier)
-            path = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in fr)
+    out.append(
+        f'<text x="{m_left + pw // 2}" y="{HEIGHT - 10}" '
+        f'text-anchor="middle">{_esc(X_LABEL)}</text>'
+    )
+    out.append(
+        f'<text x="16" y="{m_top + ph // 2}" text-anchor="middle" '
+        f'transform="rotate(-90 16 {m_top + ph // 2})">'
+        f"{_esc(y_label)}</text>"
+    )
+
+    # frontier under the data markers
+    if frontier:
+        fr = sorted(frontier)
+        path = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in fr)
+        out.append(
+            f'<polyline points="{path}" fill="none" stroke="#999" '
+            f'stroke-width="2" stroke-dasharray="6 4" />'
+        )
+
+    for i, name in enumerate(names):
+        xs, ys, labels = series[name]
+        color = PALETTE[i % len(PALETTE)]
+        marker = MARKERS[i % len(MARKERS)]
+        if len(xs) > 1:
+            order = sorted(range(len(xs)), key=lambda j: xs[j])
+            path = " ".join(
+                f"{_fmt(px(xs[j]))},{_fmt(py(ys[j]))}" for j in order
+            )
             out.append(
-                f'<polyline points="{path}" fill="none" stroke="#999" '
-                f'stroke-width="2" stroke-dasharray="6 4" />'
+                f'<polyline points="{path}" fill="none" '
+                f'stroke="{color}" stroke-width="1.5" />'
+            )
+        for x, y, label in zip(xs, ys, labels):
+            out.append(_marker(marker, px(x), py(y), color))
+            out.append(
+                f'<text x="{_fmt(px(x) + 6)}" y="{_fmt(py(y) - 6)}" '
+                f'font-size="10" fill="#555">{_esc(label)}</text>'
             )
 
-        for i, s in enumerate(self.series):
-            color = PALETTE[i % len(PALETTE)]
-            marker = MARKERS[i % len(MARKERS)]
-            if s.connect and len(s.xs) > 1:
-                order = sorted(range(len(s.xs)), key=lambda j: s.xs[j])
-                path = " ".join(
-                    f"{_fmt(px(s.xs[j]))},{_fmt(py(s.ys[j]))}" for j in order
-                )
-                out.append(
-                    f'<polyline points="{path}" fill="none" '
-                    f'stroke="{color}" stroke-width="1.5" />'
-                )
-            for j, (x, y) in enumerate(zip(s.xs, s.ys)):
-                out.append(_marker(marker, px(x), py(y), color))
-                if s.labels and s.labels[j]:
-                    out.append(
-                        f'<text x="{_fmt(px(x) + 6)}" y="{_fmt(py(y) - 6)}" '
-                        f'font-size="10" fill="#555">'
-                        f"{_esc(s.labels[j])}</text>"
-                    )
+    # legend, top-right inside the box
+    ly = m_top + 14
+    for i, name in enumerate(names):
+        color = PALETTE[i % len(PALETTE)]
+        marker = MARKERS[i % len(MARKERS)]
+        lx = m_left + pw - 130
+        out.append(_marker(marker, lx, ly - 4, color, r=4.0))
+        out.append(
+            f'<text x="{_fmt(lx + 10)}" y="{_fmt(ly)}">{_esc(name)}</text>'
+        )
+        ly += 16
 
-        # legend, top-right inside the box
-        ly = m_top + 14
-        for i, s in enumerate(self.series):
-            color = PALETTE[i % len(PALETTE)]
-            marker = MARKERS[i % len(MARKERS)]
-            lx = m_left + pw - 130
-            out.append(_marker(marker, lx, ly - 4, color, r=4.0))
-            out.append(
-                f'<text x="{_fmt(lx + 10)}" y="{_fmt(ly)}">{_esc(s.name)}</text>'
-            )
-            ly += 16
-
-        out.append("</svg>")
-        return "\n".join(out) + "\n"
+    out.append("</svg>")
+    return ("\n".join(out) + "\n").encode()
 

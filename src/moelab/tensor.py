@@ -32,7 +32,9 @@ those as oracles).  The kernel's forward GEMMs go through ``matmul_rows``
 with each span's full row count, so that rows cut from a longer span keep
 the bits they have in the full product (a lone row would otherwise run
 through gemv): a dispatch segment's full entry, or mlp's full_rows.
-Dropout masks arrive finished from layers.dropout_mask.
+Dropout masks arrive finished from layers.dropout_mask.  ``dense`` runs one
+span of the kernel's affine layer with no full row count, so every GEMM
+plus bias of the model, and its gradients, has this one implementation.
 
 Inside a ``no_grad()`` block no tape is built: every op returns a bare
 result with no parents and no backward closure, so the intermediates an op
@@ -350,25 +352,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(out_data, (a, b), backward)
 
 
-def dense(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Affine map on the last axis: x @ w + b, with w of shape (in, out)."""
+def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map on the last axis: x @ w + b, with w of shape (in, out).
+    It is one span of the MLP kernel's layer (_layer_forward)."""
     d_in, d_out = w.data.shape
-    lead = x.data.shape[:-1]
     x2 = x.data.reshape(-1, d_in)
-    out_data = x2 @ w.data
-    if b is not None:
-        out_data += b.data
-    out_data = out_data.reshape(*lead, d_out)
+    spans = [(0, x2.shape[0], None, (w, b), None)]
+    out_data, _ = _layer_forward(x2, spans, 0)
 
     def backward(grad):
-        g2 = grad.reshape(-1, d_out)
-        x._accum((g2 @ w.data.T).reshape(x.data.shape))
-        w._accum(x2.T @ g2)
-        if b is not None:
-            b._accum(g2.sum(axis=0))
+        g_x = _layer_backward(grad.reshape(-1, d_out), x2, spans, 0, [])
+        x._accum(g_x.reshape(x.data.shape))
 
-    parents = (x, w) if b is None else (x, w, b)
-    return _node(out_data, parents, backward)
+    return _node(out_data.reshape(*x.data.shape[:-1], d_out), (x, w, b),
+                 backward)
 
 
 # ----------------------------------------------------------------------
@@ -634,7 +631,8 @@ def take_cols(x: Tensor, idx: np.ndarray) -> Tensor:
 
 def _layer_forward(a: np.ndarray, spans: list, j: int):
     """Layer j (0 or 1) of every span on the rows a; returns the output and,
-    per member span, its product before the s scaling."""
+    per member span, its product before the s scaling.  dense is layer 0 of
+    one span whose params are (w, b)."""
     out = np.empty((a.shape[0], spans[0][3][2 * j].data.shape[1]))
     zs = []
     for lo, hi, full, params, fast in spans:

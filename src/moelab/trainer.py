@@ -69,6 +69,10 @@ class TrainConfig(Record):
             raise ConfigError("steps must be > 0")
         if self.clip_norm <= 0:
             raise ConfigError("clip_norm must be > 0")
+        if self.base_lr < 0:
+            raise ConfigError("base_lr must be >= 0")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError("momentum must be in [0, 1)")
         if self.batch_size <= 0:
             raise ConfigError("batch_size must be > 0")
         if self.lr_schedule not in SCHEDULES:

@@ -1,7 +1,9 @@
 """Test-side references the tests compare the package against.
 
 finite_difference_check checks tape gradients against central
-differences; BeMoeView reads a batch-ensemble dense layer, given as its
+differences; dense_reference is the affine map with its own GEMM, bias and
+gradient code, the one tensor.dense replaced by a span of the MLP kernel's
+layer; BeMoeView reads a batch-ensemble dense layer, given as its
 slow weight U and its members' fast weights r and s, as a sparse MoE
 (Appendix F), the other side of the BE/MoE equivalence.  gelu and
 be_dense_forward are the tape compositions the fused tensor.mlp replaces:
@@ -104,6 +106,27 @@ def gelu(a: Tensor) -> Tensor:
         a._accum(grad * (cdf + a.data * _pdf(a.data)))
 
     return _node(out_data, (a,), backward)
+
+
+def dense_reference(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """Affine map on the last axis: x @ w + b, with w of shape (in, out)."""
+    d_in, d_out = w.data.shape
+    lead = x.data.shape[:-1]
+    x2 = x.data.reshape(-1, d_in)
+    out_data = x2 @ w.data
+    if b is not None:
+        out_data += b.data
+    out_data = out_data.reshape(*lead, d_out)
+
+    def backward(grad):
+        g2 = grad.reshape(-1, d_out)
+        x._accum((g2 @ w.data.T).reshape(x.data.shape))
+        w._accum(x2.T @ g2)
+        if b is not None:
+            b._accum(g2.sum(axis=0))
+
+    parents = (x, w) if b is None else (x, w, b)
+    return _node(out_data, parents, backward)
 
 
 def matmul(a: Tensor, b: Tensor, full_rows: int | None = None) -> Tensor:

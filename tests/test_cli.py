@@ -151,6 +151,8 @@ MALFORMED = [
     ("run", ("model", "mimo_input_repetition_prob"), 1.5,
      "mimo_input_repetition_prob"),
     ("run", ("train", "eval_every"), -2, "eval_every"),
+    ("run", ("train", "base_lr"), -0.05, "base_lr"),
+    ("run", ("train", "momentum"), 1.0, "momentum"),
     # the model and the dataset disagree
     ("run", ("dataset", "image_size"), 16, "dataset.image_size"),
     ("run", ("dataset", "channels"), 1, "dataset.channels"),

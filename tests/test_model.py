@@ -290,6 +290,33 @@ class TestForwardContracts:
             bundle.ensemble_probs.data,
             bundle.member_probs.data.mean(axis=0), atol=0)
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_ensemble_mean_is_derived_off_the_tape(self, variant):
+        # ensemble_probs is the member mean, computed where it is read: a
+        # training forward records no node for it
+        gen = np.random.default_rng(8)
+        model = build_model(tiny_spec(variant=variant, e=4, m=2), Rng(6))
+        x = images(gen, n=4)
+        for train in (True, False):
+            bundle = forward(model, x, Rng(7), train=train)
+            ens = bundle.ensemble_probs
+            assert ens._parents == () and not ens.requires_grad
+            np.testing.assert_array_equal(
+                ens.data, bundle.member_probs.data.mean(axis=0))
+
+    @pytest.mark.parametrize("protocol", ["deep_ensemble", "mc_dropout"])
+    def test_pooled_mean_is_derived(self, protocol):
+        gen = np.random.default_rng(22)
+        if protocol == "deep_ensemble":
+            passes = [(build_model(tiny_spec(), Rng(23 + j)), None)
+                      for j in range(3)]
+        else:
+            model = build_model(tiny_spec(dropout_rate=0.2), Rng(23))
+            passes = [(model, s) for s in range(3)]
+        bundle = ensemble_predict(passes, images(gen), Rng(0))
+        np.testing.assert_array_equal(bundle.ensemble_probs.data,
+                                      bundle.member_probs.data.mean(axis=0))
+
     def test_zero_head_gives_uniform(self):
         gen = np.random.default_rng(1)
         model = build_model(tiny_spec(), Rng(0))
@@ -410,7 +437,7 @@ class TestForwardContracts:
         model = build_model(tiny_spec(variant=variant, e=4, m=2), Rng(6))
         bundle = forward(model, images(np.random.default_rng(5), n=4),
                          Rng(7), train=True)
-        seen, stack, nodes = set(), [bundle.ensemble_probs], []
+        seen, stack, nodes = set(), [bundle.member_probs], []
         while stack:
             node = stack.pop()
             if id(node) not in seen:

@@ -42,13 +42,13 @@ from moelab.tensor import (
 )
 from moelab.tensor import _ERF_CHUNK, _erf, _phi
 
-from oracles import finite_difference_check, gelu
+from oracles import dense_reference, finite_difference_check, gelu
 
 
 def test_dense_hand_example():
     x = Tensor(np.array([[1.0, 1.0]]))
     w = Tensor(np.array([[3.0, 4.0], [6.0, 8.0]]))
-    out = dense(x, w)
+    out = dense(x, w, Tensor(np.zeros(2)))
     np.testing.assert_array_equal(out.data, [[9.0, 12.0]])
 
 
@@ -78,6 +78,45 @@ def test_dense_batch_concat_exact():
     out_b = dense(Tensor(xb), w, b).data
     out_ab = dense(Tensor(np.concatenate([xa, xb])), w, b).data
     np.testing.assert_array_equal(out_ab, np.concatenate([out_a, out_b]))
+
+
+class TestDenseIsOneKernelSpan:
+    """dense runs one span of the MLP kernel's affine layer; its values and
+    gradients equal, bit for bit, those of the affine map with its own GEMM,
+    bias and gradient code (oracles.dense_reference)."""
+
+    def _run(self, op, x, w, b, c, x_grad):
+        xt = Tensor(x, requires_grad=x_grad)
+        wt, bt = Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
+        out = op(xt, wt, bt)
+        if out.requires_grad:
+            tsum(mul(out, Tensor(c))).backward()
+        return out, [t.grad for t in (xt, wt, bt)]
+
+    @pytest.mark.parametrize("x_shape,x_grad,grad_mode", [
+        ((9, 5), True, True),
+        ((4, 16, 48), True, True),  # the patch embedding's shape
+        ((1, 7), True, True),  # one row: numpy runs gemv
+        ((6, 5), False, True),  # the input needs no gradient
+        ((6, 5), True, False),  # under no_grad
+    ], ids=["2d", "3d", "one_row", "input_needs_no_grad", "no_grad"])
+    def test_equals_reference(self, x_shape, x_grad, grad_mode):
+        gen = np.random.default_rng(31)
+        x = gen.normal(size=x_shape)
+        w = gen.normal(size=(x_shape[-1], 6))
+        b = gen.normal(size=6)
+        c = gen.normal(size=(*x_shape[:-1], 6))
+        mode = contextlib.nullcontext() if grad_mode else no_grad()
+        with mode:
+            want, want_grads = self._run(dense_reference, x, w, b, c, x_grad)
+            got, got_grads = self._run(dense, x, w, b, c, x_grad)
+        np.testing.assert_array_equal(got.data, want.data)
+        assert got.requires_grad == grad_mode
+        assert (got._parents == ()) == (not grad_mode)
+        for g_got, g_want in zip(got_grads, want_grads):
+            assert (g_got is None) == (g_want is None)
+            if g_want is not None:
+                np.testing.assert_array_equal(g_got, g_want)
 
 
 class TestRowGemm:
@@ -216,7 +255,7 @@ class TestGradients:
         w = Tensor(gen.normal(size=(3, 2)), requires_grad=True)
 
         def f():
-            probs = softmax(dense(x, w))
+            probs = softmax(dense(x, w, Tensor(np.zeros(2))))
             picked = take_cols(probs, np.array([0, 1, 1, 0]))
             return mul(tsum(log(picked)), Tensor(-0.25))
 
@@ -578,11 +617,12 @@ class TestNoGrad:
     def test_results_carry_no_tape(self):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
         w = Tensor(np.ones((3, 2)), requires_grad=True)
+        b = Tensor(np.zeros(2))
         with no_grad():
-            y = tsum(softmax(dense(x, w)))
+            y = tsum(softmax(dense(x, w, b)))
         assert not y.requires_grad
         assert y._parents == () and y._backward is None
-        assert tsum(dense(x, w)).requires_grad
+        assert tsum(dense(x, w, b)).requires_grad
 
     def test_nested_blocks_restore_mode(self):
         x = Tensor(np.ones(2), requires_grad=True)
@@ -619,7 +659,7 @@ class TestNoGrad:
         gen = np.random.default_rng(21)
         x = Tensor(gen.normal(size=(3, 4)), requires_grad=True)
         w = Tensor(gen.normal(size=(4, 2)), requires_grad=True)
-        h = dense(x, w)
+        h = dense(x, w, Tensor(np.zeros(2)))
         y = softmax(h)
         loss = tsum(mul(y, y))
         loss.backward()
