@@ -112,8 +112,8 @@ def load_loss(clean_logits: Tensor, noisy_logits: np.ndarray, sigma: float,
     every expert is always selected: the load is uniform and the loss 0.
     The hard count ranks by the gate's top-K rule, since its ties decide
     which expert is counted; the smooth count reads only the K-th and
-    (K+1)-th largest values, which no tie rule changes, so a plain sort,
-    several times faster than the gate's stable argsort, finds them.
+    (K+1)-th largest values, which no tie rule changes, so a plain sort
+    finds them.
     """
     e = noisy_logits.shape[1]
     if k >= e:

@@ -58,8 +58,8 @@ from .errors import ConfigError, EvaluationError
 from .layers import ExpertMLP, MoELayer, dropout_mask, layer_forward, tile
 from .rng import Rng
 from .routing import RouterParams
-from .tensor import (Tensor, concat, dense, layernorm, matmul, no_grad,
-                     reshape, softmax, take_rows, transpose)
+from .tensor import (Tensor, _keep_freed_memory, concat, dense, layernorm,
+                     matmul, no_grad, reshape, softmax, take_rows, transpose)
 
 VARIANTS = ("vit", "vmoe", "pbe", "only_tiling", "only_partitioning",
             "multihead", "be", "mimo")
@@ -414,6 +414,7 @@ def forward(model: Model, images, rng: Rng, *, train: bool = False,
     mc_sample=-1 draws the masks a train forward at the same step draws.
     step feeds the per-step noise/dropout key.
     """
+    _keep_freed_memory()
     with contextlib.nullcontext() if train else no_grad():
         return _forward(model, images, rng, train, step, mc_sample,
                         want_features)

@@ -13,7 +13,10 @@ make, so the hot draws (``normal`` and ``raw``) re-key one Philox that the
 addressed stream and draw at once, with bitwise the values a fresh
 ``stream(*tags)`` gives.  A key is the blake2b digest of the seed and the
 tags; the ``Rng`` hashes the seed once and copies that hasher per key.  An
-``Rng`` is therefore not for sharing between threads.
+``Rng`` is therefore not for sharing between threads: use one per thread.
+Draws depend only on (seed, tags), so ``Rng(rng.seed)`` draws the same
+bits as ``rng``; ``trainer.evaluate`` gives each helper thread such a
+clone.
 """
 
 from __future__ import annotations

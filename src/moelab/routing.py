@@ -62,9 +62,20 @@ class RoutingDecision:
 
 
 def _topk_desc(p: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest entries per row, descending, ties to lower index."""
-    # stable sort of -p keeps equal entries in original (ascending-index) order
-    return np.argsort(-p, axis=1, kind="stable")[:, :k]
+    """Indices of the k largest entries per row, descending, ties to lower
+    index.
+
+    k passes of argmax over a copy, each setting its winners to -inf:
+    argmax returns the first maximum, which is the lower-index tie rule,
+    and k is small next to the row, where a full sort ranks every entry.
+    """
+    work = p.copy()
+    rows = np.arange(len(p))
+    top = np.empty((len(p), k), dtype=np.intp)
+    for j in range(k):
+        top[:, j] = work.argmax(axis=1)
+        work[rows, top[:, j]] = -np.inf
+    return top
 
 
 def partitioned_gate(h: Tensor, router: RouterParams, k: int, rng: Rng, *,

@@ -138,13 +138,21 @@ def scatter(series: dict, y_label: str, frontier=()) -> bytes:
     y_lo, y_hi = min(all_ys), max(all_ys)
     if x_hi - x_lo < 1e-9:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if y_hi - y_lo < 1e-9:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+    # a y range below a part in 10^9 of the values is widened by 0.5, or by
+    # a part in 10^3 of them where that is more: 0.5 is below the float
+    # spacing of values past about 10^16, and each tick step must move a
+    # float and change its %g label
+    y_mag = max(1.0, abs(y_lo), abs(y_hi))
+    if y_hi - y_lo < 1e-9 * y_mag:
+        half = max(0.5, 1e-3 * y_mag)
+        y_lo, y_hi = y_lo - half, y_hi + half
     # 6% padding so markers do not clip at the box edge
     xpad = 0.06 * (x_hi - x_lo)
     ypad = 0.06 * (y_hi - y_lo)
     x_lo, x_hi = x_lo - xpad, x_hi + xpad
     y_lo, y_hi = y_lo - ypad, y_hi + ypad
+    if not math.isfinite(y_hi - y_lo):
+        raise ConfigError("the metric values span more than a float holds")
 
     m_left, m_right, m_top, m_bot = 64, 16, 36, 48
     pw = WIDTH - m_left - m_right

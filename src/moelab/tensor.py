@@ -67,6 +67,18 @@ kernel works in place over fixed-size chunks and gathers only the |x| > 1
 elements, so the exp cost falls only on them (the load loss's inputs,
 rarely a GELU's).
 
+The kernels write their results into arrays they have just allocated
+(``np.empty`` plus ``out=``), and a step frees and allocates them again.
+glibc's malloc by default serves blocks of 128 KiB and more by mmap and
+returns free heap top memory past 128 KiB to the system, so each call
+would fault its pages in again, which can double a small GEMM's time.  The
+thresholds are dynamic: in malloc.c, free() of an mmapped chunk of at most
+32 MiB raises the mmap threshold to that chunk's size and the trim
+threshold to twice that.  ``_keep_freed_memory`` does this once per
+process by allocating and freeing one untouched 31 MiB array, which costs
+no page and leaves other allocators unaffected; ``model.forward``,
+``trainer.train`` and ``trainer.evaluate`` call it first.
+
 Everything is 64-bit.  At desk scale the cost is per-node Python work, not
 FLOPs, and the extra precision keeps finite-difference gradient checks and the
 bitwise-equality reductions honest.
@@ -75,6 +87,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 
 import numpy as np
 
@@ -627,6 +640,13 @@ def take_cols(x: Tensor, idx: np.ndarray) -> Tensor:
 
 # ----------------------------------------------------------------------
 # the MLP kernel: dense, batch-ensemble and expert MLPs are one node each
+
+
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Raise glibc malloc's mmap and trim thresholds to 31 and 62 MiB, once
+    per process (see the module docstring)."""
+    np.empty(31 << 20, dtype=np.uint8)
 
 
 def _layer_forward(a: np.ndarray, spans: list, j: int):

@@ -15,24 +15,27 @@ losses and, through them, every node and intermediate gradient) right after
 ``loss.backward()``, so the next step's forward starts with only the
 parameters and the momentum alive.
 
-The step's arrays are then freed and allocated again every step.  glibc's
-malloc by default serves blocks of 128 KiB and more by mmap and returns
-free heap top memory past 128 KiB to the system, so each step would fault
-its pages in again (thousands of minor faults per training run).  Its
-thresholds are dynamic: in malloc.c, free() of an mmapped chunk of at most
-32 MiB raises the mmap threshold to that chunk's size and the trim
-threshold to twice that.  ``train`` and ``evaluate`` do this once per
-process by allocating and freeing one untouched 31 MiB array, which costs
-no page and leaves other allocators unaffected.
+The step's arrays are then freed and allocated again every step; see
+``tensor._keep_freed_memory`` for the malloc thresholds that keep their
+pages mapped, which ``train`` and ``evaluate`` set before anything else.
+
+``evaluate`` scores its batches on the calling thread and one helper thread
+per further CPU the process may run on (``_eval_workers``).  Every eval
+draw is keyed, so the report is bitwise the one a single thread gives.
+glibc gives each thread that allocates a malloc arena of its own, and an
+arena keeps what it once held under the raised trim threshold, so peak
+memory rises by about one eval batch's working set per helper.
 """
 
 from __future__ import annotations
 
+import collections
 import csv
-import functools
 import gc
 import io
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +50,7 @@ from .metrics import EvalReport, MetricAccumulator, fewshot_probe, \
     ood_metrics, ood_scores
 from .model import Model, ModelSpec, ensemble_predict, forward
 from .rng import Rng
+from .tensor import _keep_freed_memory
 
 SCHEDULES = ("constant", "cosine", "warmup_cosine")
 
@@ -259,13 +263,6 @@ def _validate(model: Model, dataset: Dataset, rng: Rng, step: int) -> dict:
             "kl": r["kl_diversity"]}
 
 
-@functools.cache
-def _keep_freed_memory() -> None:
-    """Raise glibc malloc's mmap and trim thresholds to 31 and 62 MiB, once
-    per process (see the module docstring)."""
-    np.empty(31 << 20, dtype=np.uint8)
-
-
 HISTORY_COLUMNS = ("step", "loss", "aux", "nll", "error", "ece", "kl")
 
 
@@ -285,6 +282,59 @@ def _batched(x, size):
         yield x[i:i + size]
 
 
+def _eval_workers(jobs: int) -> int:
+    """Threads that score evaluate's jobs: one per CPU this process may
+    run on, and no more than there are jobs."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, jobs)
+
+
+def _score_all(jobs: list, score, rng: Rng) -> list:
+    """[score(job, rng) for job in jobs], on the calling thread and
+    _eval_workers(len(jobs)) - 1 helper threads.
+
+    Each helper draws through an Rng(rng.seed) of its own, since an Rng is
+    not for sharing between threads; a keyed draw depends only on (seed,
+    tags), so every thread scores a job to the same bits.  The threads take
+    the jobs in list order.  A failed job cancels the jobs not yet taken,
+    and once every helper has stopped, the exception of the first failed
+    job is raised: the one the loop on one thread raises.
+    """
+    results = [None] * len(jobs)
+    failures = {}
+    pending = collections.deque(range(len(jobs)))  # pops are thread-safe
+
+    def work(worker_rng):
+        while True:
+            try:
+                i = pending.popleft()
+            except IndexError:
+                return
+            try:
+                results[i] = score(jobs[i], worker_rng)
+            except Exception as exc:
+                failures[i] = exc
+                pending.clear()
+                return
+
+    helpers = [threading.Thread(target=work, args=(Rng(rng.seed),))
+               for _ in range(_eval_workers(len(jobs)) - 1)]
+    for t in helpers:
+        t.start()
+    try:
+        work(rng)
+    finally:
+        pending.clear()
+        for t in helpers:
+            t.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
+
+
 def evaluate(model: Model | None, dataset: Dataset, rng: Rng, *,
              models: list | None = None, mc_samples: int = 0,
              batch_size: int = 128, fewshot_shots=(),
@@ -296,6 +346,10 @@ def evaluate(model: Model | None, dataset: Dataset, rng: Rng, *,
     probes take their features from the test-split metrics pass.  A
     negative mc_samples, mc_samples with models, or a shot count below 1
     raises ConfigError before any forward pass.
+
+    The forwards of the test, ood and shift batches run on every usable
+    CPU (_score_all); the calling thread merges their results in batch
+    order.
     """
     if (model is None) == (models is None):
         raise ConfigError("pass exactly one of model or models")
@@ -314,37 +368,50 @@ def evaluate(model: Model | None, dataset: Dataset, rng: Rng, *,
     passes = [(mdl, None) for mdl in models or ()] + \
         [(model, s) for s in range(mc_samples)]
 
-    def predict(images, want_features=False):
+    def predict(images, worker_rng, want_features=False):
         if model is None or mc_samples:
-            return ensemble_predict(passes, images, rng,
+            return ensemble_predict(passes, images, worker_rng,
                                     want_features=want_features)
-        return forward(model, images, rng, train=False,
+        return forward(model, images, worker_rng, train=False,
                        want_features=want_features)
+
+    def score(job, worker_rng):
+        split, xb = job
+        if split != "test":
+            return predict(xb, worker_rng).ensemble_probs.data
+        bundle = predict(xb, worker_rng,
+                         want_features=bool(fewshot_shots) and not mc_samples)
+        feats = bundle.member_features
+        if fewshot_shots and mc_samples:
+            # MC-dropout members are random draws: the probe takes the
+            # features of a deterministic pass
+            feats = forward(model, xb, worker_rng,
+                            want_features=True).member_features
+        # the arrays alone: a bundle's routing decisions are not kept
+        return bundle.member_probs.data, bundle.ensemble_probs.data, feats
+
+    splits = (("test", dataset.test_x), ("ood", dataset.ood_x),
+              ("shift", dataset.shift_x))
+    jobs = [(split, xb) for split, x in splits if x is not None
+            for xb in _batched(x, batch_size)]
+    results = _score_all(jobs, score, rng)
 
     acc = MetricAccumulator()
     test_ens, feats = [], []
-    for xb, yb in zip(_batched(dataset.test_x, batch_size),
-                      _batched(dataset.test_y, batch_size)):
-        bundle = predict(xb, want_features=bool(fewshot_shots))
-        acc.add_batch(bundle.member_probs, yb)
-        test_ens.append(bundle.ensemble_probs.data)
-        if fewshot_shots:
-            if mc_samples > 0:
-                # MC-dropout members are random draws: the probe takes the
-                # features of a deterministic pass
-                bundle = forward(model, xb, rng, want_features=True)
-            feats.append(bundle.member_features)
+    outs = {split: [] for split, x in splits[1:] if x is not None}
+    labels = _batched(dataset.test_y, batch_size)
+    for (split, _), result in zip(jobs, results):
+        if split == "test":
+            member_probs, ens, f = result
+            acc.add_batch(member_probs, next(labels))
+            test_ens.append(ens)
+            feats.append(f)
+        else:
+            outs[split].append(ood_scores(result))
     r = acc.result()
     in_scores = ood_scores(np.concatenate(test_ens, axis=0))
-
-    ood = {}
-    for name, split in (("ood", dataset.ood_x), ("shift", dataset.shift_x)):
-        if split is None:
-            continue
-        outs = []
-        for xb in _batched(split, batch_size):
-            outs.append(ood_scores(predict(xb).ensemble_probs.data))
-        ood[f"test/{name}"] = ood_metrics(in_scores, np.concatenate(outs))
+    ood = {f"test/{split}": ood_metrics(in_scores, np.concatenate(scores))
+           for split, scores in outs.items()}
 
     fewshot = {}
     if fewshot_shots:

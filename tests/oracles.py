@@ -10,7 +10,9 @@ be_dense_forward are the tape compositions the fused tensor.mlp replaces:
 the batch-ensemble MLP is gelu(be_dense_forward(x, *be1) + b1), times the
 dropout mask, then be_dense_forward(., *be2) + b2, and the fused node must
 equal it bitwise.  sgd_step_loop is the per-parameter SGD step that
-trainer.sgd_step's flat buffers replace, bit for bit.
+trainer.sgd_step's flat buffers replace, bit for bit.  evaluate_reference
+is trainer.evaluate's loop on one thread, whose report the parallel
+evaluate must equal byte for byte.
 """
 
 import math
@@ -18,6 +20,9 @@ import math
 import numpy as np
 
 from moelab.errors import ConfigError, EvaluationError
+from moelab.metrics import (EvalReport, MetricAccumulator, fewshot_probe,
+                            ood_metrics, ood_scores)
+from moelab.model import ensemble_predict, forward
 from moelab.tensor import (Tensor, _node, _pdf, _phi, concat, matmul_rows,
                            no_grad, take_rows)
 from moelab.tensor import matmul as _matmul
@@ -176,3 +181,54 @@ def sgd_step_loop(named_params, grads: dict, state: dict, config,
         v += grads[name] * scale
         p.data -= lr * v
     return state
+
+
+def evaluate_reference(model, dataset, rng, *, models=None, mc_samples=0,
+                       batch_size=128, fewshot_shots=(), flops_giga=None):
+    """trainer.evaluate as one loop over the test, ood and shift batches
+    on the calling thread, for valid arguments."""
+    passes = [(mdl, None) for mdl in models or ()] + \
+        [(model, s) for s in range(mc_samples)]
+
+    def predict(images, want_features=False):
+        if model is None or mc_samples:
+            return ensemble_predict(passes, images, rng,
+                                    want_features=want_features)
+        return forward(model, images, rng, train=False,
+                       want_features=want_features)
+
+    def batched(x):
+        return [x[i:i + batch_size] for i in range(0, len(x), batch_size)]
+
+    acc = MetricAccumulator()
+    test_ens, feats = [], []
+    for xb, yb in zip(batched(dataset.test_x), batched(dataset.test_y)):
+        bundle = predict(xb, want_features=bool(fewshot_shots))
+        acc.add_batch(bundle.member_probs, yb)
+        test_ens.append(bundle.ensemble_probs.data)
+        if fewshot_shots:
+            if mc_samples > 0:
+                bundle = forward(model, xb, rng, want_features=True)
+            feats.append(bundle.member_features)
+    r = acc.result()
+    in_scores = ood_scores(np.concatenate(test_ens, axis=0))
+
+    ood = {}
+    for name, split in (("ood", dataset.ood_x), ("shift", dataset.shift_x)):
+        if split is None:
+            continue
+        outs = [ood_scores(predict(xb).ensemble_probs.data)
+                for xb in batched(split)]
+        ood[f"test/{name}"] = ood_metrics(in_scores, np.concatenate(outs))
+
+    fewshot = {}
+    if fewshot_shots:
+        features = np.concatenate(feats, axis=1)
+        for shots in fewshot_shots:
+            fewshot[int(shots)] = fewshot_probe(features, dataset.test_y,
+                                                int(shots))
+    return EvalReport(nll=r["nll"], error_pct=r["error_pct"], ece=r["ece"],
+                      kl_diversity=r["kl_diversity"],
+                      cosine_similarity=r["cosine_similarity"],
+                      normalized_disagreement=r["normalized_disagreement"],
+                      flops_train_giga=flops_giga, ood=ood, fewshot=fewshot)

@@ -7,6 +7,7 @@ codes can be asserted directly.
 
 import json
 import math
+import re
 from importlib import resources
 from pathlib import Path
 
@@ -681,6 +682,10 @@ BAD_INPUTS = {
     "pareto_nan_metric": ("pareto", b"label,metric,gflops\nA,nan,2.0\n"),
     "pareto_inf_gflops": ("pareto", b"label,metric,gflops\nA,1.0,inf\n"),
     "pareto_not_utf8": ("pareto", b"label,metric,gflops\n\xff,1.0,2.0\n"),
+    # the plot's y range overflows to inf
+    "pareto_metric_span_overflows": (
+        "pareto", b"label,metric,gflops\nA,-1.5e308,1.0\nB,1.5e308,2.0\n",
+        "metric"),
     "gain_map_nan_k": ("gain_map",
                        b"k,m,metric,gflops\n1,1,1.0,1.0\nnan,2,0.5,2.0\n"),
     "gain_map_fractional_k": (
@@ -773,6 +778,23 @@ class TestAnalyze:
         lines = (out / "frontier.csv").read_text().strip().split("\n")
         assert lines == ["label,metric,gflops", "A,1.5,2"]
         assert (out / "pareto.svg").read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("metrics", [("1e17",),
+                                         ("1e17", "1.0000000000000002e17"),
+                                         ("-3e20", "-3e20")],
+                             ids=["one_point", "one_ulp_apart", "negative"])
+    def test_pareto_huge_flat_metric(self, tmp_path, metrics):
+        # widening the y range by 0.5 is lost on values this large
+        csv = tmp_path / "in.csv"
+        csv.write_text("label,gflops,metric\n" + "".join(
+            f"p{i},{i + 1}.0,{m}\n" for i, m in enumerate(metrics)),
+            encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["analyze", "--mode", "pareto", "--input", str(csv),
+                     "--out", str(out)]) == 0
+        svg = (out / "pareto.svg").read_text()
+        y_ticks = re.findall(r'text-anchor="end">([^<]*)<', svg)
+        assert len(y_ticks) >= 2 and len(set(y_ticks)) == len(y_ticks)
 
     def test_label_with_comma_is_quoted(self, tmp_path):
         src = tmp_path / "in.csv"

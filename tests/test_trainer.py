@@ -4,8 +4,10 @@ convergence, and the evaluation driver."""
 import dataclasses
 import gc
 import math
+import os
 import platform
 import resource
+import threading
 import weakref
 
 import numpy as np
@@ -19,7 +21,7 @@ from moelab.dataset import DatasetSpec, make_synthetic_dataset
 from moelab.errors import ConfigError, DivergenceError, EvaluationError
 from moelab.losses import LossConfig, member_avg_cross_entropy
 from moelab.metrics import EvalReport, fewshot_probe
-from moelab.model import ModelSpec, build_model, forward
+from moelab.model import VARIANTS, ModelSpec, build_model, forward
 from moelab.rng import Rng
 from moelab.tensor import Tensor
 from moelab.trainer import (
@@ -32,7 +34,7 @@ from moelab.trainer import (
     sgd_step,
     train,
 )
-from oracles import sgd_step_loop
+from oracles import evaluate_reference, sgd_step_loop
 
 
 def tiny_model_spec(**kw):
@@ -415,14 +417,18 @@ class TestTrainLoop:
 
     def test_nonfinite_activations_abort(self):
         # a genuinely blown-up model fails inside the forward pass, before
-        # the loss is ever formed
+        # the loss is ever formed; the gate picks experts for its NaN rows
+        # and the forward still aborts, in training and in evaluate
         ds = small_dataset(seed=8)
-        model = build_model(tiny_model_spec(), Rng(6))
-        for p in model.params.values():
-            p.data[:] = np.inf
         cfg = TrainConfig(steps=5, batch_size=16, base_lr=0.1, seed=6)
-        with pytest.raises(EvaluationError):
-            train(model, ds, cfg)
+        for variant in VARIANTS:
+            model = build_model(tiny_model_spec(variant=variant, m=2), Rng(6))
+            for p in model.params.values():
+                p.data[:] = np.inf
+            with pytest.raises(EvaluationError):
+                train(model, ds, cfg)
+            with pytest.raises(EvaluationError):
+                evaluate(model, ds, Rng(6))
 
     def test_class_count_mismatch(self):
         ds = small_dataset(seed=9)
@@ -602,3 +608,110 @@ class TestEvaluate:
         with pytest.raises(ConfigError, match="batch_size"):
             evaluate(model, ds, Rng(0), batch_size=batch_size)
         assert calls == []
+
+
+def eval_dataset():
+    """150 rows per eval split: batches of 64 and 128 leave a ragged last
+    batch."""
+    spec = DatasetSpec(classes=4, image_size=8, channels=3, n_train=16,
+                       n_val=8, n_test=150, noise_std=0.5, seed=21)
+    return make_synthetic_dataset(spec)
+
+
+EVAL_CASES = VARIANTS + ("deep_ensemble", "mc_dropout", "single+fewshot",
+                         "deep_ensemble+fewshot", "mc_dropout+fewshot")
+
+
+def eval_case(case):
+    """(positional model argument, evaluate keywords) of an EVAL_CASES
+    entry: a variant alone, or a protocol on pbe with dropout."""
+    if case in VARIANTS:
+        return build_model(tiny_model_spec(variant=case, m=2), Rng(40)), {}
+    spec = tiny_model_spec(variant="pbe", m=2, dropout_rate=0.2)
+    models = [build_model(spec, Rng(41 + j)) for j in range(2)]
+    protocol, _, probe = case.partition("+")
+    first, kw = {"deep_ensemble": (None, {"models": models}),
+                 "mc_dropout": (models[0], {"mc_samples": 3}),
+                 "single": (models[0], {})}[protocol]
+    if probe:
+        kw["fewshot_shots"] = (1, 2)
+    return first, kw
+
+
+def force_workers(monkeypatch, n):
+    monkeypatch.setattr(moelab.trainer, "_eval_workers",
+                        lambda jobs: min(n, jobs))
+
+
+class TestParallelEvaluate:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("case", EVAL_CASES)
+    def test_report_equals_the_one_thread_loop(self, case, workers,
+                                               monkeypatch):
+        ds = eval_dataset()
+        first, kw = eval_case(case)
+        force_workers(monkeypatch, workers)
+        for batch_size in (64, 128):
+            want = evaluate_reference(first, ds, Rng(1000),
+                                      batch_size=batch_size, **kw)
+            got = evaluate(first, ds, Rng(1000), batch_size=batch_size, **kw)
+            assert got.to_json() == want.to_json()
+
+    def test_each_rng_draws_on_one_thread(self, monkeypatch):
+        # an Rng re-keys one owned Philox: helpers must draw through Rngs
+        # of their own, never through the caller's
+        users = {}  # id(rng) -> (rng, idents of the threads drawing)
+        real = Rng._keyed
+
+        def keyed(self, tags):
+            users.setdefault(id(self), (self, set()))[1].add(
+                threading.get_ident())
+            return real(self, tags)
+
+        monkeypatch.setattr(Rng, "_keyed", keyed)
+        force_workers(monkeypatch, 2)
+        model = build_model(tiny_model_spec(dropout_rate=0.2), Rng(12))
+        evaluate(model, eval_dataset(), Rng(1000), mc_samples=2,
+                 batch_size=8)
+        threads = [idents for _, idents in users.values()]
+        assert len(set().union(*threads)) == 2
+        assert all(len(idents) == 1 for idents in threads)
+
+    def test_helper_failure_is_raised_and_no_thread_outlives_the_call(
+            self, monkeypatch):
+        ds = eval_dataset()
+        model = build_model(tiny_model_spec(), Rng(12))
+        force_workers(monkeypatch, 2)
+        before = threading.enumerate()
+        evaluate(model, ds, Rng(1000), batch_size=8)
+        assert threading.enumerate() == before
+
+        caller = threading.current_thread()
+        real = moelab.trainer.forward
+
+        def failing_off_the_caller(*args, **kw):
+            if threading.current_thread() is not caller:
+                raise EvaluationError("non-finite probabilities in a helper")
+            return real(*args, **kw)
+
+        monkeypatch.setattr(moelab.trainer, "forward", failing_off_the_caller)
+        with pytest.raises(EvaluationError, match="in a helper"):
+            evaluate(model, ds, Rng(1000), batch_size=8)
+        assert threading.enumerate() == before
+
+    def test_one_worker_starts_no_thread(self, monkeypatch):
+        def no_start(self):
+            raise AssertionError("a thread started")
+
+        force_workers(monkeypatch, 1)
+        monkeypatch.setattr(threading.Thread, "start", no_start)
+        model = build_model(tiny_model_spec(), Rng(12))
+        evaluate(model, eval_dataset(), Rng(1000))
+
+    def test_worker_count_is_usable_cpus_capped_by_jobs(self, monkeypatch):
+        workers = moelab.trainer._eval_workers
+        assert workers(1) == 1
+        assert workers(10**6) == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert workers(10**6) == 1
