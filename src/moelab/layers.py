@@ -51,7 +51,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
 from .rng import Rng
 from .routing import RouterParams, capacity_filter, partitioned_gate
 from .tensor import Tensor, concat, expert_dispatch, mlp, take_rows
@@ -204,12 +203,7 @@ def layer_forward(h: Tensor, layer: MoELayer, rng: Rng, *, train: bool = False,
 # tiling
 
 
-def tile(x, m: int):
-    """Stack m copies along axis 0, member-major: [X; X; ...; X]."""
-    if m < 1:
-        raise ConfigError("tile factor must be >= 1")
-    if m == 1:
-        return x
-    if isinstance(x, Tensor):
-        return concat([x] * m, axis=0)
-    return np.concatenate([np.asarray(x)] * m, axis=0)
+def tile(x: Tensor, m: int) -> Tensor:
+    """Stack m copies along axis 0, member-major: [X; X; ...; X].  forward
+    tiles only at ModelSpec.tile_block, which exists only for m >= 2."""
+    return concat([x] * m, axis=0)

@@ -6,6 +6,18 @@ smoothed count of how often each expert would survive the noisy top-K.  Both
 are computed per router block (per member in the partitioned case), averaged
 into a single Omega per layer, then averaged across MoE layers and weighted
 by aux_weight.
+
+The cross-entropy is one tape node, and so is each MoE layer's Omega.  Each
+computes in numpy the expressions, in the order, of the composition of
+generic ops it replaces (tests/oracles.py keeps those as references), and
+its hand-written backward reproduces that tape's gradient expressions and
+accumulation order, so values and gradients are bitwise the composition's.
+Two orders fix the bits.  In a CV^2's backward the mean receives three
+terms: the one from v - mean first, then the two from mean * mean.  And a
+router block's clean logits receive the importance gradient and the load
+gradient as two separate _accum calls, in that order, not their sum, so
+that the gate's own gradient still lands where the tape put it: before both
+in the last MoE layer, after both in the others.
 """
 
 from __future__ import annotations
@@ -19,8 +31,9 @@ from .config import Record
 from .errors import ConfigError
 from .metrics import PROB_FLOOR
 from .routing import RoutingDecision, _topk_desc
-from .tensor import (Tensor, clamp_min, log, normal_cdf, reshape, softmax,
-                     take_cols, tmean, tsum)
+from .tensor import Tensor, _node, _pdf, _phi, _softmax, _softmax_backward
+
+CV_FLOOR = 1e-24  # guards the squared mean a CV^2 divides by
 
 
 @dataclass
@@ -62,85 +75,129 @@ class AuxLossState:
         return cls(members=decision.member_logits, sigma=decision.sigma, k=decision.k)
 
 
-def _gather_label_probs(member_probs: Tensor, labels: np.ndarray) -> Tensor:
-    """Pick p_m(y_b) for every member row; labels may be (B,) or (M, B)."""
-    m, b, c = member_probs.data.shape
-    labels = np.asarray(labels)
-    if labels.ndim == 1:
-        labels = np.broadcast_to(labels, (m, b))
-    flat = reshape(member_probs, (m * b, c))
-    return take_cols(flat, labels.reshape(m * b, 1))
-
-
 def member_avg_cross_entropy(member_probs: Tensor, labels, *,
                              mode: str = "member_avg") -> Tensor:
-    """(1/M) sum_m mean_b -log p_m(y_b), or -log mean_m p_m(y_b) for ensemble_ce.
+    """(1/M) sum_m mean_b -log p_m(y_b), or -log mean_m p_m(y_b) for
+    ensemble_ce, as one tape node; labels may be (B,) or, for member_avg,
+    (M, B).
 
-    Probabilities at the true label are clamped at 1e-12 (with a warning)
-    before the log.
+    Probabilities at the true label are clamped at PROB_FLOOR (with a
+    warning) before the log, and no gradient passes where they were.
     """
+    probs = member_probs.data
+    m, b, c = probs.shape
+    labels = np.asarray(labels)
     if mode == "ensemble_ce":
-        ens = tmean(member_probs, axis=0)
-        picked = take_cols(ens, np.asarray(labels).reshape(-1, 1))
+        table = probs.mean(axis=0)
+        cols = labels.reshape(-1, 1)
     else:
-        picked = _gather_label_probs(member_probs, labels)
-    if np.any(picked.data < PROB_FLOOR):
+        table = probs.reshape(m * b, c)
+        cols = np.broadcast_to(labels, (m, b)).reshape(m * b, 1)
+    rows = np.arange(table.shape[0])[:, None]
+    picked = table[rows, cols]
+    if np.any(picked < PROB_FLOOR):
         warnings.warn("zero probability at true label; clamped at 1e-12")
-    return -tmean(log(clamp_min(picked, PROB_FLOOR)))
+    kept = np.maximum(picked, PROB_FLOOR)
+    out = np.log(kept).mean() * -1.0
+
+    def backward(grad):
+        g = np.broadcast_to(grad * -1.0, picked.shape) / picked.size
+        g = g / kept
+        g = g * (picked > PROB_FLOOR)
+        g_table = np.zeros_like(table)  # add.at into zeros: -0.0 lands as 0.0
+        np.add.at(g_table, (rows, cols), g)
+        if mode == "ensemble_ce":
+            member_probs._accum(np.broadcast_to(g_table, probs.shape) / m)
+        else:
+            member_probs._accum(g_table.reshape(probs.shape))
+
+    return _node(out, (member_probs,), backward)
 
 
-def _cv_squared(v: Tensor) -> Tensor:
-    """(population std / mean)^2 with a guarded denominator."""
-    mu = tmean(v)
+def _cv_squared(v: np.ndarray):
+    """(population std / mean)^2 of v with a guarded denominator, and its
+    backward, which maps the gradient of the value to that of v."""
+    mu = v.mean()
     centered = v - mu
-    var = tmean(centered * centered)
-    return var / clamp_min(mu * mu, 1e-24)
+    var = (centered * centered).mean()
+    mu_sq = mu * mu
+    den = np.maximum(mu_sq, CV_FLOOR)
+
+    def backward(g):
+        g_sq = g / den / v.size
+        g_mu_sq = -g * var / (den * den) * (mu_sq > CV_FLOOR)
+        g_c = g_sq * centered
+        g_c = g_c + g_c  # both factors of centered * centered
+        g_mu = (-g_c).sum()
+        g_mu = g_mu + g_mu_sq * mu
+        g_mu = g_mu + g_mu_sq * mu
+        return g_c + g_mu / v.size
+
+    return var / den, backward
 
 
-def importance_loss(clean_softmax: Tensor) -> Tensor:
-    """CV^2 of per-expert importance imp_e = sum_b softmax[b, e]."""
-    return _cv_squared(tsum(clean_softmax, axis=0))
+def _block_omega(clean: np.ndarray, noisy: np.ndarray, sigma: float,
+                 k: int):
+    """(importance + load) / 2 of one router block, and its backward, which
+    maps the gradient of the importance and load CV^2s to the list of
+    gradients of the clean logits, importance first.
 
-
-def load_loss(clean_logits: Tensor, noisy_logits: np.ndarray, sigma: float,
-              k: int) -> Tensor:
-    """CV^2 of the smoothed per-expert selection count.
-
-    p_{i,e} = Phi((clean_{i,e} - tau_{i,e}) / sigma) with tau the K-th largest
-    noisy logit among the OTHER experts of token i.  sigma = 0 falls back to
-    hard top-K membership counts (a constant, so no gradient).  K = E means
-    every expert is always selected: the load is uniform and the loss 0.
-    The hard count ranks by the gate's top-K rule, since its ties decide
-    which expert is counted; the smooth count reads only the K-th and
-    (K+1)-th largest values, which no tie rule changes, so a plain sort
-    finds them.
+    Importance is CV^2 of imp_e = sum_b softmax(clean)[b, e].  Load is CV^2
+    of the smoothed count sum_i Phi((clean_{i,e} - tau_{i,e}) / sigma), with
+    tau the K-th largest noisy logit among the OTHER experts of token i.
+    sigma = 0 falls back to hard top-K membership counts (a constant, so no
+    gradient), and K = E selects every expert always, so the load is uniform
+    and its CV^2 0.  The hard count ranks by the gate's top-K rule, since
+    its ties decide which expert is counted; the smooth count reads only the
+    K-th and (K+1)-th largest values, which no tie rule changes, so a plain
+    sort finds them.
     """
-    e = noisy_logits.shape[1]
-    if k >= e:
-        return Tensor(0.0)
-    if sigma <= 0.0:
-        top = _topk_desc(noisy_logits, k)
-        return _cv_squared(Tensor(np.bincount(top.reshape(-1), minlength=e)))
-    desc = -np.sort(-noisy_logits, axis=1)
-    kth = desc[:, k - 1:k]       # K-th largest including self
-    kth_next = desc[:, k:k + 1]  # (K+1)-th largest
-    in_topk = noisy_logits >= kth
-    # if e sits in the top K, removing it promotes the (K+1)-th largest
-    tau = np.where(in_topk, kth_next, kth)
-    z = (clean_logits - Tensor(tau)) * (1.0 / sigma)
-    load = tsum(normal_cdf(z), axis=0)
-    return _cv_squared(load)
+    p = _softmax(clean, -1)
+    imp, imp_backward = _cv_squared(p.sum(axis=0))
+    e = noisy.shape[1]
+    lod, lod_backward = 0.0, None
+    if k < e and sigma <= 0.0:
+        top = _topk_desc(noisy, k)
+        lod, _ = _cv_squared(np.bincount(top.reshape(-1), minlength=e)
+                             .astype(np.float64))
+    elif k < e:
+        desc = -np.sort(-noisy, axis=1)
+        kth = desc[:, k - 1:k]       # K-th largest including self
+        kth_next = desc[:, k:k + 1]  # (K+1)-th largest
+        # if e sits in the top K, removing it promotes the (K+1)-th largest
+        tau = np.where(noisy >= kth, kth_next, kth)
+        inv_sigma = 1.0 / sigma
+        z = (clean - tau) * inv_sigma
+        lod, lod_backward = _cv_squared(_phi(z).sum(axis=0))
+
+    def backward(g):
+        grads = [_softmax_backward(p, imp_backward(g), -1)]
+        if lod_backward is not None:
+            grads.append(lod_backward(g) * _pdf(z) * inv_sigma)
+        return grads
+
+    return (imp + lod) * 0.5, backward
 
 
 def omega_partition(aux: AuxLossState) -> Tensor:
-    """Mean over router blocks of (importance + load) / 2."""
-    total = None
+    """Mean over router blocks of (importance + load) / 2, as one tape node
+    whose parents are the blocks' clean logits."""
+    cleans = [clean for clean, _ in aux.members]
+    total, backwards = None, []
     for clean, noisy in aux.members:
-        imp = importance_loss(softmax(clean, axis=-1))
-        lod = load_loss(clean, noisy, aux.sigma, aux.k)
-        omega_m = (imp + lod) * 0.5
+        omega_m, backward_m = _block_omega(clean.data, noisy, aux.sigma,
+                                           aux.k)
         total = omega_m if total is None else total + omega_m
-    return total * (1.0 / len(aux.members))
+        backwards.append(backward_m)
+    scale = 1.0 / len(aux.members)
+
+    def backward(grad):
+        g = grad * scale * 0.5
+        for clean, backward_m in zip(cleans, backwards):
+            for g_clean in backward_m(g):
+                clean._accum(g_clean)
+
+    return _node(total * scale, tuple(cleans), backward)
 
 
 def total_loss(data_loss: Tensor, aux_states: list, aux_weight: float) -> Tensor:

@@ -160,8 +160,11 @@ def capacity_filter(decision: RoutingDecision, ratio: float | None,
     capacity = math.ceil(ratio * n * slots / e_total)
     flat_ids = decision.indices.reshape(-1)
     dropped = decision.dropped_mask.reshape(-1).copy()
-    for e in range(e_total):
-        live = (flat_ids == e) & ~dropped
-        overflow = live & (np.cumsum(live) > capacity)
-        dropped |= overflow
+    # the live assignments grouped by expert, each group in row-major order,
+    # and every assignment's rank within its group
+    live = np.flatnonzero(~dropped)
+    order = live[np.argsort(flat_ids[live], kind="stable")]
+    ids = flat_ids[order]
+    rank = np.arange(ids.size) - np.searchsorted(ids, ids)
+    dropped[order[rank >= capacity]] = True
     return replace(decision, dropped_mask=dropped.reshape(n, slots))

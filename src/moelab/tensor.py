@@ -14,9 +14,10 @@ soon as that node's closure has run, so intermediate gradients die during
 the backward pass and a node's .grad reads None after it; the leaves keep
 theirs.
 
-The op set is exactly what the transformer and its losses need: dense/matmul,
-softmax, layernorm, the normal CDF, elementwise arithmetic, reductions,
-reshapes, concatenation, row and column gathers, and the fused MLPs.
+The op set is exactly what the transformer needs: dense/matmul, softmax,
+layernorm, add and mul, reshapes, concatenation, row and column gathers,
+and the fused MLPs.  The training objective is made of its own nodes
+(losses.py), built on the numpy kernels here (_softmax, _phi, _pdf).
 
 Every MLP of the model is one node on one kernel, ``_mlp_core``: GEMM and
 bias, exact GELU, the optional dropout mask, GEMM and bias, over row spans
@@ -52,9 +53,9 @@ zeroed gradient buffer) adds every gradient into it in place instead.  A
 gradient that already is a float64 ndarray of the tensor's shape skips the
 conversion and the broadcast reduction.
 
-The normal CDF that GELU and the load loss share is 0.5 (1 + erf(x / sqrt 2))
-with an in-house erf: the cephes rational approximations (ndtr.c) that
-scipy.special runs, reproduced bit for bit.  For |x| <= 1 it is
+The normal CDF ``_phi`` that GELU and the load loss share is 0.5 (1 +
+erf(x / sqrt 2)) with an in-house erf: the cephes rational approximations
+(ndtr.c) that scipy.special runs, reproduced bit for bit.  For |x| <= 1 it is
 x T(x^2) / U(x^2); above, 1 - erfc(|x|) with the sign of x, where erfc(a)
 is exp(-a^2) P(a) / Q(a) below 8, exp(-a^2) R(a) / S(a) from 8, and 0 once
 -a^2 < -MAXLOG; NaN stays NaN.  Exactness rests on two rules.  Each Horner
@@ -233,20 +234,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, _ensure(other))
 
-    def __sub__(self, other):
-        return sub(self, _ensure(other))
-
     def __mul__(self, other):
         return mul(self, _ensure(other))
 
     def __rmul__(self, other):
         return mul(_ensure(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _ensure(other))
-
-    def __neg__(self):
-        return mul(self, Tensor(-1.0))
 
 
 def _ensure(x) -> Tensor:
@@ -281,16 +273,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _node(out_data, (a, b), backward)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data - b.data
-
-    def backward(grad):
-        a._accum(grad)
-        b._accum(-grad)
-
-    return _node(out_data, (a, b), backward)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data * b.data
 
@@ -299,36 +281,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         b._accum(grad * a.data)
 
     return _node(out_data, (a, b), backward)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data / b.data
-
-    def backward(grad):
-        a._accum(grad / b.data)
-        b._accum(-grad * a.data / (b.data * b.data))
-
-    return _node(out_data, (a, b), backward)
-
-
-def log(a: Tensor) -> Tensor:
-    out_data = np.log(a.data)
-
-    def backward(grad):
-        a._accum(grad / a.data)
-
-    return _node(out_data, (a,), backward)
-
-
-def clamp_min(a: Tensor, floor: float) -> Tensor:
-    """max(a, floor); gradient passes only where the input was above."""
-    out_data = np.maximum(a.data, floor)
-    mask = a.data > floor
-
-    def backward(grad):
-        a._accum(grad * mask)
-
-    return _node(out_data, (a,), backward)
 
 
 # ----------------------------------------------------------------------
@@ -382,46 +334,28 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 # ----------------------------------------------------------------------
-# reductions
-
-
-def _unreduce(g: np.ndarray, shape: tuple, axis) -> np.ndarray:
-    if axis is not None:
-        g = np.expand_dims(g, axis)
-    return np.broadcast_to(g, shape)
-
-
-def tsum(a: Tensor, axis=None) -> Tensor:
-    out_data = a.data.sum(axis=axis)
-
-    def backward(grad):
-        a._accum(_unreduce(grad, a.data.shape, axis))
-
-    return _node(out_data, (a,), backward)
-
-
-def tmean(a: Tensor, axis=None) -> Tensor:
-    out_data = a.data.mean(axis=axis)
-    count = a.data.size / out_data.size
-
-    def backward(grad):
-        a._accum(_unreduce(grad, a.data.shape, axis) / count)
-
-    return _node(out_data, (a,), backward)
-
-
-# ----------------------------------------------------------------------
 # nonlinearities
+
+
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    """Numerically stable softmax of x along axis, as a new array."""
+    p = x - x.max(axis=axis, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=axis, keepdims=True)
+    return p
+
+
+def _softmax_backward(p: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    """The input gradient of a softmax p along axis, given p's gradient g."""
+    return p * (g - (g * p).sum(axis=axis, keepdims=True))
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along `axis`."""
-    p = a.data - a.data.max(axis=axis, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=axis, keepdims=True)
+    p = _softmax(a.data, axis)
 
     def backward(g):
-        a._accum(p * (g - (g * p).sum(axis=axis, keepdims=True)))
+        a._accum(_softmax_backward(p, g, axis))
 
     return _node(p, (a,), backward)
 
@@ -531,15 +465,6 @@ def _pdf(x: np.ndarray) -> np.ndarray:
     np.exp(out, out=out)
     out *= _INV_SQRT_2PI
     return out
-
-
-def normal_cdf(a: Tensor) -> Tensor:
-    """Standard normal CDF, used by the load-balancing loss."""
-
-    def backward(grad):
-        a._accum(grad * _pdf(a.data))
-
-    return _node(_phi(a.data), (a,), backward)
 
 
 def layernorm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:

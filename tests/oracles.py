@@ -12,19 +12,30 @@ dropout mask, then be_dense_forward(., *be2) + b2, and the fused node must
 equal it bitwise.  sgd_step_loop is the per-parameter SGD step that
 trainer.sgd_step's flat buffers replace, bit for bit.  evaluate_reference
 is trainer.evaluate's loop on one thread, whose report the parallel
-evaluate must equal byte for byte.
+evaluate must equal byte for byte.  capacity_dropped_loop is the
+per-expert loop routing.capacity_filter's one sort replaced.
+
+tsum, tmean, sub, div, log, clamp_min and normal_cdf are the generic tape
+ops the objective was composed of (tsum is also the scalar reducer of the
+gradient checks); cross_entropy_reference, importance_loss, load_loss and
+omega_partition_reference are those compositions, whose values and
+gradients the fused nodes of losses.py must equal bit for bit.
 """
 
 import math
+import warnings
 
 import numpy as np
 
 from moelab.errors import ConfigError, EvaluationError
-from moelab.metrics import (EvalReport, MetricAccumulator, fewshot_probe,
-                            ood_metrics, ood_scores)
+from moelab.losses import CV_FLOOR
+from moelab.metrics import (PROB_FLOOR, EvalReport, MetricAccumulator,
+                            fewshot_probe, ood_metrics, ood_scores)
 from moelab.model import ensemble_predict, forward
+from moelab.routing import _topk_desc
 from moelab.tensor import (Tensor, _node, _pdf, _phi, concat, matmul_rows,
-                           no_grad, take_rows)
+                           mul, no_grad, reshape, softmax, take_cols,
+                           take_rows)
 from moelab.tensor import matmul as _matmul
 
 
@@ -102,6 +113,141 @@ class BeMoeView:
         return out
 
 
+def _unreduce(g: np.ndarray, shape: tuple, axis) -> np.ndarray:
+    if axis is not None:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, shape)
+
+
+def tsum(a: Tensor, axis=None) -> Tensor:
+    out_data = a.data.sum(axis=axis)
+
+    def backward(grad):
+        a._accum(_unreduce(grad, a.data.shape, axis))
+
+    return _node(out_data, (a,), backward)
+
+
+def tmean(a: Tensor, axis=None) -> Tensor:
+    out_data = a.data.mean(axis=axis)
+    count = a.data.size / out_data.size
+
+    def backward(grad):
+        a._accum(_unreduce(grad, a.data.shape, axis) / count)
+
+    return _node(out_data, (a,), backward)
+
+
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    out_data = a.data - b.data
+
+    def backward(grad):
+        a._accum(grad)
+        b._accum(-grad)
+
+    return _node(out_data, (a, b), backward)
+
+
+def div(a: Tensor, b: Tensor) -> Tensor:
+    out_data = a.data / b.data
+
+    def backward(grad):
+        a._accum(grad / b.data)
+        b._accum(-grad * a.data / (b.data * b.data))
+
+    return _node(out_data, (a, b), backward)
+
+
+def log(a: Tensor) -> Tensor:
+    out_data = np.log(a.data)
+
+    def backward(grad):
+        a._accum(grad / a.data)
+
+    return _node(out_data, (a,), backward)
+
+
+def clamp_min(a: Tensor, floor: float) -> Tensor:
+    """max(a, floor); gradient passes only where the input was above."""
+    out_data = np.maximum(a.data, floor)
+    mask = a.data > floor
+
+    def backward(grad):
+        a._accum(grad * mask)
+
+    return _node(out_data, (a,), backward)
+
+
+def normal_cdf(a: Tensor) -> Tensor:
+    """Standard normal CDF."""
+
+    def backward(grad):
+        a._accum(grad * _pdf(a.data))
+
+    return _node(_phi(a.data), (a,), backward)
+
+
+def cross_entropy_reference(member_probs: Tensor, labels, *,
+                            mode: str = "member_avg") -> Tensor:
+    """losses.member_avg_cross_entropy as a composition of generic ops."""
+    if mode == "ensemble_ce":
+        ens = tmean(member_probs, axis=0)
+        picked = take_cols(ens, np.asarray(labels).reshape(-1, 1))
+    else:
+        m, b, c = member_probs.data.shape
+        labels = np.asarray(labels)
+        if labels.ndim == 1:
+            labels = np.broadcast_to(labels, (m, b))
+        flat = reshape(member_probs, (m * b, c))
+        picked = take_cols(flat, labels.reshape(m * b, 1))
+    if np.any(picked.data < PROB_FLOOR):
+        warnings.warn("zero probability at true label; clamped at 1e-12")
+    return mul(tmean(log(clamp_min(picked, PROB_FLOOR))), Tensor(-1.0))
+
+
+def _cv_squared(v: Tensor) -> Tensor:
+    """(population std / mean)^2 with a guarded denominator."""
+    mu = tmean(v)
+    centered = sub(v, mu)
+    var = tmean(centered * centered)
+    return div(var, clamp_min(mu * mu, CV_FLOOR))
+
+
+def importance_loss(clean_softmax: Tensor) -> Tensor:
+    """CV^2 of per-expert importance imp_e = sum_b softmax[b, e]."""
+    return _cv_squared(tsum(clean_softmax, axis=0))
+
+
+def load_loss(clean_logits: Tensor, noisy_logits: np.ndarray, sigma: float,
+              k: int) -> Tensor:
+    """CV^2 of the smoothed per-expert selection count; sigma = 0 falls back
+    to hard top-K counts (a constant) and K = E gives a constant 0."""
+    e = noisy_logits.shape[1]
+    if k >= e:
+        return Tensor(0.0)
+    if sigma <= 0.0:
+        top = _topk_desc(noisy_logits, k)
+        return _cv_squared(Tensor(np.bincount(top.reshape(-1), minlength=e)))
+    desc = -np.sort(-noisy_logits, axis=1)
+    kth = desc[:, k - 1:k]
+    kth_next = desc[:, k:k + 1]
+    tau = np.where(noisy_logits >= kth, kth_next, kth)
+    z = sub(clean_logits, Tensor(tau)) * (1.0 / sigma)
+    return _cv_squared(tsum(normal_cdf(z), axis=0))
+
+
+def omega_partition_reference(aux) -> Tensor:
+    """losses.omega_partition as a composition: the mean over router blocks
+    of (importance + load) / 2."""
+    total = None
+    for clean, noisy in aux.members:
+        imp = importance_loss(softmax(clean, axis=-1))
+        lod = load_loss(clean, noisy, aux.sigma, aux.k)
+        omega_m = (imp + lod) * 0.5
+        total = omega_m if total is None else total + omega_m
+    return total * (1.0 / len(aux.members))
+
+
 def gelu(a: Tensor) -> Tensor:
     """Exact GELU: x * Phi(x), with Phi the standard normal CDF."""
     cdf = _phi(a.data)
@@ -159,6 +305,19 @@ def be_dense_forward(h_tiled: Tensor, u: Tensor, r: list, s: list,
         h_m = take_rows(h_tiled, np.arange(mm * b, (mm + 1) * b))
         outs.append(matmul(h_m * r[mm], u, full_b) * s[mm])
     return concat(outs, axis=0)
+
+
+def capacity_dropped_loop(indices: np.ndarray, dropped: np.ndarray,
+                          capacity: int, e_total: int) -> np.ndarray:
+    """The dropped mask after capacity filtering, one expert at a time: an
+    expert's live assignments past its first capacity, in row-major order,
+    are dropped."""
+    flat_ids = indices.reshape(-1)
+    dropped = dropped.reshape(-1).copy()
+    for e in range(e_total):
+        live = (flat_ids == e) & ~dropped
+        dropped |= live & (np.cumsum(live) > capacity)
+    return dropped.reshape(indices.shape)
 
 
 def sgd_step_loop(named_params, grads: dict, state: dict, config,

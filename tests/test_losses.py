@@ -1,23 +1,37 @@
 """Objective terms: member-averaged cross-entropy, the two balance
-regularizers, their per-block average, and the weighted total."""
+regularizers, their per-block average, and the weighted total.
+
+The cross-entropy and each layer's Omega are one tape node each; the
+compositions of generic ops they replace (tests/oracles.py) pin down the
+two balance terms' arithmetic, and the nodes must equal them bit for bit,
+in value and in every gradient, also over whole training runs."""
 
 import math
+import warnings
+import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import moelab.losses
+import moelab.trainer
+from moelab.dataset import DatasetSpec, make_synthetic_dataset
 from moelab.losses import (
     AuxLossState,
     LossConfig,
-    importance_loss,
-    load_loss,
     member_avg_cross_entropy,
     omega_partition,
     total_loss,
 )
-from moelab.tensor import Tensor, matmul, reshape, softmax, transpose
+from moelab.model import build_model, preset
+from moelab.rng import Rng
+from moelab.tensor import (Tensor, matmul, mul, reshape, softmax, take_rows,
+                           transpose)
+from moelab.trainer import TrainConfig, train
 
-from oracles import finite_difference_check
+from oracles import (cross_entropy_reference, finite_difference_check,
+                     importance_loss, load_loss, omega_partition_reference)
 
 
 class TestMemberAvgCrossEntropy:
@@ -90,6 +104,9 @@ class TestLossConfig:
 
 
 class TestImportanceLoss:
+    """The importance term of the reference composition, which Omega's node
+    equals bitwise (TestFusedNodes)."""
+
     def test_balanced_is_zero(self):
         sm = Tensor(np.full((6, 4), 0.25))
         np.testing.assert_allclose(importance_loss(sm).data, 0.0, atol=1e-15)
@@ -116,6 +133,9 @@ class TestImportanceLoss:
 
 
 class TestLoadLoss:
+    """The load term of the reference composition, which Omega's node
+    equals bitwise (TestFusedNodes)."""
+
     def test_identical_logits_balanced(self):
         clean = Tensor(np.zeros((5, 3)))
         noisy = np.zeros((5, 3))
@@ -246,11 +266,15 @@ class TestGradients:
         assert err < 1e-4, f"max rel err {err:.3e}"
 
     def test_importance_gradcheck(self):
+        # K = E: the load term is a constant 0, so Omega's node is half the
+        # importance CV^2
         gen = np.random.default_rng(11)
         logits = Tensor(gen.normal(size=(5, 3)), requires_grad=True)
 
         def f():
-            return importance_loss(softmax(logits, axis=-1))
+            aux = AuxLossState(members=[(logits, logits.data.copy())],
+                               sigma=0.3, k=3)
+            return omega_partition(aux)
 
         err = finite_difference_check(f, [logits])
         assert err < 1e-5
@@ -261,7 +285,172 @@ class TestGradients:
         noisy = clean.data + 0.3 * gen.normal(size=(5, 4))
 
         def f():
-            return load_loss(clean, noisy, sigma=0.3, k=2)
+            aux = AuxLossState(members=[(clean, noisy)], sigma=0.3, k=2)
+            return omega_partition(aux)
 
         err = finite_difference_check(f, [clean])
         assert err < 1e-5
+
+
+def assert_bitwise(got, want):
+    """Equal bits: unlike assert_array_equal, -0.0 differs from 0.0."""
+    got, want = np.asarray(got, np.float64), np.asarray(want, np.float64)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestFusedNodes:
+    """member_avg_cross_entropy and omega_partition against the
+    compositions they replace: values and every gradient bit for bit,
+    with an upstream gradient other than 1 and the logits computed from
+    shared parameters, so that gradients also meet upstream."""
+
+    # (M router blocks, rows per block, experts per block, K, sigma,
+    # logit scale, tiled rows)
+    OMEGA = {
+        "m1": (1, 6, 4, 2, 0.3, 1.0, True),
+        "m2_tiled": (2, 5, 4, 1, 0.25, 1.0, True),
+        "m2_untiled": (2, 5, 4, 1, 0.25, 1.0, False),
+        "m4": (4, 3, 3, 2, 0.5, 1.0, True),
+        "sigma0": (2, 6, 4, 2, 0.0, 1.0, True),
+        "k_eq_e": (2, 4, 3, 3, 0.3, 1.0, True),
+        "one_expert": (1, 4, 1, 1, 0.3, 1.0, True),
+        "tiny_logits": (2, 6, 4, 1, 0.3, 1e-7, False),
+        "large_logits": (2, 6, 4, 2, 0.3, 40.0, True),
+        "one_row": (2, 1, 4, 1, 0.3, 1.0, True),
+    }
+
+    def _omega(self, fn, case, layers=1):
+        m, b, eb, k, sigma, scale, tiled = self.OMEGA[case]
+        gen = np.random.default_rng(zlib.crc32(case.encode()))
+        n = m * b if tiled else b
+        h = Tensor(scale * gen.normal(size=(n, 3)), requires_grad=True)
+        params = [h]
+        states = []
+        for _ in range(layers):
+            members = []
+            for mm in range(m):
+                w = Tensor(gen.normal(size=(eb, 3)), requires_grad=True)
+                params.append(w)
+                h_m = take_rows(h, np.arange(mm * b, (mm + 1) * b)) \
+                    if tiled else h
+                clean = matmul(h_m, transpose(w, (1, 0)))
+                noisy = clean.data + sigma * gen.normal(size=(b, eb))
+                members.append((clean, noisy))
+            states.append(AuxLossState(members=members, sigma=sigma, k=k))
+        if layers == 1:
+            out = fn(states[0])
+        else:  # total_loss calls its module's omega_partition
+            with mock.patch.object(moelab.losses, "omega_partition", fn):
+                out = total_loss(Tensor(0.25), states, 0.3)
+        mul(out, Tensor(-1.7)).backward()
+        return out, params
+
+    @pytest.mark.parametrize("case", list(OMEGA))
+    def test_omega_equals_composition(self, case):
+        got, got_params = self._omega(omega_partition, case)
+        want, want_params = self._omega(omega_partition_reference, case)
+        assert_bitwise(got.data, want.data)
+        for g, w in zip(got_params, want_params):
+            assert_bitwise(g.grad, w.grad)
+        assert len(got._parents) == self.OMEGA[case][0]
+
+    @pytest.mark.parametrize("case", ["m2_tiled", "sigma0", "k_eq_e"])
+    def test_total_loss_equals_composition(self, case):
+        got, got_params = self._omega(omega_partition, case, layers=2)
+        want, want_params = self._omega(omega_partition_reference, case,
+                                        layers=2)
+        assert_bitwise(got.data, want.data)
+        for g, w in zip(got_params, want_params):
+            assert_bitwise(g.grad, w.grad)
+
+    # (M, rows, classes, mode, per-member labels, zeroed probabilities)
+    CE = {
+        "m1": (1, 5, 3, "member_avg", False, False),
+        "m2": (2, 4, 3, "member_avg", False, False),
+        "m4": (4, 3, 5, "member_avg", False, False),
+        "m2_member_labels": (2, 4, 3, "member_avg", True, False),
+        "m4_member_labels": (4, 3, 3, "member_avg", True, False),
+        "ensemble_m2": (2, 4, 3, "ensemble_ce", False, False),
+        "ensemble_m4": (4, 5, 4, "ensemble_ce", False, False),
+        "sub_floor": (2, 4, 3, "member_avg", True, True),
+        "sub_floor_ensemble": (2, 4, 3, "ensemble_ce", False, True),
+    }
+
+    def _ce(self, fn, case):
+        m, b, c, mode, per_member, zeroed = self.CE[case]
+        gen = np.random.default_rng(zlib.crc32(case.encode()))
+        probs = softmax(Tensor(4.0 * gen.normal(size=(m, b, c)))).data
+        labels = gen.integers(0, c, size=(m, b) if per_member else b)
+        if zeroed:  # every member puts 0 on the first row's label
+            for mm in range(m):
+                probs[mm, 0, labels[mm, 0] if per_member else labels[0]] = 0.0
+        probs = Tensor(probs, requires_grad=True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = fn(probs, labels, mode=mode)
+        assert len(caught) == int(zeroed)
+        mul(out, Tensor(0.6)).backward()
+        return out, probs
+
+    @pytest.mark.parametrize("case", list(CE))
+    def test_cross_entropy_equals_composition(self, case):
+        got, got_probs = self._ce(member_avg_cross_entropy, case)
+        want, want_probs = self._ce(cross_entropy_reference, case)
+        assert_bitwise(got.data, want.data)
+        assert_bitwise(got_probs.grad, want_probs.grad)
+        assert len(got._parents) == 1
+
+    def test_inputs_untouched(self):
+        gen = np.random.default_rng(40)
+        clean = Tensor(gen.normal(size=(6, 4)), requires_grad=True)
+        noisy = clean.data + 0.3 * gen.normal(size=(6, 4))
+        probs = Tensor(np.full((2, 6, 4), 0.25), requires_grad=True)
+        before = [clean.data.copy(), noisy.copy(), probs.data.copy()]
+        aux = AuxLossState(members=[(clean, noisy)], sigma=0.3, k=2)
+        labels = np.zeros(6, dtype=int)
+        for mode in ("member_avg", "ensemble_ce"):
+            total_loss(member_avg_cross_entropy(probs, labels, mode=mode),
+                       [aux], 0.1).backward()
+        for arr, want in zip((clean.data, noisy, probs.data), before):
+            np.testing.assert_array_equal(arr, want)
+
+    # (variant, preset overrides, loss mode): every routed mode, noise off,
+    # K = E, both loss modes and the dense variants
+    TRAIN = {
+        "vmoe_capacity": ("vmoe", {"k": 2, "capacity_ratio": 1.0},
+                          "member_avg"),
+        "vmoe_sigma0": ("vmoe", {"k": 2, "noise_multiplier": 0.0},
+                        "member_avg"),
+        "vmoe_k_eq_e": ("vmoe", {"k": 8}, "member_avg"),
+        "pbe": ("pbe", {"k": 1, "m": 2}, "member_avg"),
+        "pbe_ensemble_ce": ("pbe", {"k": 1, "m": 2}, "ensemble_ce"),
+        "pbe_k2_m4": ("pbe", {"k": 2, "m": 4}, "member_avg"),
+        "only_tiling": ("only_tiling", {"k": 1, "m": 2}, "member_avg"),
+        "only_partitioning": ("only_partitioning", {"k": 1, "m": 2},
+                              "member_avg"),
+        "multihead": ("multihead", {"k": 2}, "member_avg"),
+        "vit": ("vit", {}, "member_avg"),
+        "be": ("be", {"m": 2}, "member_avg"),
+        "mimo": ("mimo", {"m": 2}, "member_avg"),
+    }
+
+    @pytest.mark.parametrize("case", list(TRAIN))
+    def test_training_equals_composition(self, case):
+        variant, kw, mode = self.TRAIN[case]
+        spec = preset("tiny", variant=variant, e=8, **kw)
+        data = make_synthetic_dataset(DatasetSpec(
+            classes=4, image_size=8, channels=3, n_train=64, n_val=16,
+            n_test=16, noise_std=1.0, seed=3))
+        config = TrainConfig(steps=6, batch_size=16, seed=5,
+                             loss=LossConfig(loss_mode=mode))
+        got, got_hist = train(build_model(spec, Rng(1)), data, config)
+        with mock.patch.object(moelab.losses, "omega_partition",
+                               omega_partition_reference), \
+                mock.patch.object(moelab.trainer, "member_avg_cross_entropy",
+                                  cross_entropy_reference):
+            want, want_hist = train(build_model(spec, Rng(1)), data, config)
+        assert [(r["loss"], r["aux"]) for r in got_hist] == \
+            [(r["loss"], r["aux"]) for r in want_hist]
+        for name, p in got.params.items():
+            assert_bitwise(p.data, want.params[name].data)

@@ -20,29 +20,25 @@ from moelab.rng import Rng
 from moelab.tensor import (
     Tensor,
     add,
-    clamp_min,
     concat,
     dense,
     expert_dispatch,
     layernorm,
-    log,
     matmul,
     matmul_rows,
     mlp,
     mul,
     no_grad,
-    normal_cdf,
     reshape,
     softmax,
     take_cols,
     take_rows,
-    tmean,
     transpose,
-    tsum,
 )
 from moelab.tensor import _ERF_CHUNK, _erf, _phi
 
-from oracles import dense_reference, finite_difference_check, gelu
+from oracles import (clamp_min, dense_reference, finite_difference_check, gelu,
+                     log, normal_cdf, tmean, tsum)
 
 
 def test_dense_hand_example():
@@ -492,9 +488,8 @@ class TestInPlaceOps:
         x = self._x(shape, 6)
         with mode:
             act = gelu(Tensor(x, requires_grad=True))
-            cdf = normal_cdf(Tensor(x, requires_grad=True))
         np.testing.assert_array_equal(act.data, x * _old_cdf(x))
-        np.testing.assert_array_equal(cdf.data, _old_cdf(x))
+        np.testing.assert_array_equal(_phi(x), _old_cdf(x))
 
     @pytest.mark.parametrize("shape", [(1, 3), (9, 5), (2, 7, 5)])
     @pytest.mark.parametrize("masked", [False, True])

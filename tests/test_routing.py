@@ -1,6 +1,7 @@
 """Gating against brute-force oracles: full softmax + stable sort is the
 reference implementation for every routing decision."""
 
+import math
 import time
 
 import numpy as np
@@ -10,10 +11,13 @@ from moelab.errors import ConfigError
 from moelab.rng import Rng
 from moelab.routing import (
     RouterParams,
+    RoutingDecision,
     capacity_filter,
     partitioned_gate,
 )
 from moelab.tensor import Tensor
+
+from oracles import capacity_dropped_loop
 
 
 def brute_force_topk(logits, k):
@@ -324,3 +328,24 @@ class TestCapacity:
         np.testing.assert_array_equal(out.dropped_mask,
                                       [[False, False], [True, True],
                                        [False, False], [True, True]])
+
+    def test_equals_per_expert_loop(self):
+        # random ids, some skewed toward low experts, and masks with
+        # assignments already dropped, which hold no place in the budget
+        gen = np.random.default_rng(19)
+        for _ in range(500):
+            n, s, e = (int(gen.integers(1, 40)), int(gen.integers(1, 5)),
+                       int(gen.integers(1, 17)))
+            idx = gen.integers(0, e, size=(n, s)) if gen.random() < 0.5 \
+                else np.minimum(gen.geometric(0.4, size=(n, s)) - 1, e - 1)
+            pre = gen.random((n, s)) < gen.choice([0.0, 0.3])
+            ratio = float(gen.choice([0.1, 0.5, 1.0, 2.0]))
+            dec = RoutingDecision(indices=idx,
+                                  weights=Tensor(np.zeros((n, s))),
+                                  dropped_mask=pre)
+            out = capacity_filter(dec, ratio, e)
+            np.testing.assert_array_equal(
+                out.dropped_mask,
+                capacity_dropped_loop(idx, pre, math.ceil(ratio * n * s / e),
+                                      e))
+            np.testing.assert_array_equal(dec.dropped_mask, pre)

@@ -9,6 +9,7 @@ import platform
 import resource
 import threading
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -475,6 +476,64 @@ class TestTrainLoop:
         assert len(lines) == 4
         # mid-training rows leave eval columns empty
         assert lines[1].split(",")[3] == ""
+
+
+class TestTapeSize:
+    """The tape nodes of one training step, split into the forward's (those
+    the member probabilities reach) and the losses' (the rest of what the
+    loss reaches), at the benchmark's model shape: tiny preset, mlp_dim 128,
+    E = 16, batch 32.  The cross-entropy is one node, each MoE layer's Omega
+    one more, and total_loss adds three: a change that regrows the losses,
+    or adds forward nodes, must update this table on purpose."""
+
+    NODES = {  # variant: (preset overrides, forward nodes, loss nodes)
+        "vmoe": ({"k": 2, "capacity_ratio": 1.0}, 104, 6),
+        "pbe": ({"k": 1, "m": 2}, 121, 6),
+        "only_tiling": ({"k": 1, "m": 2}, 105, 6),
+        "only_partitioning": ({"k": 1, "m": 2}, 116, 6),
+        "multihead": ({"k": 2}, 106, 6),
+        "vit": ({}, 94, 1),
+        "be": ({"m": 2}, 95, 1),
+        "mimo": ({"m": 2}, 95, 1),
+    }
+
+    @staticmethod
+    def _nodes(root) -> int:
+        seen, stack, count = set(), [root], 0
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            count += node._backward is not None
+            stack.extend(node._parents)
+        return count
+
+    @pytest.mark.parametrize("variant", list(NODES))
+    def test_nodes_per_training_step(self, variant):
+        kw, forward_nodes, loss_nodes = self.NODES[variant]
+        spec = moelab.model.preset("tiny", variant=variant, mlp_dim=128,
+                                   e=16, **kw)
+        kept = {}
+        ce, total = moelab.trainer.member_avg_cross_entropy, \
+            moelab.trainer.total_loss
+
+        def keep_ce(member_probs, labels, **kwargs):
+            kept["probs"] = member_probs
+            return ce(member_probs, labels, **kwargs)
+
+        def keep_total(*args):
+            kept["loss"] = total(*args)
+            return kept["loss"]
+
+        with mock.patch.object(moelab.trainer, "member_avg_cross_entropy",
+                               keep_ce), \
+                mock.patch.object(moelab.trainer, "total_loss", keep_total):
+            train(build_model(spec, Rng(0)), small_dataset(),
+                  TrainConfig(steps=1, batch_size=32))
+        forward_count = self._nodes(kept["probs"])
+        assert (forward_count, self._nodes(kept["loss"]) - forward_count) \
+            == (forward_nodes, loss_nodes)
 
 
 class TestEvaluate:
