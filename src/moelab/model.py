@@ -18,7 +18,7 @@ checkpoint's and the optimizer's.
 
 The residual stream is one (rows, hidden) tensor from the stem to the head,
 its rows image-major blocks of n_tokens (member-major once tiled); only
-attention groups them into images.
+attention, one tensor.attention node per block, groups them into images.
 
 Tiling discipline: the input batch runs untiled through every block before
 tile_block, and is replicated M times right before that block's MLP (the
@@ -47,7 +47,6 @@ bits.
 from __future__ import annotations
 
 import contextlib
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -58,8 +57,9 @@ from .errors import ConfigError, EvaluationError
 from .layers import ExpertMLP, MoELayer, dropout_mask, layer_forward, tile
 from .rng import Rng
 from .routing import RouterParams
-from .tensor import (Tensor, _keep_freed_memory, concat, dense, layernorm,
-                     matmul, no_grad, reshape, softmax, take_rows, transpose)
+from .tensor import (Tensor, _keep_freed_memory, attention, concat, dense,
+                     layernorm, no_grad, reshape, softmax, take_rows,
+                     transpose)
 
 VARIANTS = ("vit", "vmoe", "pbe", "only_tiling", "only_partitioning",
             "multihead", "be", "mimo")
@@ -383,24 +383,6 @@ def patchify(images: np.ndarray, patch: int) -> np.ndarray:
     return x.reshape(b, nh * nw, patch * patch * c)
 
 
-def _attention(x: Tensor, params: tuple, heads: int, tokens: int) -> Tensor:
-    """Self-attention within each image's block of `tokens` rows."""
-    wq, bq, wk, bk, wv, bv, wo, bo = params
-    n, d = x.data.shape
-    bc, dh = n // tokens, d // heads
-    q = dense(x, wq, bq)
-    k = dense(x, wk, bk)
-    v = dense(x, wv, bv)
-    q = transpose(reshape(q, (bc, tokens, heads, dh)), (0, 2, 1, 3))
-    k = transpose(reshape(k, (bc, tokens, heads, dh)), (0, 2, 3, 1))
-    v = transpose(reshape(v, (bc, tokens, heads, dh)), (0, 2, 1, 3))
-    scores = matmul(q, k) * (1.0 / math.sqrt(dh))
-    attn = softmax(scores, axis=-1)
-    ctx = matmul(attn, v)
-    ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (n, d))
-    return dense(ctx, wo, bo)
-
-
 def forward(model: Model, images, rng: Rng, *, train: bool = False,
             step: int = 0, mc_sample: int | None = None,
             want_features: bool = False) -> PredictionBundle:
@@ -454,7 +436,7 @@ def _forward(model, images, rng, train, step, mc_sample, want_features):
 
     last = spec.layers - 1
     for i, (blk, kind) in enumerate(zip(model.blocks, spec.mlp_kinds)):
-        x = x + _attention(layernorm(x, *blk.ln1), blk.attn, spec.heads, t)
+        x = x + attention(layernorm(x, *blk.ln1), blk.attn, spec.heads, t)
         if i == tile_block:
             x = tile(x, spec.tile_factor)
         n = x.data.shape[0]

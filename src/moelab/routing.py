@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .rng import Rng
-from .tensor import Tensor, concat, matmul, softmax, take_cols, take_rows, transpose
+from .tensor import Tensor, _node, _softmax, _softmax_backward
 
 
 @dataclass
@@ -78,6 +78,23 @@ def _topk_desc(p: np.ndarray, k: int) -> np.ndarray:
     return top
 
 
+def _block_logits(h: Tensor, w: Tensor, rows: np.ndarray | None) -> Tensor:
+    """The clean logits h[rows] W^T of one router block (all of h when rows
+    is None), as one node."""
+    h_m = h.data if rows is None else h.data[rows]
+    out = h_m @ w.data.T
+
+    def backward(g):
+        g_h = g @ w.data
+        if rows is not None:  # into zeros, as a row gather: -0.0 lands as 0.0
+            g_h, g_rows = np.zeros_like(h.data), g_h
+            np.add.at(g_h, rows, g_rows)
+        h._accum(g_h)
+        w._accum((h_m.T @ g).T)
+
+    return _node(out, (h, w), backward)
+
+
 def partitioned_gate(h: Tensor, router: RouterParams, k: int, rng: Rng, *,
                      tiled: bool = True, train: bool = False,
                      noise_key: tuple = ("route", 0, 0)) -> RoutingDecision:
@@ -92,8 +109,12 @@ def partitioned_gate(h: Tensor, router: RouterParams, k: int, rng: Rng, *,
     (N, E/M) and indexed by each member's rows.  tiled=False
     (only_partitioning): every row is routed in every block, giving K*M
     slots per row in block order; eps is drawn as (N, E) and sliced by
-    column block.  With M=1 both are the V-MoE gate over a single router,
-    and the tape holds no row gather or concat.
+    column block.  With M=1 both are the V-MoE gate over a single router.
+
+    Each block's clean logits are one node (_block_logits); the noise add,
+    softmax, top-K gather and join of all blocks are one more, over the
+    clean logits.  Both are bitwise the composition of generic ops they
+    replace (tests/oracles.py), and h gets its gradients block by block.
     """
     m = len(router.weights)
     eb = router.weights[0].data.shape[0]
@@ -102,46 +123,38 @@ def partitioned_gate(h: Tensor, router: RouterParams, k: int, rng: Rng, *,
     n = h.data.shape[0]
     if tiled and n % m != 0:
         raise ConfigError(f"tiled row count {n} not divisible by M={m}")
-    b = n // m
+    b = n // m if tiled else n
 
     sigma = router.effective_sigma(train)
     noise = None
     if sigma > 0.0:
         noise = sigma * rng.normal((n, eb if tiled else m * eb), *noise_key)
 
-    index_blocks = []
-    weight_blocks = []
-    member_logits = []
-    for mm in range(m):
-        h_m, noise_m = h, noise
-        if tiled and m > 1:
-            rows = np.arange(mm * b, (mm + 1) * b)
-            h_m = take_rows(h, rows)
-            noise_m = None if noise is None else noise[rows]
-        elif not tiled and noise is not None:
-            noise_m = noise[:, mm * eb:(mm + 1) * eb]
-        clean = matmul(h_m, transpose(router.weights[mm], (1, 0)))
-        noisy = clean if noise_m is None else clean + Tensor(noise_m)
-        probs = softmax(noisy, axis=-1)
-        local = _topk_desc(probs.data, k)
-        index_blocks.append(local + mm * eb)
-        weight_blocks.append(take_cols(probs, local))
-        member_logits.append((clean, noisy.data))
+    axis = 0 if tiled else 1
+    noises = [None] * m if noise is None else np.split(noise, m, axis)
+    blocks = []
+    for mm, (w, noise_m) in enumerate(zip(router.weights, noises)):
+        rows = np.arange(mm * b, (mm + 1) * b) if b < n else None
+        clean = _block_logits(h, w, rows)
+        noisy = clean.data if noise_m is None else clean.data + noise_m
+        probs = _softmax(noisy, -1)
+        blocks.append((clean, noisy, probs, _topk_desc(probs, k)))
+    cols = np.arange(b)[:, None]
+    indices = np.concatenate([top + mm * eb for mm, (*_, top)
+                              in enumerate(blocks)], axis)
 
-    if m == 1:
-        indices, weights = index_blocks[0], weight_blocks[0]
-    else:
-        axis = 0 if tiled else 1
-        indices = np.concatenate(index_blocks, axis=axis)
-        weights = concat(weight_blocks, axis=axis)
+    def backward(grad):
+        for (clean, _, p, top), g_m in zip(blocks, np.split(grad, m, axis)):
+            g = np.zeros_like(p)  # as a column gather's backward
+            np.add.at(g, (cols, top), g_m)
+            clean._accum(_softmax_backward(p, g, -1))
+
+    weights = np.concatenate([p[cols, top] for *_, p, top in blocks], axis)
     return RoutingDecision(
-        indices=indices,
-        weights=weights,
-        dropped_mask=np.zeros_like(indices, dtype=bool),
-        member_logits=member_logits,
-        sigma=sigma,
-        k=k,
-    )
+        indices=indices, dropped_mask=np.zeros_like(indices, dtype=bool),
+        weights=_node(weights, tuple(c for c, *_ in blocks), backward),
+        member_logits=[(c, noisy) for c, noisy, *_ in blocks],
+        sigma=sigma, k=k)
 
 
 def capacity_filter(decision: RoutingDecision, ratio: float | None,

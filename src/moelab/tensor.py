@@ -14,10 +14,17 @@ soon as that node's closure has run, so intermediate gradients die during
 the backward pass and a node's .grad reads None after it; the leaves keep
 theirs.
 
-The op set is exactly what the transformer needs: dense/matmul, softmax,
-layernorm, add and mul, reshapes, concatenation, row and column gathers,
-and the fused MLPs.  The training objective is made of its own nodes
-(losses.py), built on the numpy kernels here (_softmax, _phi, _pdf).
+The op set is exactly what the transformer needs: dense, attention,
+softmax, layernorm, add and mul, reshapes, concatenation, row gathers and
+the fused MLPs.  The training objective and the router's gate are made of
+their own nodes (losses.py, routing.py), built on the numpy kernels here
+(_softmax, _phi, _pdf).
+
+``attention`` is one node per block.  Its four projections are spans of
+the MLP kernel's affine layer (below), and its forward and backward repeat
+the numpy ops and gradient expressions of the dense, reshape, transpose,
+matmul and softmax composition it replaces.  Its input feeds q, k and v and
+takes their gradients in the order that tape added them: (g_q + g_k) + g_v.
 
 Every MLP of the model is one node on one kernel, ``_mlp_core``: GEMM and
 bias, exact GELU, the optional dropout mask, GEMM and bias, over row spans
@@ -306,31 +313,57 @@ def matmul_rows(a: np.ndarray, w: np.ndarray, full_rows: int | None = None,
     return np.matmul(a, w, out=out)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """np.matmul semantics; batch dims broadcast, grads reduced back."""
-    out_data = np.matmul(a.data, b.data)
-
-    def backward(g):
-        a._accum(np.matmul(g, np.swapaxes(b.data, -1, -2)))
-        b._accum(np.matmul(np.swapaxes(a.data, -1, -2), g))
-
-    return _node(out_data, (a, b), backward)
+def _affine(a: np.ndarray, w: Tensor, b: Tensor):
+    """a @ w + b as one span of the MLP kernel's layer, and its backward:
+    the output gradient to a's, accumulating w's and b's."""
+    spans = [(0, a.shape[0], None, (w, b), None)]
+    out, _ = _layer_forward(a, spans, 0)
+    return out, lambda g: _layer_backward(g, a, spans, 0, [])
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map on the last axis: x @ w + b, with w of shape (in, out).
-    It is one span of the MLP kernel's layer (_layer_forward)."""
+    """Affine map on the last axis: x @ w + b, with w of shape (in, out)."""
     d_in, d_out = w.data.shape
-    x2 = x.data.reshape(-1, d_in)
-    spans = [(0, x2.shape[0], None, (w, b), None)]
-    out_data, _ = _layer_forward(x2, spans, 0)
+    out_data, affine_backward = _affine(x.data.reshape(-1, d_in), w, b)
 
     def backward(grad):
-        g_x = _layer_backward(grad.reshape(-1, d_out), x2, spans, 0, [])
+        g_x = affine_backward(grad.reshape(-1, d_out))
         x._accum(g_x.reshape(x.data.shape))
 
     return _node(out_data.reshape(*x.data.shape[:-1], d_out), (x, w, b),
                  backward)
+
+
+def attention(x: Tensor, params: tuple, heads: int, tokens: int) -> Tensor:
+    """Self-attention within each image's block of `tokens` rows of x, as
+    one node; params is (wq, bq, wk, bk, wv, bv, wo, bo)."""
+    n, d = x.data.shape
+    split = (n // tokens, tokens, heads, d // heads)
+    scale = 1.0 / np.sqrt(d // heads)
+    wq, bq, wk, bk, wv, bv, wo, bo = params
+    q, q_backward = _affine(x.data, wq, bq)
+    k, k_backward = _affine(x.data, wk, bk)
+    v, v_backward = _affine(x.data, wv, bv)
+    q = q.reshape(split).transpose(0, 2, 1, 3)
+    k = k.reshape(split).transpose(0, 2, 3, 1)
+    v = v.reshape(split).transpose(0, 2, 1, 3)
+    attn = _softmax(np.matmul(q, k) * scale, -1)
+    ctx = np.matmul(attn, v).transpose(0, 2, 1, 3).reshape(n, d)
+    out_data, o_backward = _affine(ctx, wo, bo)
+
+    def backward(grad):
+        g_ctx = o_backward(grad).reshape(split).transpose(0, 2, 1, 3)
+        g_v = np.matmul(np.swapaxes(attn, -1, -2), g_ctx)
+        g_s = _softmax_backward(attn, np.matmul(g_ctx, np.swapaxes(v, -1, -2)),
+                                -1) * scale
+        g_x = q_backward(np.matmul(g_s, np.swapaxes(k, -1, -2))
+                         .transpose(0, 2, 1, 3).reshape(n, d))
+        g_x += k_backward(np.matmul(np.swapaxes(q, -1, -2), g_s)
+                          .transpose(0, 3, 1, 2).reshape(n, d))
+        g_x += v_backward(g_v.transpose(0, 2, 1, 3).reshape(n, d))
+        x._accum(g_x)
+
+    return _node(out_data, (x, *params), backward)
 
 
 # ----------------------------------------------------------------------
@@ -544,20 +577,6 @@ def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     def backward(grad):
         gx = np.zeros_like(x.data)
         np.add.at(gx, idx, grad)
-        x._accum(gx)
-
-    return _node(out_data, (x,), backward)
-
-
-def take_cols(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Gather along the last axis of a 2D tensor: out[i, j] = x[i, idx[i, j]]."""
-    idx = np.asarray(idx, dtype=np.intp)
-    rows = np.arange(x.data.shape[0])[:, None]
-    out_data = x.data[rows, idx]
-
-    def backward(grad):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, (rows, idx), grad)
         x._accum(gx)
 
     return _node(out_data, (x,), backward)

@@ -1,9 +1,10 @@
 """Test-side references the tests compare the package against.
 
 finite_difference_check checks tape gradients against central
-differences; dense_reference is the affine map with its own GEMM, bias and
-gradient code, the one tensor.dense replaced by a span of the MLP kernel's
-layer; BeMoeView reads a batch-ensemble dense layer, given as its
+differences, and assert_bitwise compares arrays bit for bit;
+dense_reference is the affine map with its own GEMM, bias and gradient
+code, the one tensor.dense replaced by a span of the MLP kernel's layer;
+BeMoeView reads a batch-ensemble dense layer, given as its
 slow weight U and its members' fast weights r and s, as a sparse MoE
 (Appendix F), the other side of the BE/MoE equivalence.  gelu and
 be_dense_forward are the tape compositions the fused tensor.mlp replaces:
@@ -19,7 +20,10 @@ tsum, tmean, sub, div, log, clamp_min and normal_cdf are the generic tape
 ops the objective was composed of (tsum is also the scalar reducer of the
 gradient checks); cross_entropy_reference, importance_loss, load_loss and
 omega_partition_reference are those compositions, whose values and
-gradients the fused nodes of losses.py must equal bit for bit.
+gradients the fused nodes of losses.py must equal bit for bit.  matmul and
+take_cols are the generic ops attention and the gate were composed of;
+attention_reference and gate_reference are those compositions, the
+references of tensor.attention and routing.partitioned_gate.
 """
 
 import math
@@ -32,11 +36,17 @@ from moelab.losses import CV_FLOOR
 from moelab.metrics import (PROB_FLOOR, EvalReport, MetricAccumulator,
                             fewshot_probe, ood_metrics, ood_scores)
 from moelab.model import ensemble_predict, forward
-from moelab.routing import _topk_desc
-from moelab.tensor import (Tensor, _node, _pdf, _phi, concat, matmul_rows,
-                           mul, no_grad, reshape, softmax, take_cols,
-                           take_rows)
-from moelab.tensor import matmul as _matmul
+from moelab.routing import RoutingDecision, _topk_desc
+from moelab.tensor import (Tensor, _node, _pdf, _phi, concat, dense,
+                           matmul_rows, mul, no_grad, reshape, softmax,
+                           take_rows, transpose)
+
+
+def assert_bitwise(got, want):
+    """Equal bits: unlike assert_array_equal, -0.0 differs from 0.0."""
+    got, want = np.asarray(got, np.float64), np.asarray(want, np.float64)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def finite_difference_check(fn, params, eps: float = 1e-5) -> float:
@@ -281,11 +291,93 @@ def dense_reference(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor, full_rows: int | None = None) -> Tensor:
-    """tensor.matmul whose values keep the bits of rows cut from an operand
-    of full_rows rows, as in matmul_rows; its backward is tensor.matmul's."""
-    out = _matmul(a, b)
-    out.data = matmul_rows(a.data, b.data, full_rows)
-    return out
+    """np.matmul semantics, batch dims broadcast and grads reduced back;
+    the values keep the bits of rows cut from an operand of full_rows rows,
+    as in matmul_rows."""
+
+    def backward(g):
+        a._accum(np.matmul(g, np.swapaxes(b.data, -1, -2)))
+        b._accum(np.matmul(np.swapaxes(a.data, -1, -2), g))
+
+    return _node(matmul_rows(a.data, b.data, full_rows), (a, b), backward)
+
+
+def take_cols(x: Tensor, idx: np.ndarray) -> Tensor:
+    """Gather along the last axis of a 2D tensor: out[i, j] = x[i, idx[i, j]]."""
+    idx = np.asarray(idx, dtype=np.intp)
+    rows = np.arange(x.data.shape[0])[:, None]
+    out_data = x.data[rows, idx]
+
+    def backward(grad):
+        gx = np.zeros_like(x.data)
+        np.add.at(gx, (rows, idx), grad)
+        x._accum(gx)
+
+    return _node(out_data, (x,), backward)
+
+
+def attention_reference(x: Tensor, params: tuple, heads: int,
+                        tokens: int) -> Tensor:
+    """tensor.attention as a composition of generic ops."""
+    wq, bq, wk, bk, wv, bv, wo, bo = params
+    n, d = x.data.shape
+    bc, dh = n // tokens, d // heads
+    q = dense(x, wq, bq)
+    k = dense(x, wk, bk)
+    v = dense(x, wv, bv)
+    q = transpose(reshape(q, (bc, tokens, heads, dh)), (0, 2, 1, 3))
+    k = transpose(reshape(k, (bc, tokens, heads, dh)), (0, 2, 3, 1))
+    v = transpose(reshape(v, (bc, tokens, heads, dh)), (0, 2, 1, 3))
+    scores = matmul(q, k) * (1.0 / math.sqrt(dh))
+    attn = softmax(scores, axis=-1)
+    ctx = matmul(attn, v)
+    ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (n, d))
+    return dense(ctx, wo, bo)
+
+
+def gate_reference(h: Tensor, router, k: int, rng, *, tiled: bool = True,
+                   train: bool = False,
+                   noise_key: tuple = ("route", 0, 0)) -> RoutingDecision:
+    """routing.partitioned_gate as a composition of generic ops, block by
+    block: row gather (tiled, M > 1), logits, noise add, softmax and
+    top-K column gather, then one concat of the blocks (M > 1)."""
+    m = len(router.weights)
+    eb = router.weights[0].data.shape[0]
+    if not 1 <= k <= eb:
+        raise ConfigError(f"K={k} out of range for block size {eb}")
+    n = h.data.shape[0]
+    if tiled and n % m != 0:
+        raise ConfigError(f"tiled row count {n} not divisible by M={m}")
+    b = n // m
+    sigma = router.effective_sigma(train)
+    noise = None
+    if sigma > 0.0:
+        noise = sigma * rng.normal((n, eb if tiled else m * eb), *noise_key)
+    index_blocks, weight_blocks, member_logits = [], [], []
+    for mm in range(m):
+        h_m, noise_m = h, noise
+        if tiled and m > 1:
+            rows = np.arange(mm * b, (mm + 1) * b)
+            h_m = take_rows(h, rows)
+            noise_m = None if noise is None else noise[rows]
+        elif not tiled and noise is not None:
+            noise_m = noise[:, mm * eb:(mm + 1) * eb]
+        clean = matmul(h_m, transpose(router.weights[mm], (1, 0)))
+        noisy = clean if noise_m is None else clean + Tensor(noise_m)
+        probs = softmax(noisy, axis=-1)
+        local = _topk_desc(probs.data, k)
+        index_blocks.append(local + mm * eb)
+        weight_blocks.append(take_cols(probs, local))
+        member_logits.append((clean, noisy.data))
+    if m == 1:
+        indices, weights = index_blocks[0], weight_blocks[0]
+    else:
+        axis = 0 if tiled else 1
+        indices = np.concatenate(index_blocks, axis=axis)
+        weights = concat(weight_blocks, axis=axis)
+    return RoutingDecision(indices=indices, weights=weights,
+                           dropped_mask=np.zeros_like(indices, dtype=bool),
+                           member_logits=member_logits, sigma=sigma, k=k)
 
 
 def be_dense_forward(h_tiled: Tensor, u: Tensor, r: list, s: list,

@@ -33,10 +33,12 @@ from moelab.model import build_model, forward, preset
 from moelab.flops import deep_ensemble_flops, flops_estimate, tiling_saving
 from moelab.rng import Rng
 from moelab.routing import RouterParams, partitioned_gate
-from moelab.tensor import Tensor, dense, matmul, reshape, softmax, transpose
+from moelab.tensor import (Tensor, attention, dense, reshape, softmax,
+                           transpose)
 from moelab.trainer import TrainConfig, evaluate, train
 
-from oracles import BeMoeView, be_dense_forward, finite_difference_check, tsum
+from oracles import (BeMoeView, be_dense_forward, finite_difference_check,
+                     matmul, tsum)
 
 
 def report(n, ok, detail):
@@ -213,6 +215,18 @@ def test_criterion_02_gradient_fidelity():
         return total_loss(data, [aux], 0.1)
 
     errs["total_loss"] = finite_difference_check(f_loss, [ht, wt, head])
+
+    # two images of 3 tokens, 2 heads; the key bias shifts every score of
+    # a query's row alike, which the softmax cancels, so its gradient is 0
+    # up to roundoff, which central differences cannot resolve
+    xa = Tensor(gen.normal(size=(6, 4)), requires_grad=True)
+    attn = [Tensor(gen.normal(size=shape), requires_grad=True)
+            for _ in "qkvo" for shape in ((4, 4), (4,))]
+    ca = Tensor(gen.normal(size=(6, 4)))
+    errs["attention"] = finite_difference_check(
+        lambda: tsum(attention(xa, attn, 2, 3) * ca),
+        [xa] + attn[:3] + attn[4:])
+    assert np.abs(attn[3].grad).max() < 1e-12
 
     took = time.time() - start
     worst = max(errs.values())

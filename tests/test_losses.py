@@ -26,12 +26,12 @@ from moelab.losses import (
 )
 from moelab.model import build_model, preset
 from moelab.rng import Rng
-from moelab.tensor import (Tensor, matmul, mul, reshape, softmax, take_rows,
-                           transpose)
+from moelab.tensor import Tensor, mul, reshape, softmax, take_rows, transpose
 from moelab.trainer import TrainConfig, train
 
-from oracles import (cross_entropy_reference, finite_difference_check,
-                     importance_loss, load_loss, omega_partition_reference)
+from oracles import (assert_bitwise, cross_entropy_reference,
+                     finite_difference_check, importance_loss, load_loss,
+                     matmul, omega_partition_reference)
 
 
 class TestMemberAvgCrossEntropy:
@@ -290,13 +290,6 @@ class TestGradients:
 
         err = finite_difference_check(f, [clean])
         assert err < 1e-5
-
-
-def assert_bitwise(got, want):
-    """Equal bits: unlike assert_array_equal, -0.0 differs from 0.0."""
-    got, want = np.asarray(got, np.float64), np.asarray(want, np.float64)
-    assert got.shape == want.shape
-    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestFusedNodes:

@@ -4,6 +4,7 @@ every variant, prediction wrappers, and checkpoints."""
 import gc
 import struct
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from moelab.checkpoint import (
     model_from_checkpoint,
     save_checkpoint,
 )
+from moelab.dataset import DatasetSpec, make_synthetic_dataset
 from moelab.errors import ConfigError
 from moelab.layers import ExpertMLP, MoELayer
 from moelab.losses import AuxLossState, member_avg_cross_entropy, total_loss
@@ -33,8 +35,10 @@ from moelab.model import (
 )
 from moelab.rng import Rng
 from moelab.tensor import Tensor
+from moelab.trainer import TrainConfig, train
 
-from oracles import finite_difference_check
+from oracles import (assert_bitwise, attention_reference,
+                     finite_difference_check, gate_reference)
 
 
 def tiny_spec(**kw):
@@ -527,6 +531,42 @@ class TestStructuralEquivalences:
         a = forward(model, x, Rng(1)).member_probs.data
         b = naive_forward(model, x, Rng(1)).member_probs.data
         np.testing.assert_array_equal(a, b)
+
+
+class TestLayerNodesInTraining:
+    """Six training steps with the attention and gate nodes equal, bit for
+    bit, the same steps with the compositions of generic ops they replace
+    patched in (oracles.attention_reference and gate_reference)."""
+
+    CASES = {  # name: (variant, preset overrides)
+        "vmoe": ("vmoe", {"k": 2, "capacity_ratio": 1.0}),
+        "pbe": ("pbe", {"k": 1, "m": 2}),
+        "pbe_m4": ("pbe", {"k": 2, "m": 4}),
+        "only_tiling": ("only_tiling", {"k": 1, "m": 2}),
+        "only_partitioning": ("only_partitioning", {"k": 1, "m": 2}),
+        "only_partitioning_m4": ("only_partitioning", {"k": 1, "m": 4}),
+        "multihead": ("multihead", {"k": 2}),
+        "vit": ("vit", {}),
+        "be": ("be", {"m": 2}),
+        "mimo": ("mimo", {"m": 2}),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_training_equals_composition(self, case):
+        variant, kw = self.CASES[case]
+        spec = preset("tiny", variant=variant, e=8, **kw)
+        data = make_synthetic_dataset(DatasetSpec(
+            classes=4, image_size=8, channels=3, n_train=64, n_val=16,
+            n_test=16, noise_std=1.0, seed=3))
+        config = TrainConfig(steps=6, batch_size=16, seed=5)
+        got, got_hist = train(build_model(spec, Rng(1)), data, config)
+        with mock.patch("moelab.model.attention", attention_reference), \
+                mock.patch("moelab.layers.partitioned_gate", gate_reference):
+            want, want_hist = train(build_model(spec, Rng(1)), data, config)
+        assert [(r["loss"], r["aux"]) for r in got_hist] == \
+            [(r["loss"], r["aux"]) for r in want_hist]
+        for name, p in got.params.items():
+            assert_bitwise(p.data, want.params[name].data)
 
 
 class TestPrunedEvalForward:

@@ -20,25 +20,25 @@ from moelab.rng import Rng
 from moelab.tensor import (
     Tensor,
     add,
+    attention,
     concat,
     dense,
     expert_dispatch,
     layernorm,
-    matmul,
     matmul_rows,
     mlp,
     mul,
     no_grad,
     reshape,
     softmax,
-    take_cols,
     take_rows,
     transpose,
 )
 from moelab.tensor import _ERF_CHUNK, _erf, _phi
 
-from oracles import (clamp_min, dense_reference, finite_difference_check, gelu,
-                     log, normal_cdf, tmean, tsum)
+from oracles import (assert_bitwise, attention_reference, clamp_min,
+                     dense_reference, finite_difference_check, gelu, log,
+                     matmul, normal_cdf, take_cols, tmean, tsum)
 
 
 def test_dense_hand_example():
@@ -300,6 +300,42 @@ class TestGradients:
         }
         f, params = fns[op]
         check_grads(f, params)
+
+
+class TestAttentionNode:
+    """tensor.attention against the composition it replaces
+    (oracles.attention_reference): the value and the gradients of x and of
+    all 8 projection parameters, bit for bit, under an upstream gradient
+    other than 1."""
+
+    # name: (heads, images, tokens)
+    CASES = {f"h{h}_b{b}_t{t}": (h, b, t)
+             for h in (1, 2, 4) for b in (1, 3) for t in (5, 17)}
+
+    def _run(self, fn, case):
+        heads, images, tokens = self.CASES[case]
+        gen = np.random.default_rng(zlib.crc32(case.encode()))
+        d = 8
+        x = Tensor(gen.normal(size=(images * tokens, d)), requires_grad=True)
+        params = tuple(Tensor(gen.normal(size=shape), requires_grad=True)
+                       for _ in "qkvo" for shape in ((d, d), (d,)))
+        upstream = Tensor(gen.normal(size=x.data.shape))
+        out = fn(x, params, heads, tokens)
+        tsum(mul(out, upstream)).backward()
+        return out, (x, *params)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_equals_composition(self, case):
+        got, got_inputs = self._run(attention, case)
+        want, want_inputs = self._run(attention_reference, case)
+        assert_bitwise(got.data, want.data)
+        for g, w in zip(got_inputs, want_inputs):
+            assert_bitwise(g.grad, w.grad)
+        assert len(got._parents) == 9
+        with no_grad():
+            untaped = attention(got_inputs[0], got_inputs[1:],
+                                *self.CASES[case][::2])
+        assert_bitwise(untaped.data, got.data)
 
 
 class TestFusedOps:

@@ -1,13 +1,18 @@
 """Gating against brute-force oracles: full softmax + stable sort is the
 reference implementation for every routing decision."""
 
+import itertools
 import math
 import time
+import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from moelab.errors import ConfigError
+from moelab.layers import ExpertMLP, MoELayer, layer_forward
+from moelab.losses import AuxLossState, omega_partition
 from moelab.rng import Rng
 from moelab.routing import (
     RouterParams,
@@ -15,9 +20,10 @@ from moelab.routing import (
     capacity_filter,
     partitioned_gate,
 )
-from moelab.tensor import Tensor
+from moelab.tensor import Tensor, add, mul
 
-from oracles import capacity_dropped_loop
+from oracles import (assert_bitwise, capacity_dropped_loop, gate_reference,
+                     tsum)
 
 
 def brute_force_topk(logits, k):
@@ -349,3 +355,59 @@ class TestCapacity:
                 capacity_dropped_loop(idx, pre, math.ceil(ratio * n * s / e),
                                       e))
             np.testing.assert_array_equal(dec.dropped_mask, pre)
+
+
+class TestGateNodes:
+    """partitioned_gate's nodes (one per router block's clean logits, one
+    gate node per layer) against the composition they replace
+    (oracles.gate_reference).  The gate feeds an expert_dispatch, as in a
+    MoE layer, and the layer's Omega node is attached, so h receives the
+    dispatch gradient and then every block's, and each block's clean
+    logits receive the gate's and the loss's gradients, in both orders.
+    Decisions, values and every gradient must be equal bit for bit."""
+
+    # (M, tiled, sigma, K); each router block has 4 experts
+    CASES = {f"m{m}_{'tiled' if t else 'untiled'}_s{s}_k{k}": (m, t, s, k)
+             for m, t, s, k in itertools.product((1, 2, 4), (True, False),
+                                                 (0.0, 0.3), (1, 2, 4))}
+
+    def _run(self, gate, case, loss_first):
+        m, tiled, sigma, k = self.CASES[case]
+        gen = np.random.default_rng(zlib.crc32(case.encode()))
+        b, eb, d = 5, 4, 3
+        h = Tensor(gen.normal(size=(m * b if tiled else b, d)),
+                   requires_grad=True)
+        router = RouterParams(
+            [Tensor(gen.normal(size=(eb, d)), requires_grad=True)
+             for _ in range(m)], noise_scale=sigma)
+        experts = [ExpertMLP(*(Tensor(gen.normal(size=shape),
+                                      requires_grad=True)
+                               for shape in ((d, 2), (2,), (2, d), (d,))))
+                   for _ in range(m * eb)]
+        layer = MoELayer(experts, router, k,
+                         mode="pbe" if tiled else "only_partitioning")
+        upstream = Tensor(gen.normal(size=h.data.shape))
+        with mock.patch("moelab.layers.partitioned_gate", gate):
+            out, dec = layer_forward(h, layer, Rng(3), train=True,
+                                     dropout_on=False,
+                                     noise_key=("route", 1, 2))
+        data = tsum(mul(out, upstream))
+        aux = mul(omega_partition(AuxLossState.from_decision(dec)),
+                  Tensor(0.7))
+        (add(aux, data) if loss_first else add(data, aux)).backward()
+        return dec, [h, *router.weights]
+
+    @pytest.mark.parametrize("loss_first", [False, True])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_equals_composition(self, case, loss_first):
+        got, got_inputs = self._run(partitioned_gate, case, loss_first)
+        want, want_inputs = self._run(gate_reference, case, loss_first)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        assert_bitwise(got.weights.data, want.weights.data)
+        for (gc, gn), (wc, wn) in zip(got.member_logits, want.member_logits):
+            assert_bitwise(gc.data, wc.data)
+            assert_bitwise(gn, wn)
+        assert (got.sigma, got.k) == (want.sigma, want.k)
+        for g, w in zip(got_inputs, want_inputs):
+            assert_bitwise(g.grad, w.grad)
+        assert len(got.weights._parents) == self.CASES[case][0]
