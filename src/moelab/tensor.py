@@ -318,7 +318,8 @@ def _affine(a: np.ndarray, w: Tensor, b: Tensor):
     the output gradient to a's, accumulating w's and b's."""
     spans = [(0, a.shape[0], None, (w, b), None)]
     out, _ = _layer_forward(a, spans, 0)
-    return out, lambda g: _layer_backward(g, a, spans, 0, [])
+    return out, lambda g, input_grad=True: _layer_backward(
+        g, a, spans, 0, [], input_grad)
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -327,8 +328,10 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out_data, affine_backward = _affine(x.data.reshape(-1, d_in), w, b)
 
     def backward(grad):
-        g_x = affine_backward(grad.reshape(-1, d_out))
-        x._accum(g_x.reshape(x.data.shape))
+        # a constant x (the patch embedding's input) takes no gradient
+        g_x = affine_backward(grad.reshape(-1, d_out), x.requires_grad)
+        if g_x is not None:
+            x._accum(g_x.reshape(x.data.shape))
 
     return _node(out_data.reshape(*x.data.shape[:-1], d_out), (x, w, b),
                  backward)
@@ -613,10 +616,13 @@ def _layer_forward(a: np.ndarray, spans: list, j: int):
 
 
 def _layer_backward(g: np.ndarray, a: np.ndarray, spans: list, j: int,
-                    zs: list) -> np.ndarray:
+                    zs: list, input_grad: bool = True) -> np.ndarray | None:
     """Accumulate layer j's parameter gradients from its output gradient g;
-    returns the gradient of its input rows a."""
-    g_in = np.empty(a.shape)
+    returns the gradient of its input rows a, or, with input_grad false,
+    skips its GEMM and returns None.  A member span's r gradient reads the
+    input gradient, so input_grad is false only for spans without members.
+    """
+    g_in = np.empty(a.shape) if input_grad else None
     members = spans[0][4] is not None
     if members:  # one bias, added after the member blocks are joined
         spans[0][3][2 * j + 1]._accum(g.sum(axis=0))
@@ -629,7 +635,8 @@ def _layer_backward(g: np.ndarray, a: np.ndarray, spans: list, j: int,
             s._accum((g_out * next(zs)).sum(axis=0))
             g_out = g_out * s.data
             a_in = a_in * r.data
-        np.matmul(g_out, w.data.T, out=g_in[lo:hi])
+        if input_grad:
+            np.matmul(g_out, w.data.T, out=g_in[lo:hi])
         w._accum(a_in.T @ g_out)
         if fast is None:
             b._accum(g_out.sum(axis=0))

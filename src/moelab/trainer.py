@@ -19,22 +19,25 @@ The step's arrays are then freed and allocated again every step; see
 ``tensor._keep_freed_memory`` for the malloc thresholds that keep their
 pages mapped, which ``train`` and ``evaluate`` set before anything else.
 
-``evaluate`` scores its batches on the calling thread and one helper thread
-per further CPU the process may run on (``_eval_workers``).  Every eval
-draw is keyed, so the report is bitwise the one a single thread gives.
-glibc gives each thread that allocates a malloc arena of its own, and an
-arena keeps what it once held under the raised trim threshold, so peak
-memory rises by about one eval batch's working set per helper.
+``evaluate`` scores its batches in the calling process and in one helper
+per further CPU the process may run on (``_eval_workers``), each helper a
+child forked for the call (``_score_all``); processes, because threads
+would share one interpreter lock.  Every eval draw is keyed, so the report
+is bitwise the one a single process gives.  A helper shares the caller's
+pages copy-on-write and holds only what it writes itself, which counts
+towards the children's peak memory, not the caller's.  The caller pays for
+the fork: its written pages are then shared, so the next write to each
+faults once.
 """
 
 from __future__ import annotations
 
-import collections
 import csv
 import gc
 import io
 import math
 import os
+import pickle
 import threading
 from dataclasses import dataclass, field
 
@@ -283,8 +286,13 @@ def _batched(x, size):
 
 
 def _eval_workers(jobs: int) -> int:
-    """Threads that score evaluate's jobs: one per CPU this process may
-    run on, and no more than there are jobs."""
+    """Processes that score evaluate's jobs: one per CPU this process may
+    run on, and no more than there are jobs.  One where there is no
+    os.fork, or where another Python thread is alive: a fork copies only
+    the calling thread, so a lock some other thread held stays locked in
+    the child."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -292,44 +300,104 @@ def _eval_workers(jobs: int) -> int:
     return min(cpus, jobs)
 
 
-def _score_all(jobs: list, score, rng: Rng) -> list:
-    """[score(job, rng) for job in jobs], on the calling thread and
-    _eval_workers(len(jobs)) - 1 helper threads.
+def _score_stripe(jobs: list, score, rng: Rng, first: int, step: int,
+                  results, failures: dict) -> None:
+    """results[i] = score(jobs[i], rng) for i = first, first + step, ...;
+    the first failure goes to failures[i] and ends the stripe."""
+    for i in range(first, len(jobs), step):
+        try:
+            results[i] = score(jobs[i], rng)
+        except Exception as exc:
+            failures[i] = exc
+            return
 
-    Each helper draws through an Rng(rng.seed) of its own, since an Rng is
-    not for sharing between threads; a keyed draw depends only on (seed,
-    tags), so every thread scores a job to the same bits.  The threads take
-    the jobs in list order.  A failed job cancels the jobs not yet taken,
-    and once every helper has stopped, the exception of the first failed
-    job is raised: the one the loop on one thread raises.
+
+def _portable(exc: Exception) -> Exception:
+    """exc if it survives a pickle round trip, else a RuntimeError that
+    names its type and message."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return RuntimeError(f"evaluate helper failed: "
+                            f"{type(exc).__name__}: {exc}")
+    return exc
+
+
+def _fork_helper(jobs: list, score, rng: Rng, first: int,
+                 step: int) -> tuple:
+    """Fork a helper that scores jobs first, first + step, ... with its copy
+    of rng; returns (pid, read end of its pipe).
+
+    The helper stops at its first failure and writes one pickle, its
+    ({index: result}, {index: failure}), to the pipe.  It always leaves
+    through os._exit, so no exit handler, buffered output or caller's frame
+    of the forked process ever runs."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid:
+        os.close(write_end)
+        return pid, read_end
+    status = 1
+    try:
+        os.close(read_end)
+        done, failed = {}, {}
+        _score_stripe(jobs, score, rng, first, step, done, failed)
+        failed = {i: _portable(exc) for i, exc in failed.items()}
+        with open(write_end, "wb") as out:
+            out.write(pickle.dumps((done, failed)))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _reap_helper(pid: int, read_end: int, results: list,
+                 failures: dict, first: int) -> None:
+    """Read a helper's pickle, wait for it, and merge what it sent; a
+    helper that exits without a clean report fails at its first job."""
+    with open(read_end, "rb") as pipe:
+        payload = pipe.read()
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status != 0 or not payload:
+        how = f"exited with status {status}" if status >= 0 \
+            else f"was killed by signal {-status}"
+        failures[first] = RuntimeError(
+            f"evaluate helper {pid} {how} before reporting")
+        return
+    done, failed = pickle.loads(payload)
+    for i, result in done.items():
+        results[i] = result
+    failures.update(failed)
+
+
+def _score_all(jobs: list, score, rng: Rng) -> list:
+    """[score(job, rng) for job in jobs], on the calling process and
+    _eval_workers(len(jobs)) - 1 helpers forked from it.
+
+    With W workers, worker w scores jobs w, w + W, ..., and the caller is
+    worker 0.  A helper scores with its forked copy of everything: the
+    model, the data and rng.  A keyed draw depends only on (seed, tags), so
+    every process scores a job to the same bits.  The caller scores its
+    stripe, then reads every helper's report and reaps every helper, also
+    when its own stripe failed.  Each worker stops at its first failure,
+    and the failure of the lowest job is raised: the one the loop in one
+    process raises.
     """
+    workers = _eval_workers(len(jobs))
     results = [None] * len(jobs)
     failures = {}
-    pending = collections.deque(range(len(jobs)))  # pops are thread-safe
-
-    def work(worker_rng):
-        while True:
-            try:
-                i = pending.popleft()
-            except IndexError:
-                return
-            try:
-                results[i] = score(jobs[i], worker_rng)
-            except Exception as exc:
-                failures[i] = exc
-                pending.clear()
-                return
-
-    helpers = [threading.Thread(target=work, args=(Rng(rng.seed),))
-               for _ in range(_eval_workers(len(jobs)) - 1)]
-    for t in helpers:
-        t.start()
+    helpers = []
     try:
-        work(rng)
+        for w in range(1, workers):
+            helpers.append((w, *_fork_helper(jobs, score, rng, w, workers)))
+        _score_stripe(jobs, score, rng, 0, workers, results, failures)
     finally:
-        pending.clear()
-        for t in helpers:
-            t.join()
+        for w, pid, read_end in helpers:
+            _reap_helper(pid, read_end, results, failures, w)
     if failures:
         raise failures[min(failures)]
     return results
@@ -348,8 +416,7 @@ def evaluate(model: Model | None, dataset: Dataset, rng: Rng, *,
     raises ConfigError before any forward pass.
 
     The forwards of the test, ood and shift batches run on every usable
-    CPU (_score_all); the calling thread merges their results in batch
-    order.
+    CPU (_score_all); the caller merges their results in batch order.
     """
     if (model is None) == (models is None):
         raise ConfigError("pass exactly one of model or models")

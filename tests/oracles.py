@@ -12,8 +12,8 @@ the batch-ensemble MLP is gelu(be_dense_forward(x, *be1) + b1), times the
 dropout mask, then be_dense_forward(., *be2) + b2, and the fused node must
 equal it bitwise.  sgd_step_loop is the per-parameter SGD step that
 trainer.sgd_step's flat buffers replace, bit for bit.  evaluate_reference
-is trainer.evaluate's loop on one thread, whose report the parallel
-evaluate must equal byte for byte.  capacity_dropped_loop is the
+is trainer.evaluate's loop in one process, whose report the evaluate with
+forked helpers must equal byte for byte.  capacity_dropped_loop is the
 per-expert loop routing.capacity_filter's one sort replaced.
 
 tsum, tmean, sub, div, log, clamp_min and normal_cdf are the generic tape
@@ -437,7 +437,7 @@ def sgd_step_loop(named_params, grads: dict, state: dict, config,
 def evaluate_reference(model, dataset, rng, *, models=None, mc_samples=0,
                        batch_size=128, fewshot_shots=(), flops_giga=None):
     """trainer.evaluate as one loop over the test, ood and shift batches
-    on the calling thread, for valid arguments."""
+    in the calling process, for valid arguments."""
     passes = [(mdl, None) for mdl in models or ()] + \
         [(model, s) for s in range(mc_samples)]
 

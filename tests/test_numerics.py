@@ -14,6 +14,7 @@ import pytest
 from scipy import special
 
 import moelab
+import moelab.tensor
 from moelab.errors import ConfigError
 from moelab.layers import tile
 from moelab.rng import Rng
@@ -113,6 +114,29 @@ class TestDenseIsOneKernelSpan:
             assert (g_got is None) == (g_want is None)
             if g_want is not None:
                 np.testing.assert_array_equal(g_got, g_want)
+
+    @pytest.mark.parametrize("x_grad,input_gemms", [(True, 1), (False, 0)])
+    def test_backward_runs_the_input_gemm_only_if_needed(
+            self, x_grad, input_gemms, monkeypatch):
+        # the patch embedding's input is a constant: g @ w.T would be lost
+        gen = np.random.default_rng(32)
+        x = Tensor(gen.normal(size=(6, 5)), requires_grad=x_grad)
+        w = Tensor(gen.normal(size=(5, 4)), requires_grad=True)
+        loss = tsum(dense(x, w, Tensor(np.zeros(4), requires_grad=True)))
+        gemms = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def matmul(self, *args, **kw):
+                gemms.append(args[0].shape)
+                return np.matmul(*args, **kw)
+
+        monkeypatch.setattr(moelab.tensor, "np", CountingNumpy())
+        loss.backward()
+        assert len(gemms) == input_gemms
+        assert w.grad is not None and (x.grad is not None) == x_grad
 
 
 class TestRowGemm:

@@ -7,8 +7,13 @@ import math
 import os
 import platform
 import resource
+import signal
+import subprocess
+import sys
+import textwrap
 import threading
 import weakref
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -591,7 +596,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("protocol", ["single", "ensemble", "mc"])
     def test_fewshot_features_from_the_metrics_pass(self, protocol,
-                                                    monkeypatch):
+                                                    monkeypatch, tmp_path):
         ds = small_dataset(seed=20)
         spec = tiny_model_spec(variant="pbe", e=4, k=1, m=2,
                                dropout_rate=0.2)
@@ -610,11 +615,14 @@ class TestEvaluate:
         want = dataclasses.replace(plain, fewshot={
             s: fewshot_probe(features, ds.test_y, s) for s in (1, 2)})
 
-        images = []
+        # every worker appends its forwards' image counts to one file, so
+        # the counts of forked helpers reach the test too
+        images = tmp_path / "images"
         real = moelab.model.forward
 
         def counting(model, x, *a, **kw):
-            images.append(len(x))
+            with open(images, "a") as fh:
+                fh.write(f"{len(x)}\n")
             return real(model, x, *a, **kw)
 
         monkeypatch.setattr(moelab.model, "forward", counting)
@@ -627,7 +635,7 @@ class TestEvaluate:
         # adds a deterministic feature pass over the test split
         want_images = {"single": n_eval, "ensemble": 2 * n_eval,
                        "mc": 2 * n_eval + len(ds.test_y)}[protocol]
-        assert sum(images) == want_images
+        assert sum(map(int, images.read_text().split())) == want_images
 
     def test_requires_exactly_one_model_argument(self):
         ds = small_dataset(seed=19)
@@ -703,6 +711,25 @@ def force_workers(monkeypatch, n):
                         lambda jobs: min(n, jobs))
 
 
+def assert_no_child():
+    """Every child this process forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def in_helpers(monkeypatch, act):
+    """Patch trainer.forward so that act() runs first in a forked helper,
+    never in the calling process."""
+    caller, real = os.getpid(), moelab.trainer.forward
+
+    def forward(*args, **kw):
+        if os.getpid() != caller:
+            act()
+        return real(*args, **kw)
+
+    monkeypatch.setattr(moelab.trainer, "forward", forward)
+
+
 class TestParallelEvaluate:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("case", EVAL_CASES)
@@ -717,56 +744,139 @@ class TestParallelEvaluate:
             got = evaluate(first, ds, Rng(1000), batch_size=batch_size, **kw)
             assert got.to_json() == want.to_json()
 
-    def test_each_rng_draws_on_one_thread(self, monkeypatch):
-        # an Rng re-keys one owned Philox: helpers must draw through Rngs
-        # of their own, never through the caller's
-        users = {}  # id(rng) -> (rng, idents of the threads drawing)
+    def test_each_rng_draws_on_one_thread(self, monkeypatch, tmp_path):
+        # an Rng re-keys one owned Philox, so each process must draw on one
+        # thread; the log crosses the fork as a file every worker appends to
+        log = tmp_path / "draws"
         real = Rng._keyed
 
         def keyed(self, tags):
-            users.setdefault(id(self), (self, set()))[1].add(
-                threading.get_ident())
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {threading.get_ident()}\n")
             return real(self, tags)
 
         monkeypatch.setattr(Rng, "_keyed", keyed)
-        force_workers(monkeypatch, 2)
         model = build_model(tiny_model_spec(dropout_rate=0.2), Rng(12))
-        evaluate(model, eval_dataset(), Rng(1000), mc_samples=2,
-                 batch_size=8)
-        threads = [idents for _, idents in users.values()]
-        assert len(set().union(*threads)) == 2
-        assert all(len(idents) == 1 for idents in threads)
+        draws = {}
+        for workers in (1, 2):
+            force_workers(monkeypatch, workers)
+            log.write_text("")
+            evaluate(model, eval_dataset(), Rng(1000), mc_samples=2,
+                     batch_size=8)
+            draws[workers] = [tuple(line.split())
+                              for line in log.read_text().splitlines()]
+        threads = {}
+        for pid, ident in draws[2]:
+            threads.setdefault(pid, set()).add(ident)
+        assert len(threads) == 2 and str(os.getpid()) in threads
+        assert all(len(idents) == 1 for idents in threads.values())
+        # each job is scored once: as many draws as on one worker
+        assert len(draws[2]) == len(draws[1])
 
-    def test_helper_failure_is_raised_and_no_thread_outlives_the_call(
+    def test_helper_failure_is_raised_and_no_child_outlives_it(
             self, monkeypatch):
         ds = eval_dataset()
         model = build_model(tiny_model_spec(), Rng(12))
         force_workers(monkeypatch, 2)
-        before = threading.enumerate()
         evaluate(model, ds, Rng(1000), batch_size=8)
-        assert threading.enumerate() == before
+        assert_no_child()
 
-        caller = threading.current_thread()
-        real = moelab.trainer.forward
+        def fail():
+            raise EvaluationError("non-finite probabilities in a helper")
 
-        def failing_off_the_caller(*args, **kw):
-            if threading.current_thread() is not caller:
-                raise EvaluationError("non-finite probabilities in a helper")
-            return real(*args, **kw)
-
-        monkeypatch.setattr(moelab.trainer, "forward", failing_off_the_caller)
-        with pytest.raises(EvaluationError, match="in a helper"):
+        in_helpers(monkeypatch, fail)
+        with pytest.raises(EvaluationError,
+                           match="^non-finite probabilities in a helper$"):
             evaluate(model, ds, Rng(1000), batch_size=8)
-        assert threading.enumerate() == before
+        assert_no_child()
 
-    def test_one_worker_starts_no_thread(self, monkeypatch):
-        def no_start(self):
-            raise AssertionError("a thread started")
+    def test_helper_that_dies_unreported_is_named_and_reaped(
+            self, monkeypatch):
+        in_helpers(monkeypatch, lambda: os._exit(3))
+        force_workers(monkeypatch, 2)
+        model = build_model(tiny_model_spec(), Rng(12))
+        with pytest.raises(RuntimeError, match="exited with status 3"):
+            evaluate(model, eval_dataset(), Rng(1000), batch_size=8)
+        assert_no_child()
+
+    def test_unpicklable_helper_exception_arrives_as_runtime_error(
+            self, monkeypatch):
+        # DivergenceError(step, value) pickles, but its args are the message
+        # alone, so unpickling calls DivergenceError(message) and fails
+        def diverge():
+            raise DivergenceError(3, float("nan"))
+
+        in_helpers(monkeypatch, diverge)
+        force_workers(monkeypatch, 2)
+        model = build_model(tiny_model_spec(), Rng(12))
+        with pytest.raises(RuntimeError) as err:
+            evaluate(model, eval_dataset(), Rng(1000), batch_size=8)
+        assert type(err.value) is RuntimeError
+        assert "DivergenceError: non-finite loss nan at step 3" in \
+            str(err.value)
+        assert_no_child()
+
+    def test_one_worker_forks_no_helper(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("a helper was forked")
 
         force_workers(monkeypatch, 1)
-        monkeypatch.setattr(threading.Thread, "start", no_start)
+        monkeypatch.setattr(os, "fork", no_fork)
         model = build_model(tiny_model_spec(), Rng(12))
         evaluate(model, eval_dataset(), Rng(1000))
+
+    def test_two_workers_beside_a_live_blas_pool(self):
+        # OpenBLAS's thread pool must survive the fork: a helper that
+        # deadlocks on it hangs here until the timeout
+        code = textwrap.dedent("""
+            import numpy as np
+            import moelab.trainer as trainer
+            from moelab.dataset import DatasetSpec, make_synthetic_dataset
+            from moelab.model import build_model, preset
+            from moelab.rng import Rng
+            a = np.ones((512, 512))
+            a @ a  # starts the pool before the first fork
+            ds = make_synthetic_dataset(DatasetSpec(
+                classes=4, image_size=8, channels=3, n_train=16, n_val=8,
+                n_test=300, noise_std=0.5, seed=21))
+            model = build_model(preset("tiny", variant="vmoe", e=4, k=2),
+                                Rng(12))
+            reports = []
+            for n in (2, 1):
+                trainer._eval_workers = lambda jobs, n=n: min(n, jobs)
+                reports.append(trainer.evaluate(model, ds, Rng(1000)))
+            print(reports[0].to_json() == reports[1].to_json())
+        """)
+        src = str(Path(moelab.trainer.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "2"}
+        proc = subprocess.Popen([sys.executable, "-c", code], env=env,
+                                stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True,
+                                start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)  # its helpers too
+            proc.communicate()
+            pytest.fail("a 2-worker evaluate beside a live BLAS pool hung")
+        assert proc.returncode == 0, err
+        assert out.split() == ["True"]
+
+    def test_one_worker_without_fork_or_beside_a_thread(self, monkeypatch):
+        workers = moelab.trainer._eval_workers
+        cpus = len(os.sched_getaffinity(0))
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert workers(10**6) == 1
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert workers(10**6) == cpus
+        monkeypatch.delattr(os, "fork")
+        assert workers(10**6) == 1
 
     def test_worker_count_is_usable_cpus_capped_by_jobs(self, monkeypatch):
         workers = moelab.trainer._eval_workers
